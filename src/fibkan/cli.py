@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fixture", choices=fixture_names(),
                        help="use a bundled example model")
         p.add_argument("--max-degree", type=int, default=None,
-                       help="truncation degree (default: FIBKAN_MAX_DEGREE or 4)")
+                       help="truncation degree, at least 1 "
+                            "(default: FIBKAN_MAX_DEGREE or 4)")
         p.add_argument("--format", choices=("json", "md"), default="json")
         p.add_argument("--expect", nargs="*", default=[],
                        metavar="CHECK",
@@ -369,8 +370,13 @@ def run(argv=None) -> int:
         print("error: provide exactly one of a model path or --fixture",
               file=sys.stderr)
         return 2
-    max_degree = args.max_degree if args.max_degree is not None \
-        else hokan.default_max_degree()
+    try:
+        max_degree = hokan.check_max_degree(
+            hokan.default_max_degree() if args.max_degree is None
+            else args.max_degree)
+    except hokan.HoKanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.fixture:
             model = model_from_dict(load_bundled(args.fixture))

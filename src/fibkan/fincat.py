@@ -397,12 +397,6 @@ class FiberedModel:
         """(f*S', f_*) for the base morphism f into pi(S')."""
         return self.cleavage[(S_prime, f)]
 
-    def fiber_inverse(self, g: str) -> str:
-        inv = self.strcat.inverse(g)
-        if inv is None:
-            raise FiberedModelError(f"fiber morphism {g!r} not invertible")
-        return inv
-
     def solve_cartesian(self, g: str, g_prime: str, f_tilde: str) -> str:
         """Unique g_tilde with pi(g_tilde)=f_tilde and g after g_tilde = g_prime."""
         lifts = _lifts(self.pi, g, g_prime, f_tilde)
@@ -602,9 +596,13 @@ def extension_data(fm: FiberedModel, loc: LocStructure, f: str) -> ExtensionData
     # functoriality
     fiber = fm.fiber(M)
     for S in fiber.objects:
-        assert mor_map[fiber.id_of(S)] == fiber_prime.id_of(obj_map[S][0])
+        if mor_map[fiber.id_of(S)] != fiber_prime.id_of(obj_map[S][0]):
+            raise FiberedModelError(
+                f"extension along {f!r} does not preserve the identity of {S!r}")
     for (g1, g2), g12 in fiber.compose.items():
-        assert fiber_prime.comp(mor_map[g1], mor_map[g2]) == mor_map[g12]
+        if fiber_prime.comp(mor_map[g1], mor_map[g2]) != mor_map[g12]:
+            raise FiberedModelError(
+                f"extension along {f!r} does not preserve {g1!r} after {g2!r}")
     return ExtensionData(f, obj_map, mor_map)
 
 

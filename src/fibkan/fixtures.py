@@ -305,12 +305,3 @@ def load_bundled(name: str) -> dict:
     """Read the shipped JSON copy (kept in sync with the builders by a test)."""
     path = resources.files(__package__).joinpath(f"fixtures/{name}.json")
     return json.loads(path.read_text())
-
-
-def write_all(directory):
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in fixture_names():
-        (directory / f"{name}.json").write_text(fixture_json(name))

@@ -14,8 +14,7 @@ import os
 from dataclasses import dataclass
 
 from . import dg
-from .dg import Complex, Dga, DgaDiagram, GradedLinearMap, algebra_to_dga, \
-    matrix_to_map
+from .dg import Dga, GradedLinearMap
 from .finalg import QftFunctor
 from .fincat import (
     ExtensionData,
@@ -35,15 +34,28 @@ from .qlinalg import ONE, QMatrix, Subspace, invert, kernel_basis
 DEFAULT_MAX_DEGREE = 4
 
 
+class HoKanError(ValueError):
+    pass
+
+
 def default_max_degree() -> int:
+    """FIBKAN_MAX_DEGREE, or DEFAULT_MAX_DEGREE when it is unset."""
     value = os.environ.get("FIBKAN_MAX_DEGREE")
     if value is None:
         return DEFAULT_MAX_DEGREE
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise HoKanError(
+            f"FIBKAN_MAX_DEGREE must be an integer, got {value!r}") from None
 
 
-class HoKanError(ValueError):
-    pass
+def check_max_degree(max_degree: int) -> int:
+    """The truncation degree, which must be at least 1: the degree-0
+    cocycles need the differential into degree 1."""
+    if max_degree < 1:
+        raise HoKanError(f"max degree must be at least 1, got {max_degree}")
+    return max_degree
 
 
 def _sign(k: int):
@@ -117,7 +129,8 @@ class HoKan:
         self.fm = fm
         self.loc = loc
         self.A = A
-        self.max_degree = default_max_degree() if max_degree is None else max_degree
+        self.max_degree = check_max_degree(
+            default_max_degree() if max_degree is None else max_degree)
         self._hou = {}
         self._horan = {}
         self._ext = {}
@@ -125,20 +138,11 @@ class HoKan:
 
     # --- objects -----------------------------------------------------------
 
-    def _diagram(self, cat: FinCategory, alg_of, mat_of) -> DgaDiagram:
-        at = {obj: algebra_to_dga(alg_of(obj), self.max_degree)
-              for obj in cat.objects}
-        maps = {
-            g: matrix_to_map(mat_of(g), at[cat.source(g)], at[cat.target(g)])
-            for g in cat.morphisms
-        }
-        return DgaDiagram(cat, at, maps)
-
     def hou_object(self, M: str) -> HouData:
         if M not in self._hou:
             fiber = self.fm.fiber(M)
-            diagram = self._diagram(
-                fiber, lambda S: self.A.algebra(S), lambda g: self.A.matrix(g))
+            diagram = dg.algebra_diagram(
+                fiber, self.A.algebra, self.A.matrix, self.max_degree)
             self._hou[M] = HouData(M, dg.holim_dgalg(diagram, self.max_degree),
                                    fiber)
         return self._hou[M]
@@ -146,10 +150,11 @@ class HoKan:
     def horan_object(self, M: str) -> HoranData:
         if M not in self._horan:
             under = under_category(self.fm.pi, M)
-            diagram = self._diagram(
+            diagram = dg.algebra_diagram(
                 under.cat,
                 lambda obj: self.A.algebra(under.obj_info[obj][0]),
                 lambda name: self.A.matrix(under.mor_info[name][0]),
+                self.max_degree,
             )
             self._horan[M] = HoranData(
                 M, dg.holim_dgalg(diagram, self.max_degree), under)
@@ -312,34 +317,27 @@ class HoKan:
 
         return _rule_map(src.dga, tgt.dga, 0, rule)
 
+    def _composition_homotopy(self, *fs) -> GradedLinearMap:
+        """kappa after horan(f_k) after eta after ... after horan(f_1) after
+        zeta, for a composable chain fs = (f_k, ..., f_1), outermost first."""
+        base = self.fm.loc
+        for outer, inner in zip(fs, fs[1:]):
+            if base.source(outer) != base.target(inner):
+                raise HoKanError("morphisms are not composable")
+        out = self.kappa(base.target(fs[0]))
+        for f in fs[:-1]:
+            out = out.after(self.horan_morphism(f)).after(
+                self.eta_homotopy(base.source(f)))
+        return out.after(self.horan_morphism(fs[-1])).after(
+            self.zeta(base.source(fs[-1])))
+
     def gamma2(self, f2: str, f1: str) -> GradedLinearMap:
         """Composition homotopy: hou(f2) after hou(f1) vs hou(f2 after f1)."""
-        base = self.fm.loc
-        M1 = base.source(f1)
-        M2 = base.source(f2)
-        M3 = base.target(f2)
-        if base.target(f1) != M2:
-            raise HoKanError("morphisms are not composable")
-        return self.kappa(M3).after(
-            self.horan_morphism(f2)).after(
-            self.eta_homotopy(M2)).after(
-            self.horan_morphism(f1)).after(
-            self.zeta(M1))
+        return self._composition_homotopy(f2, f1)
 
     def gamma3(self, f3: str, f2: str, f1: str) -> GradedLinearMap:
         """Second-order homotopy for triple compositions."""
-        base = self.fm.loc
-        M1 = base.source(f1)
-        M2 = base.source(f2)
-        M3 = base.source(f3)
-        M4 = base.target(f3)
-        return self.kappa(M4).after(
-            self.horan_morphism(f3)).after(
-            self.eta_homotopy(M3)).after(
-            self.horan_morphism(f2)).after(
-            self.eta_homotopy(M2)).after(
-            self.horan_morphism(f1)).after(
-            self.zeta(M1))
+        return self._composition_homotopy(f3, f2, f1)
 
     # --- extension along Cauchy morphisms ------------------------------------
 
@@ -414,7 +412,7 @@ class HoKan:
 
         return _rule_map(hou.dga, hou.dga, -1, rule)
 
-    def phibar_homotopy(self, f: str, start: int = 0) -> GradedLinearMap:
+    def phibar_homotopy(self, f: str) -> GradedLinearMap:
         """Homotopy between hou(f) after ext_pullback and the identity."""
         base = self.fm.loc
         ext = self.extension(f)
@@ -433,7 +431,7 @@ class HoKan:
                     return
                 yield ONE, (w,), None
                 return
-            for i in range(start, n + 1):
+            for i in range(n + 1):
                 w = fiber.inverse(outof[obj_at(anchor, i)])
                 tail = []
                 for g in anchor[i:]:
@@ -448,13 +446,9 @@ class HoKan:
 
     # --- causality -----------------------------------------------------------
 
-    def causal_tensor_data(self, f1: str, f2: str):
-        """The tensor-product cochain maps entering the commutator homotopy.
-
-        Returns (L, mu, muop, lam) where L transports a tensor class along
-        the two cospan legs, mu/muop are the two multiplications after L,
-        and lam is the commutator-trivializing homotopy.
-        """
+    def _cospan_tensor(self, f1: str, f2: str):
+        """(M, hou(M), its tensor square, L) for a cospan f1, f2 into M, where
+        L transports a tensor class along the two legs."""
         base = self.fm.loc
         M = base.target(f1)
         if base.target(f2) != M:
@@ -464,9 +458,18 @@ class HoKan:
         tgt = self.hou_object(M).dga
         t_src = dg.graded_tensor(src1.complex, src2.complex, self.max_degree)
         t_tgt = dg.graded_tensor(tgt.complex, tgt.complex, self.max_degree)
-        u1 = self.hou_morphism(f1)
-        u2 = self.hou_morphism(f2)
-        big_l = dg.tensor_map(u1, u2, t_src, t_tgt)
+        big_l = dg.tensor_map(self.hou_morphism(f1), self.hou_morphism(f2),
+                              t_src, t_tgt)
+        return M, tgt, t_tgt, big_l
+
+    def causal_tensor_data(self, f1: str, f2: str):
+        """The tensor-product cochain maps entering the commutator homotopy.
+
+        Returns (L, mu, muop, lam) where L transports a tensor class along
+        the two cospan legs, mu/muop are the two multiplications after L,
+        and lam is the commutator-trivializing homotopy.
+        """
+        M, tgt, t_tgt, big_l = self._cospan_tensor(f1, f2)
         mu = dg.mu_map(tgt, t_tgt)
         muop = dg.muop_map(tgt, t_tgt)
         rho = self.rho(M)
@@ -479,17 +482,7 @@ class HoKan:
 
     def product_reversal_identity(self, f1: str, f2: str, up_to: int):
         """Degrees where reversal fails to intertwine the two products."""
-        base = self.fm.loc
-        M = base.target(f1)
-        tgt = self.hou_object(M).dga
-        t_src = dg.graded_tensor(
-            self.hou_object(base.source(f1)).dga.complex,
-            self.hou_object(base.source(f2)).dga.complex,
-            self.max_degree)
-        t_tgt = dg.graded_tensor(tgt.complex, tgt.complex, self.max_degree)
-        u1 = self.hou_morphism(f1)
-        u2 = self.hou_morphism(f2)
-        big_l = dg.tensor_map(u1, u2, t_src, t_tgt)
+        M, tgt, t_tgt, big_l = self._cospan_tensor(f1, f2)
         rho = self.rho(M)
         rho_rho = dg.tensor_map(rho, rho, t_tgt, t_tgt)
         lhs = rho.after(dg.mu_map(tgt, t_tgt)).after(big_l)

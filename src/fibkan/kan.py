@@ -1,8 +1,9 @@
 """Strict right Kan extension of an algebra-valued functor to the base.
 
 The value at a base object is the invariant subalgebra of the product of
-algebras over the fiber (equivalently, over the under-category), carried by
-an explicit subspace with an induced algebra structure. The comparison
+algebras over the fiber (equivalently, over the under-category): the degree-0
+case of the limit ``dg.lim_dgalg`` of the algebra diagram, carried by an
+explicit subspace with an induced algebra structure. The comparison
 isomorphism with the under-category limit and the counit projections are
 computed as matrices and checked exactly.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import dg
 from .finalg import AxiomReport, FinAlgebra, QftFunctor, check_axioms_on_str
 from .fincat import (
     FiberedModel,
@@ -20,7 +22,7 @@ from .fincat import (
     connected_components,
     under_category,
 )
-from .qlinalg import ONE, ZERO, QMatrix, Subspace, kernel_basis, rank
+from .qlinalg import ZERO, QMatrix, Subspace, rank
 
 
 class KanError(ValueError):
@@ -40,83 +42,24 @@ class Invariants:
     def dim(self) -> int:
         return self.subspace.dim
 
-    def ambient(self, coords) -> tuple:
-        """Expand subspace coordinates to an ambient vector."""
-        out = [ZERO] * self.subspace.ambient_dim
-        for c, vec in zip(coords, self.subspace.basis):
-            if c:
-                for j, v in enumerate(vec):
-                    if v:
-                        out[j] += c * v
-        return tuple(out)
 
+def _strict_limit(cat, alg_of, mat_of) -> Invariants:
+    """The limit of the algebra diagram on cat, read off in degree 0."""
+    lim = dg.lim_dgalg(dg.algebra_diagram(cat, alg_of, mat_of, 0), 0)
+    k = lim.dga.complex.dim(0)
 
-def _invariants(objects, arrows, alg_of, mat_of) -> Invariants:
-    """Joint equalizer of mat_of(g) x(source) = x(target) over all arrows."""
-    objects = tuple(objects)
-    offsets = {}
-    labels = []
-    for obj in objects:
-        offsets[obj] = len(labels)
-        labels.extend((obj, k) for k in range(alg_of(obj).dim))
-    total = len(labels)
-    data = {}
-    row = 0
-    for name, src, tgt in arrows:
-        mat = mat_of(name)
-        for (i, j), v in mat.data.items():
-            data[(row + i, offsets[src] + j)] = data.get(
-                (row + i, offsets[src] + j), ZERO) + v
-        for i in range(alg_of(tgt).dim):
-            key = (row + i, offsets[tgt] + i)
-            w = data.get(key, ZERO) - ONE
-            if w:
-                data[key] = w
-            else:
-                data.pop(key, None)
-        row += alg_of(tgt).dim
-    subspace = kernel_basis(QMatrix(row, total, data))
+    def dense(vec):
+        return tuple(vec.get(i, ZERO) for i in range(k))
 
-    def blockwise_mul(x, y):
-        out = [ZERO] * total
-        for obj in objects:
-            alg = alg_of(obj)
-            off = offsets[obj]
-            prod = alg.mul(x[off:off + alg.dim], y[off:off + alg.dim])
-            for k, v in enumerate(prod):
-                out[off + k] = v
-        return tuple(out)
-
-    k = subspace.dim
-    sc = []
-    for vx in subspace.basis:
-        row_sc = []
-        for vy in subspace.basis:
-            coords = subspace.coords(blockwise_mul(vx, vy))
-            if coords is None:
-                raise KanError("invariants are not closed under the product")
-            row_sc.append(coords)
-        sc.append(row_sc)
-    unit_ambient = [ZERO] * total
-    for obj in objects:
-        for i, v in enumerate(alg_of(obj).unit):
-            unit_ambient[offsets[obj] + i] = v
-    unit = subspace.coords(tuple(unit_ambient))
-    if unit is None:
-        raise KanError("unit family is not invariant")
-    return Invariants(objects, tuple(labels), subspace,
-                      FinAlgebra(k, sc, unit) if k else FinAlgebra(0, [], []))
+    sc = [[dense(lim.dga.mul_basis(0, i, 0, j)) for j in range(k)]
+          for i in range(k)]
+    return Invariants(tuple(sorted(cat.objects)), lim.ambient_labels[0],
+                      lim.subspaces[0], FinAlgebra(k, sc, dense(lim.dga.unit)))
 
 
 def u_object(fm: FiberedModel, A: QftFunctor, M: str) -> Invariants:
     """Invariants of the fiber over M."""
-    fiber = fm.fiber(M)
-    arrows = [
-        (g, fiber.source(g), fiber.target(g))
-        for g in sorted(fiber.morphisms) if not fiber.is_identity(g)
-    ]
-    return _invariants(fiber.objects, arrows,
-                       lambda S: A.algebra(S), lambda g: A.matrix(g))
+    return _strict_limit(fm.fiber(M), A.algebra, A.matrix)
 
 
 @dataclass(frozen=True)
@@ -128,14 +71,8 @@ class RanUnder:
 def ran_under(fm: FiberedModel, A: QftFunctor, M: str) -> RanUnder:
     """Limit of A over the category of objects under M."""
     under = under_category(fm.pi, M)
-    objects = tuple(sorted(under.cat.objects))
-    arrows = [
-        (name, under.cat.source(name), under.cat.target(name))
-        for name in sorted(under.cat.morphisms)
-        if not under.cat.is_identity(name)
-    ]
-    inv = _invariants(
-        objects, arrows,
+    inv = _strict_limit(
+        under.cat,
         lambda obj: A.algebra(under.obj_info[obj][0]),
         lambda name: A.matrix(under.mor_info[name][0]),
     )

@@ -45,19 +45,27 @@ def _category_from_dict(data, path):
     return cat
 
 
+def _section(data: dict, key: str) -> dict:
+    """The JSON object under key ({} when absent)."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ModelError([f"$.{key}: expected a JSON object"])
+    return value
+
+
 def model_from_dict(data: dict) -> Model:
     if not isinstance(data, dict):
         raise ModelError(["$: model file must be a JSON object"])
     if data.get("format") != 1:
         raise ModelError(["$.format: expected 1"])
-    meta = data.get("metadata", {})
+    meta = _section(data, "metadata")
     name = meta.get("name", "unnamed")
     description = meta.get("description", "")
 
-    base = _category_from_dict(data.get("loc", {}), "$.loc")
-    strcat = _category_from_dict(data.get("str", {}), "$.str")
+    locdata = _section(data, "loc")
+    base = _category_from_dict(locdata, "$.loc")
+    strcat = _category_from_dict(_section(data, "str"), "$.str")
 
-    locdata = data["loc"]
     try:
         loc = fincat.validate_loc_structure(
             base, locdata.get("causal_cospans", []), locdata.get("cauchy", [])
@@ -65,7 +73,7 @@ def model_from_dict(data: dict) -> Model:
     except fincat.CategoryError as exc:
         raise ModelError([f"$.loc: {v}" for v in exc.violations] or [f"$.loc: {exc}"])
 
-    proj = data.get("projection", {})
+    proj = _section(data, "projection")
     try:
         pi = fincat.validate_functor(
             strcat, base, proj.get("objects", {}), proj.get("morphisms", {})
@@ -75,10 +83,12 @@ def model_from_dict(data: dict) -> Model:
             [f"$.projection: {v}" for v in exc.violations] or [f"$.projection: {exc}"]
         )
 
+    algebra_specs = _section(data, "algebras")
+    map_specs = _section(data, "algebra_maps")
     errors = []
     algebras = {}
     for S in strcat.objects:
-        spec = data.get("algebras", {}).get(S)
+        spec = algebra_specs.get(S)
         if spec is None:
             errors.append(f"$.algebras.{S}: missing")
             continue
@@ -90,7 +100,7 @@ def model_from_dict(data: dict) -> Model:
             errors.append(f"$.algebras.{S}: {exc}")
     matrices = {}
     for g in strcat.morphisms:
-        spec = data.get("algebra_maps", {}).get(g)
+        spec = map_specs.get(g)
         if spec is None:
             errors.append(f"$.algebra_maps.{g}: missing")
             continue

@@ -278,15 +278,6 @@ class Subspace:
     def contains(self, vec) -> bool:
         return self.coords(vec) is not None
 
-    def basis_matrix(self) -> QMatrix:
-        """Columns are the basis vectors (ambient_dim x dim)."""
-        data = {}
-        for k, row in enumerate(self.basis):
-            for j, v in enumerate(row):
-                if v:
-                    data[(j, k)] = v
-        return QMatrix(self.ambient_dim, self.dim, data)
-
 
 def row_space(m: QMatrix) -> Subspace:
     return Subspace.from_vectors(m.cols, m.to_rows())

@@ -3,7 +3,12 @@ import json
 import pytest
 
 from fibkan import cli
-from fibkan.fixtures import fixture_json
+from fibkan.fixtures import fixture_json, fixture_names
+
+# the model properties each bundled fixture violates on purpose
+EXPECT = {
+    "fix-bprime": ["--expect", "product-reversal-causality"],
+}
 
 
 def run(capsys, *argv):
@@ -162,6 +167,32 @@ def test_validate(capsys):
     code, out = run(capsys, "validate", "--fixture", "fix-e")
     assert code == 0
     assert statuses(out) == {"model-valid": "pass"}
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_max_degree_below_one_exits_2(capsys, value):
+    assert cli.run(["verify", "--fixture", "fix-a", "--max-degree", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max degree must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_max_degree_environment_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("FIBKAN_MAX_DEGREE", value)
+    assert cli.run(["verify", "--fixture", "fix-a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_max_degree_one_works(capsys):
+    for name in fixture_names():
+        code, out = run(capsys, "hokan", "--fixture", name, "--max-degree", "1",
+                        *EXPECT.get(name, []))
+        assert code == 0, name
+        assert "fail" not in statuses(out).values(), name
 
 
 def test_unknown_fixture_rejected(capsys):

@@ -6,6 +6,7 @@ from fibkan import dg
 from fibkan.dg import (
     Complex,
     ComplexError,
+    Dga,
     GradedLinearMap,
     algebra_to_dga,
     canonical_e,
@@ -122,6 +123,45 @@ def test_dga_violations_catch_broken_unit():
     dga = algebra_to_dga(m.A.algebra("x"), 1)
     dga.unit = {0: rat(1)}  # E11 alone is not a two-sided unit
     assert any("unit law" in v for v in dga.violations())
+
+
+def unit_table(dim):
+    """Products of the unit (index 0) with every basis element of a degree."""
+    return {pair: {k: rat(1)} for k in range(dim)
+            for pair in ((0, k), (k, 0))}
+
+
+def test_dga_violations_catch_broken_leibniz():
+    # span(1, x) -> span(y) with dx = y; x * x = x breaks d(x x) = dx x + x dx
+    cx = validate_complex(1, {0: ("1", "x"), 1: ("y",)},
+                          {0: QMatrix.from_rows([[0, 1]])})
+    products = {
+        (0, 0): {**unit_table(2), (1, 1): {1: rat(1)}},
+        (0, 1): {(0, 0): {0: rat(1)}},
+        (1, 0): {(0, 0): {0: rat(1)}},
+    }
+    violations = Dga(cx, products, {0: rat(1)}).violations()
+    assert violations == ["Leibniz rule fails on degrees (0,0) indices (1,1)"]
+
+
+def test_dga_violations_catch_broken_associativity():
+    # a * a = b, b * a = a, a * b = 0: (a a) a = a but a (a a) = 0
+    cx = validate_complex(0, {0: ("1", "a", "b")}, {})
+    products = {(0, 0): {**unit_table(3), (1, 1): {2: rat(1)},
+                         (2, 1): {1: rat(1)}}}
+    violations = Dga(cx, products, {0: rat(1)}).violations()
+    assert "associativity fails on degrees (0,0,0) indices (1,1,1)" \
+        in violations
+    assert not any("unit" in v or "Leibniz" in v for v in violations)
+
+
+def test_algebra_diagram_limit_is_the_invariants():
+    m = model_from_dict(fixture("fix-a"))
+    diagram = dg.algebra_diagram(m.strcat, m.A.algebra, m.A.matrix, 0)
+    assert diagram.violations() == []
+    lim = lim_dgalg(diagram, 0)
+    assert lim.dga.violations() == []
+    assert lim.subspaces[0] == lim_dgalg(z2_diagram(0), 0).subspaces[0]
 
 
 def test_diagram_validation_rejects_nonfunctorial():

@@ -7,7 +7,7 @@ from fibkan.dg import (
     is_weak_equivalence,
 )
 from fibkan.fixtures import fixture
-from fibkan.hokan import HoKan, check_square_homotopy
+from fibkan.hokan import HoKan, HoKanError, check_square_homotopy
 from fibkan.kan import u_object
 from fibkan.models import model_from_dict
 from fibkan.qlinalg import QMatrix
@@ -24,6 +24,13 @@ def context(name, order="normal", max_degree=N):
 def assert_equal_maps(f, g, up_to):
     for n in range(up_to + 1):
         assert f.matrix(n) == g.matrix(n), n
+
+
+def test_max_degree_below_one_rejected():
+    m = model_from_dict(fixture("fix-a"))
+    for degree in (0, -1):
+        with pytest.raises(HoKanError):
+            HoKan(m.fibered(), m.loc, m.A, degree)
 
 
 def test_hou_object_dims_bz2():
@@ -184,10 +191,24 @@ def test_ext_pullback_homotopies_nontrivial_witnesses():
         ext_star.after(hou_f), ident_src, hk.phi_homotopy("f"), N - 1) == []
     assert check_homotopy_identity(
         hou_f.after(ext_star), ident_tgt, hk.phibar_homotopy("f"), N - 1) == []
-    # the sum starting at 1 misses the leading witness term
+    # the witness term of the lowest degree alone is not a homotopy
+    phibar = hk.phibar_homotopy("f")
+    lowest = GradedLinearMap(phibar.source, phibar.target, -1,
+                             {1: phibar.matrix(1)})
     assert check_homotopy_identity(
-        hou_f.after(ext_star), ident_tgt,
-        hk.phibar_homotopy("f", start=1), N - 1) != []
+        hou_f.after(ext_star), ident_tgt, lowest, N - 1) != []
+
+
+def test_composition_homotopies_reject_non_composable_morphisms():
+    _, hk = context("fix-e")
+    base = hk.fm.loc
+    arrows = sorted(g for g in base.morphisms if not base.is_identity(g))
+    g, f = next((g, f) for g in arrows for f in arrows
+                if base.source(g) != base.target(f))
+    with pytest.raises(HoKanError):
+        hk.gamma2(g, f)
+    with pytest.raises(HoKanError):
+        hk.gamma3(g, g, f)
 
 
 def test_hou_cauchy_weak_equivalence():

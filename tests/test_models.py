@@ -81,6 +81,16 @@ def test_model_invalid_category():
     assert any(e.startswith("$.str") for e in err.value.errors)
 
 
+@pytest.mark.parametrize("section", [
+    "metadata", "loc", "str", "projection", "algebras", "algebra_maps"])
+def test_model_section_of_wrong_type(section):
+    data = fixture("fix-a")
+    data[section] = [data[section]]
+    with pytest.raises(ModelError) as err:
+        model_from_dict(data)
+    assert err.value.errors == [f"$.{section}: expected a JSON object"]
+
+
 def test_model_non_functorial_matrices():
     data = fixture("fix-a")
     data["algebra_maps"]["g"] = [
