@@ -101,9 +101,8 @@ def checks_kan(model: Model, order: str, max_degree: int):
     detail = {}
     for M in sorted(model.loc.base.objects):
         try:
-            ran = kan.ran_under(fm, model.A, M)
-            u = kan.u_object(fm, model.A, M)
-            kan.kappa_iso(fm, model.A, M, ran, u)
+            kan.kappa_iso(fm, model.A, M, kan.ran_under(fm, model.A, M),
+                          report.u_objects[M])
             detail[M] = PASS
         except kan.KanError as exc:
             kappa_ok = False

@@ -2,9 +2,10 @@
 
 A complex stores degrees 0..max_degree with labelled bases and explicit
 differential matrices. Dg-algebras carry sparse product tables keyed by
-basis pairs. Diagrams of dg-algebras admit limits (equalizer subalgebras)
-and homotopy limits (normalized cochain total complexes); weak equivalence
-means isomorphism on cohomology through the requested degree.
+basis pairs. A diagram of algebras has a limit (the equalizer subalgebra,
+in degree 0) and a homotopy limit (the normalized cochains of the nerve
+with coefficients in the diagram); weak equivalence means isomorphism on
+cohomology through the requested degree.
 """
 
 from __future__ import annotations
@@ -446,417 +447,198 @@ def algebra_to_dga(alg, max_degree: int) -> Dga:
     return Dga(cx, {(0, 0): table}, unit)
 
 
-def matrix_to_map(matrix: QMatrix, source: Dga, target: Dga) -> GradedLinearMap:
-    """A degree-0 algebra map promoted to a map of one-degree dg-algebras."""
-    return GradedLinearMap(source.complex, target.complex, 0, {0: matrix})
-
-
-# --- diagrams of dg-algebras ------------------------------------------------
+# --- diagrams of algebras ---------------------------------------------------
 
 
 @dataclass
 class DgaDiagram:
-    """A functor from a finite category to dg-algebras."""
+    """A functor from a finite category to algebras.
+
+    at[obj] is the algebra at obj as a dg-algebra concentrated in degree 0;
+    maps[g] is the matrix of the algebra map at g.
+    """
 
     cat: FinCategory
     at: dict    # object -> Dga
-    maps: dict  # morphism -> GradedLinearMap of shift 0
-
-    def violations(self):
-        out = []
-        for obj in self.cat.objects:
-            if obj not in self.at:
-                out.append(f"no dg-algebra at {obj!r}")
-        for g in self.cat.morphisms:
-            if g not in self.maps:
-                out.append(f"no map at {g!r}")
-        if out:
-            return out
-        for obj in self.cat.objects:
-            cx = self.at[obj].complex
-            ident = self.maps[self.cat.id_of(obj)]
-            for n in range(cx.max_degree + 1):
-                if ident.matrix(n) != QMatrix.identity(cx.dim(n)):
-                    out.append(f"identity of {obj!r} is not the identity map")
-                    break
-        for (g, f), h in self.cat.compose.items():
-            comp = self.maps[g].after(self.maps[f])
-            cx = self.maps[f].source
-            for n in range(cx.max_degree + 1):
-                if comp.matrix(n) != self.maps[h].matrix(n):
-                    out.append(f"functoriality fails on ({g!r},{f!r})")
-                    break
-        for g in self.cat.morphisms:
-            if not self.maps[g].is_cochain_map():
-                out.append(f"map at {g!r} does not commute with differentials")
-        return out
+    maps: dict  # morphism -> QMatrix
 
 
-def validate_diagram(cat, at, maps) -> DgaDiagram:
-    diagram = DgaDiagram(cat, dict(at), dict(maps))
-    violations = diagram.violations()
-    if violations:
-        raise ComplexError("; ".join(violations))
-    return diagram
-
-
-def algebra_diagram(cat: FinCategory, alg_of, mat_of,
-                    max_degree: int) -> DgaDiagram:
-    """The diagram of algebras alg_of(obj) and algebra maps mat_of(g) on cat,
-    each algebra a dg-algebra concentrated in degree 0."""
-    at = {obj: algebra_to_dga(alg_of(obj), max_degree) for obj in cat.objects}
-    maps = {
-        g: matrix_to_map(mat_of(g), at[cat.source(g)], at[cat.target(g)])
-        for g in cat.morphisms
-    }
-    return DgaDiagram(cat, at, maps)
+def algebra_diagram(cat: FinCategory, alg_of, mat_of) -> DgaDiagram:
+    """The diagram of algebras alg_of(obj) and algebra maps mat_of(g) on cat."""
+    return DgaDiagram(
+        cat, {obj: algebra_to_dga(alg_of(obj), 0) for obj in cat.objects},
+        {g: mat_of(g) for g in cat.morphisms})
 
 
 def _anchor_object(cat: FinCategory, anchor):
     return anchor if isinstance(anchor, str) else cat.target(anchor[0])
 
 
-@dataclass
-class DoubleComplex:
-    """Normalized-nerve double complex of a diagram of dg-algebras.
+def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
+    """Homotopy limit: the normalized cochains of the nerve with coefficients
+    in the diagram, under the cup product.
 
-    Bidegree (n, m): n-tuples of composable non-identity morphisms with a
-    degree-m class of the dg-algebra at the target of the first arrow.
-    Degree-0 anchors are objects.
+    Degree n has a slot (anchor, k) for each composable n-tuple of
+    non-identity arrows (an object in degree 0) and each basis index k of the
+    algebra at the target of its first arrow. The differential is the
+    alternating sum of the faces. The product of two slots concatenates their
+    tuples, transports the second factor along the composite of the first
+    factor's arrows and multiplies in the algebra there.
     """
-
-    diagram: DgaDiagram
-    max_total_degree: int
-    labels: dict     # (n, m) -> tuple of (anchor, internal_label)
-    d_vertical: dict    # (n, m) -> QMatrix into (n+1, m)
-    d_horizontal: dict  # (n, m) -> QMatrix into (n, m+1)
-
-
-def double_complex(diagram: DgaDiagram, max_total_degree: int) -> DoubleComplex:
     cat = diagram.cat
-    nerves = {n: nerve(cat, n) for n in range(max_total_degree + 2)}
-    labels = {}
-    pos = {}
-    for n in range(max_total_degree + 2):
-        for m in range(max_total_degree + 1):
-            lbls = []
-            for anchor in nerves[n]:
-                cx = diagram.at[_anchor_object(cat, anchor)].complex
-                lbls.extend((anchor, il) for il in cx.labels.get(m, ()))
-            labels[(n, m)] = tuple(lbls)
-            pos[(n, m)] = {lbl: i for i, lbl in enumerate(lbls)}
+    dims = {obj: dga.complex.dim(0) for obj, dga in diagram.at.items()}
+    anchors = {n: [(u, _anchor_object(cat, u)) for u in nerve(cat, n)]
+               for n in range(max_degree + 1)}
+    labels = {n: tuple((u, k) for u, obj in nerve_n for k in range(dims[obj]))
+              for n, nerve_n in anchors.items()}
+    cx = Complex(max_degree, labels, {})
 
-    d_vertical = {}
-    for n in range(max_total_degree + 1):
-        for m in range(max_total_degree + 1):
-            data = {}
-            tgt_pos = pos[(n + 1, m)]
-            src_pos = pos[(n, m)]
-            for u in nerves[n + 1]:
-                anchor_obj = cat.target(u[0])
-                cxu = diagram.at[anchor_obj].complex
-                for il in cxu.labels.get(m, ()):
-                    row = tgt_pos[(u, il)]
-                    # first face applies the diagram map along the leading arrow
-                    tail = u[1:] if n >= 1 else cat.source(u[0])
-                    src_cx = diagram.at[_anchor_object(cat, tail)].complex
-                    mat = diagram.maps[u[0]].matrix(m)
-                    i_row = cxu.pos[m][il]
-                    for jl in src_cx.labels.get(m, ()):
-                        v = mat.get(i_row, src_cx.pos[m][jl])
-                        if v:
-                            key = (row, src_pos[(tail, jl)])
-                            data[key] = data.get(key, 0) + v
-                    # inner faces compose adjacent arrows
-                    for i in range(1, n + 1):
-                        comp = cat.comp(u[i - 1], u[i])
-                        if cat.is_identity(comp):
-                            continue
-                        t = u[:i - 1] + (comp,) + u[i + 1:]
-                        key = (row, src_pos[(t, il)])
-                        s = -ONE if i % 2 else ONE
-                        w = data.get(key, 0) + s
-                        if w:
-                            data[key] = w
-                        else:
-                            data.pop(key, None)
-                    # last face drops the trailing arrow
-                    t_last = u[:n] if n >= 1 else cat.target(u[0])
-                    key = (row, src_pos[(t_last, il)])
-                    s = -ONE if (n + 1) % 2 else ONE
+    for n in range(max_degree):
+        data = {}
+        rows, cols = cx.pos[n + 1], cx.pos[n]
+        for u, obj in anchors[n + 1]:
+            # the first face applies the algebra map of the leading arrow,
+            # the inner faces compose adjacent arrows, the last face drops
+            # the trailing arrow
+            first, tail = diagram.maps[u[0]], u[1:] if n else cat.source(u[0])
+            faces = []
+            for i in range(1, n + 1):
+                comp = cat.comp(u[i - 1], u[i])
+                if not cat.is_identity(comp):
+                    faces.append((u[:i - 1] + (comp,) + u[i + 1:],
+                                  -ONE if i % 2 else ONE))
+            faces.append((u[:n] if n else obj, -ONE if (n + 1) % 2 else ONE))
+            for k in range(dims[obj]):
+                row = rows[(u, k)]
+                for j in range(first.cols):
+                    v = first.get(k, j)
+                    if v:
+                        data[(row, cols[(tail, j)])] = v
+                for t, s in faces:
+                    key = (row, cols[(t, k)])
                     w = data.get(key, 0) + s
                     if w:
                         data[key] = w
                     else:
                         data.pop(key, None)
-            d_vertical[(n, m)] = QMatrix(
-                len(labels[(n + 1, m)]), len(labels[(n, m)]), data)
+        cx.differentials[n] = QMatrix(cx.dim(n + 1), cx.dim(n), data)
 
-    d_horizontal = {}
-    for n in range(max_total_degree + 2):
-        for m in range(max_total_degree):
-            data = {}
-            tgt_pos = pos[(n, m + 1)]
-            for col, (anchor, il) in enumerate(labels[(n, m)]):
-                cx = diagram.at[_anchor_object(cat, anchor)].complex
-                for i, v in cx.d(m).column(cx.pos[m][il]).items():
-                    data[(tgt_pos[(anchor, cx.labels[m + 1][i])], col)] = v
-            d_horizontal[(n, m)] = QMatrix(
-                len(labels[(n, m + 1)]), len(labels[(n, m)]), data)
-
-    return DoubleComplex(diagram, max_total_degree, labels,
-                         d_vertical, d_horizontal)
-
-
-def total_complex(dc: DoubleComplex) -> Complex:
-    """Total complex with differential d_vertical + (-1)^n d_horizontal."""
-    top = dc.max_total_degree
-    labels = {}
-    for p in range(top + 1):
-        lbls = []
-        for n in range(p + 1):
-            lbls.extend(dc.labels.get((n, p - n), ()))
-        labels[p] = tuple(lbls)
-    cx = Complex(top, labels, {})
-    differentials = {}
-    for p in range(top):
-        data = {}
-        for n in range(p + 1):
-            m = p - n
-            block = dc.labels.get((n, m), ())
-            if not block:
-                continue
-            col0 = cx.pos[p][block[0]]
-            dv = dc.d_vertical.get((n, m))
-            if dv is not None and dv.data:
-                row0 = cx.pos[p + 1][dc.labels[(n + 1, m)][0]] \
-                    if dc.labels.get((n + 1, m)) else None
-                for (i, j), v in dv.data.items():
-                    data[(row0 + i, col0 + j)] = data.get((row0 + i, col0 + j), 0) + v
-            dh = dc.d_horizontal.get((n, m))
-            if dh is not None and dh.data:
-                s = ONE if n % 2 == 0 else -ONE
-                row0 = cx.pos[p + 1][dc.labels[(n, m + 1)][0]] \
-                    if dc.labels.get((n, m + 1)) else None
-                for (i, j), v in dh.data.items():
-                    key = (row0 + i, col0 + j)
-                    w = data.get(key, 0) + s * v
-                    if w:
-                        data[key] = w
-                    else:
-                        data.pop(key, None)
-        differentials[p] = QMatrix(cx.dim(p + 1), cx.dim(p), data)
-    cx.differentials = differentials
-    return cx
-
-
-def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
-    """Homotopy limit: the total complex with the twisted shuffle product.
-
-    The product of classes anchored on tuples concatenates the tuples,
-    transports the second factor along the composite of the first factor's
-    arrows, multiplies internally, and applies the Koszul sign from the
-    internal degree of the first factor passing the nerve degree of the
-    second.
-    """
-    cat = diagram.cat
-    dc = double_complex(diagram, max_degree)
-    cx = total_complex(dc)
     products = {}
-    for p1 in range(max_degree + 1):
-        for p2 in range(max_degree + 1 - p1):
+    for n1 in range(max_degree + 1):
+        for n2 in range(max_degree + 1 - n1):
             table = {}
-            for j1, (anchor1, il1) in enumerate(cx.labels[p1]):
-                n1 = 0 if isinstance(anchor1, str) else len(anchor1)
-                m1 = p1 - n1
-                obj1 = _anchor_object(cat, anchor1)
-                tail1 = anchor1 if isinstance(anchor1, str) \
-                    else cat.source(anchor1[-1])
-                chain = None if isinstance(anchor1, str) \
-                    else cat.comp_chain(anchor1)
-                dga_tgt = diagram.at[obj1]
-                cx1 = dga_tgt.complex
-                for j2, (anchor2, il2) in enumerate(cx.labels[p2]):
-                    n2 = 0 if isinstance(anchor2, str) else len(anchor2)
-                    m2 = p2 - n2
-                    obj2 = _anchor_object(cat, anchor2)
-                    if obj2 != tail1:
+            out_pos = cx.pos[n1 + n2]
+            for j1, (u1, k1) in enumerate(labels[n1]):
+                if n1:
+                    tail = cat.source(u1[-1])
+                    move = diagram.maps[cat.comp_chain(u1)]
+                else:
+                    tail, move = u1, None
+                alg = diagram.at[_anchor_object(cat, u1)]
+                for j2, (u2, k2) in enumerate(labels[n2]):
+                    if _anchor_object(cat, u2) != tail:
                         continue
-                    if isinstance(anchor1, str):
-                        out_anchor = anchor2
-                    elif isinstance(anchor2, str):
-                        out_anchor = anchor1
-                    else:
-                        out_anchor = anchor1 + anchor2
-                    cx2 = diagram.at[obj2].complex
-                    if chain is None:
-                        moved = {cx2.pos[m2][il2]: ONE}
-                    else:
-                        moved = _sparse_apply(
-                            diagram.maps[chain].matrix(m2),
-                            {cx2.pos[m2][il2]: ONE})
-                    prod = dga_tgt.mul(
-                        m1, {cx1.pos[m1][il1]: ONE}, m2, moved)
-                    if not prod:
-                        continue
-                    sign = ONE if (m1 * n2) % 2 == 0 else -ONE
-                    vec = {}
-                    out_pos = cx.pos[p1 + p2]
-                    lbls_tgt = cx1.labels[m1 + m2]
-                    for k, v in prod.items():
-                        vec[out_pos[(out_anchor, lbls_tgt[k])]] = sign * v
-                    table[(j1, j2)] = vec
-            products[(p1, p2)] = table
-    unit = {}
-    for obj in cat.objects:
-        dga = diagram.at[obj]
-        cx0 = dga.complex
-        for i, v in dga.unit.items():
-            unit[cx.pos[0][(obj, cx0.labels[0][i])]] = v
+                    moved = {k2: ONE} if move is None else move.column(k2)
+                    prod = alg.mul(0, {k1: ONE}, 0, moved)
+                    if prod:
+                        # a degree-0 anchor is an object, the unit of
+                        # concatenation
+                        u = u2 if not n1 else u1 if not n2 else u1 + u2
+                        table[(j1, j2)] = {
+                            out_pos[(u, k)]: v for k, v in prod.items()}
+            products[(n1, n2)] = table
+    unit = {cx.pos[0][(obj, i)]: v
+            for obj in cat.objects for i, v in diagram.at[obj].unit.items()}
     return Dga(cx, products, unit)
 
 
 @dataclass
 class LimDga:
-    """The limit dg-algebra together with its inclusion data.
+    """The limit algebra together with its inclusion.
 
-    ambient_labels[m] lists the slots of the product complex; subspaces[m]
-    carries the equalizer subspace in those coordinates.
+    ambient_labels lists the (object, index) slots of the product of the
+    algebras; subspace is the limit in those coordinates.
     """
 
     dga: Dga
-    ambient_labels: dict
-    subspaces: dict
+    ambient_labels: tuple
+    subspace: Subspace
 
 
-def lim_dgalg(diagram: DgaDiagram, max_degree: int | None = None) -> LimDga:
-    """Limit: families x with X(f)(x at source of f) = x at target of f."""
+def lim_dgalg(diagram: DgaDiagram) -> LimDga:
+    """Limit: families x with A(g)(x at source of g) = x at target of g, an
+    algebra concentrated in degree 0."""
     cat = diagram.cat
-    if max_degree is None:
-        max_degree = min(
-            diagram.at[obj].complex.max_degree for obj in cat.objects)
-    objects = sorted(cat.objects)
-    ambient_labels = {}
     offsets = {}
-    for m in range(max_degree + 1):
-        lbls = []
-        offs = {}
-        for obj in objects:
-            offs[obj] = len(lbls)
-            lbls.extend(
-                (obj, il) for il in diagram.at[obj].complex.labels.get(m, ()))
-        ambient_labels[m] = tuple(lbls)
-        offsets[m] = offs
-    arrows = sorted(
-        g for g in cat.morphisms if not cat.is_identity(g))
-    subspaces = {}
-    for m in range(max_degree + 1):
-        total = len(ambient_labels[m])
-        data = {}
-        row = 0
-        for g in arrows:
-            src, tgt = cat.source(g), cat.target(g)
-            mat = diagram.maps[g].matrix(m)
-            src_dim = diagram.at[src].complex.dim(m)
-            tgt_dim = diagram.at[tgt].complex.dim(m)
-            for (i, j), v in mat.data.items():
-                data[(row + i, offsets[m][src] + j)] = v
-            for i in range(tgt_dim):
-                key = (row + i, offsets[m][tgt] + i)
-                w = data.get(key, 0) - ONE
-                if w:
-                    data[key] = w
-                else:
-                    data.pop(key, None)
-            row += tgt_dim
-        subspaces[m] = kernel_basis(QMatrix(row, total, data))
+    ambient_labels = []
+    for obj in sorted(cat.objects):
+        offsets[obj] = len(ambient_labels)
+        ambient_labels.extend(
+            (obj, k) for k in range(diagram.at[obj].complex.dim(0)))
+    data = {}
+    row = 0
+    for g in sorted(g for g in cat.morphisms if not cat.is_identity(g)):
+        mat = diagram.maps[g]
+        src, tgt = offsets[cat.source(g)], offsets[cat.target(g)]
+        for (i, j), v in mat.data.items():
+            data[(row + i, src + j)] = v
+        for i in range(mat.rows):
+            key = (row + i, tgt + i)
+            w = data.get(key, 0) - ONE
+            if w:
+                data[key] = w
+            else:
+                data.pop(key, None)
+        row += mat.rows
+    subspace = kernel_basis(QMatrix(row, len(ambient_labels), data))
 
-    labels = {m: tuple(range(subspaces[m].dim)) for m in range(max_degree + 1)}
-    cx = Complex(max_degree, labels, {})
-
-    def split(m, vec):
+    def split(vec):
         # the nonzero entries of an ambient vector as {object: {index: value}}
         out = {}
         for slot, v in enumerate(vec):
             if v:
-                obj = ambient_labels[m][slot][0]
-                out.setdefault(obj, {})[slot - offsets[m][obj]] = v
+                obj = ambient_labels[slot][0]
+                out.setdefault(obj, {})[slot - offsets[obj]] = v
         return out
 
-    def ambient(m, parts):
-        out = [ZERO] * len(ambient_labels[m])
+    def limit_coords(parts, what):
+        # coordinates in the limit basis of a family given per object
+        vec = [ZERO] * len(ambient_labels)
         for obj, part in parts.items():
             for k, v in part.items():
-                out[offsets[m][obj] + k] = v
-        return tuple(out)
+                vec[offsets[obj] + k] = v
+        coords = subspace.coords(tuple(vec))
+        if coords is None:
+            raise ComplexError(f"{what} does not satisfy the limit constraints")
+        return {i: v for i, v in enumerate(coords) if v}
 
-    blocks = {m: [split(m, vec) for vec in subspaces[m].basis]
-              for m in range(max_degree + 1)}
-
-    differentials = {}
-    for m in range(max_degree):
-        data = {}
-        for j, parts in enumerate(blocks[m]):
-            image = ambient(m + 1, {
-                obj: _sparse_apply(diagram.at[obj].complex.d(m), part)
-                for obj, part in parts.items()})
-            coords = subspaces[m + 1].coords(image)
-            if coords is None:
-                raise ComplexError(
-                    "differential does not preserve the limit subspace")
-            for i, v in enumerate(coords):
-                if v:
-                    data[(i, j)] = v
-        differentials[m] = QMatrix(subspaces[m + 1].dim, subspaces[m].dim, data)
-    cx.differentials = differentials
-
-    products = {}
-    for m1 in range(max_degree + 1):
-        for m2 in range(max_degree + 1 - m1):
-            table = {}
-            for i, parts1 in enumerate(blocks[m1]):
-                for j, parts2 in enumerate(blocks[m2]):
-                    prod = ambient(m1 + m2, {
-                        obj: diagram.at[obj].mul(m1, part, m2, parts2[obj])
-                        for obj, part in parts1.items() if obj in parts2})
-                    coords = subspaces[m1 + m2].coords(prod)
-                    if coords is None:
-                        raise ComplexError(
-                            "product does not preserve the limit subspace")
-                    vec = {k: v for k, v in enumerate(coords) if v}
-                    if vec:
-                        table[(i, j)] = vec
-            products[(m1, m2)] = table
-
-    unit_coords = subspaces[0].coords(
-        ambient(0, {obj: diagram.at[obj].unit for obj in objects}))
-    if unit_coords is None:
-        raise ComplexError("unit family does not satisfy the limit constraints")
-    unit = {i: v for i, v in enumerate(unit_coords) if v}
-    return LimDga(Dga(cx, products, unit), ambient_labels, subspaces)
+    blocks = [split(vec) for vec in subspace.basis]
+    table = {}
+    for i, parts1 in enumerate(blocks):
+        for j, parts2 in enumerate(blocks):
+            vec = limit_coords({
+                obj: diagram.at[obj].mul(0, part, 0, parts2[obj])
+                for obj, part in parts1.items() if obj in parts2}, "product")
+            if vec:
+                table[(i, j)] = vec
+    unit = limit_coords(
+        {obj: diagram.at[obj].unit for obj in offsets}, "unit family")
+    cx = Complex(0, {0: tuple(range(subspace.dim))}, {})
+    return LimDga(Dga(cx, {(0, 0): table}, unit), tuple(ambient_labels),
+                  subspace)
 
 
-def canonical_e(diagram: DgaDiagram, lim: LimDga, holim: Dga) -> GradedLinearMap:
-    """The comparison map from the limit into the homotopy limit.
-
-    A limit family in internal degree m is placed in the tuple-degree-0 slots
-    of total degree m.
-    """
-    cx_lim = lim.dga.complex
-    cx_ho = holim.complex
-    maps = {}
-    for m in range(cx_lim.max_degree + 1):
-        if m > cx_ho.max_degree:
-            break
-        data = {}
-        for j, vec in enumerate(lim.subspaces[m].basis):
-            for slot, v in enumerate(vec):
-                if not v:
-                    continue
-                obj, il = lim.ambient_labels[m][slot]
-                data[(cx_ho.pos[m][(obj, il)], j)] = v
-        maps[m] = QMatrix(cx_ho.dim(m), cx_lim.dim(m), data)
-    return GradedLinearMap(cx_lim, cx_ho, 0, maps)
+def canonical_e(lim: LimDga, holim: Dga) -> GradedLinearMap:
+    """The comparison map from the limit into the homotopy limit: a limit
+    family is placed in the degree-0 slots."""
+    cx_lim, cx_ho = lim.dga.complex, holim.complex
+    data = {}
+    for j, vec in enumerate(lim.subspace.basis):
+        for slot, v in enumerate(vec):
+            if v:
+                data[(cx_ho.pos[0][lim.ambient_labels[slot]], j)] = v
+    return GradedLinearMap(cx_lim, cx_ho, 0, {
+        0: QMatrix(cx_ho.dim(0), cx_lim.dim(0), data)})
 
 
 # --- tensor products --------------------------------------------------------

@@ -183,25 +183,6 @@ def validate_qft(strcat, on_objects, on_morphisms) -> QftFunctor:
     return A
 
 
-def product_algebra(algebras):
-    """Direct product with block coordinates; returns (algebra, offsets)."""
-    algebras = list(algebras)
-    offsets = []
-    total = 0
-    for alg in algebras:
-        offsets.append(total)
-        total += alg.dim
-    sc = [[[ZERO] * total for _ in range(total)] for _ in range(total)]
-    unit = [ZERO] * total
-    for alg, off in zip(algebras, offsets):
-        for i in range(alg.dim):
-            unit[off + i] = alg.unit[i]
-            for j in range(alg.dim):
-                for k, v in enumerate(alg.sc[i][j]):
-                    sc[off + i][off + j][off + k] = v
-    return FinAlgebra(total, sc, unit), offsets
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     isotony: bool

@@ -366,6 +366,7 @@ class FiberedModel:
     cleavage: dict  # (S_prime, f) -> (pullback_object, lift_morphism)
     order: str = "normal"
     _fibers: dict = field(default_factory=dict)
+    _unders: dict = field(default_factory=dict)
 
     @property
     def strcat(self) -> FinCategory:
@@ -392,6 +393,12 @@ class FiberedModel:
             identity = {obj: strcat.id_of(obj) for obj in objs}
             self._fibers[M] = FinCategory(objs, morphs, identity, compose)
         return self._fibers[M]
+
+    def under(self, M: str) -> UnderCategory:
+        """The category of objects under M."""
+        if M not in self._unders:
+            self._unders[M] = under_category(self.pi, M)
+        return self._unders[M]
 
     def lift(self, S_prime: str, f: str):
         """(f*S', f_*) for the base morphism f into pi(S')."""

@@ -11,6 +11,7 @@ and the homotopy trivializing commutators across causal cospans.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from . import dg
@@ -21,12 +22,10 @@ from .fincat import (
     FiberedModel,
     FinCategory,
     LocStructure,
-    UnderCategory,
     extension_data,
     lemma_witnesses,
     pullback_fiber_square,
     pullback_tuple,
-    under_category,
     under_pullback_tuple,
 )
 from .qlinalg import ONE, QMatrix, Subspace, invert, kernel_basis
@@ -78,47 +77,33 @@ def _rule_map(source: Dga, target: Dga, shift: int, rule) -> GradedLinearMap:
         data = {}
         pos_out = cx_t.pos[n_out]
         pos_in = cx_s.pos[n_in]
-        anchors = []
-        seen = set()
-        for anchor, _ in cx_t.labels[n_out]:
-            if anchor not in seen:
-                seen.add(anchor)
-                anchors.append(anchor)
-        for anchor in anchors:
+        block_size = Counter(anchor for anchor, _ in cx_s.labels[n_in])
+        for anchor in dict.fromkeys(a for a, _ in cx_t.labels[n_out]):
             for sign, anchor_in, matrix in rule(n_out, anchor):
                 if matrix is None:
-                    dim = sum(1 for a, _ in cx_s.labels[n_in] if a == anchor_in)
-                    for k in range(dim):
-                        key = (pos_out[(anchor, k)], pos_in[(anchor_in, k)])
-                        w = data.get(key, 0) + sign
-                        if w:
-                            data[key] = w
-                        else:
-                            data.pop(key, None)
+                    size = block_size[anchor_in]
+                    entries = ((k, k, sign) for k in range(size))
                 else:
-                    for (i, j), v in matrix.data.items():
-                        key = (pos_out[(anchor, i)], pos_in[(anchor_in, j)])
-                        w = data.get(key, 0) + sign * v
-                        if w:
-                            data[key] = w
-                        else:
-                            data.pop(key, None)
+                    entries = ((i, j, sign * v)
+                               for (i, j), v in matrix.data.items())
+                for i, j, v in entries:
+                    key = (pos_out[(anchor, i)], pos_in[(anchor_in, j)])
+                    w = data.get(key, 0) + v
+                    if w:
+                        data[key] = w
+                    else:
+                        data.pop(key, None)
         maps[n_in] = QMatrix(cx_t.dim(n_out), cx_s.dim(n_in), data)
     return GradedLinearMap(cx_s, cx_t, shift, maps)
 
 
 @dataclass
-class HouData:
-    M: str
-    dga: Dga
-    fiber: FinCategory
+class CochainData:
+    """A cochain algebra of a base object together with its index category:
+    the fiber over the object (hou) or the objects under it (horan)."""
 
-
-@dataclass
-class HoranData:
-    M: str
     dga: Dga
-    under: UnderCategory
+    cat: FinCategory
 
 
 class HoKan:
@@ -131,34 +116,31 @@ class HoKan:
         self.A = A
         self.max_degree = check_max_degree(
             default_max_degree() if max_degree is None else max_degree)
-        self._hou = {}
-        self._horan = {}
+        self._objects = {}
         self._ext = {}
         self._witnesses = {}
 
     # --- objects -----------------------------------------------------------
 
-    def hou_object(self, M: str) -> HouData:
-        if M not in self._hou:
-            fiber = self.fm.fiber(M)
-            diagram = dg.algebra_diagram(
-                fiber, self.A.algebra, self.A.matrix, self.max_degree)
-            self._hou[M] = HouData(M, dg.holim_dgalg(diagram, self.max_degree),
-                                   fiber)
-        return self._hou[M]
+    def hou_object(self, M: str) -> CochainData:
+        """Normalized cochains of the fiber over M."""
+        return self._cochains(("hou", M), self.fm.fiber(M), self.A.algebra,
+                              self.A.matrix)
 
-    def horan_object(self, M: str) -> HoranData:
-        if M not in self._horan:
-            under = under_category(self.fm.pi, M)
-            diagram = dg.algebra_diagram(
-                under.cat,
-                lambda obj: self.A.algebra(under.obj_info[obj][0]),
-                lambda name: self.A.matrix(under.mor_info[name][0]),
-                self.max_degree,
-            )
-            self._horan[M] = HoranData(
-                M, dg.holim_dgalg(diagram, self.max_degree), under)
-        return self._horan[M]
+    def horan_object(self, M: str) -> CochainData:
+        """Normalized cochains of the category of objects under M."""
+        under = self.fm.under(M)
+        return self._cochains(
+            ("horan", M), under.cat,
+            lambda obj: self.A.algebra(under.obj_info[obj][0]),
+            lambda name: self.A.matrix(under.mor_info[name][0]))
+
+    def _cochains(self, key, cat, alg_of, mat_of) -> CochainData:
+        if key not in self._objects:
+            diagram = dg.algebra_diagram(cat, alg_of, mat_of)
+            self._objects[key] = CochainData(
+                dg.holim_dgalg(diagram, self.max_degree), cat)
+        return self._objects[key]
 
     # --- comparison with the under-category --------------------------------
 
@@ -166,7 +148,7 @@ class HoKan:
         """Restriction of an under-category cochain to the fiber slots."""
         hou = self.hou_object(M)
         ran = self.horan_object(M)
-        under = ran.under
+        under = self.fm.under(M)
         id_M = self.fm.loc.id_of(M)
 
         def rule(n, anchor):
@@ -181,8 +163,8 @@ class HoKan:
         """Extension of a fiber cochain by cleavage transport."""
         hou = self.hou_object(M)
         ran = self.horan_object(M)
-        under = ran.under
-        fiber = hou.fiber
+        under = self.fm.under(M)
+        fiber = hou.cat
 
         def rule(n, anchor):
             if n == 0:
@@ -203,7 +185,7 @@ class HoKan:
     def eta_homotopy(self, M: str) -> GradedLinearMap:
         """Cochain homotopy between zeta after kappa and the identity."""
         ran = self.horan_object(M)
-        under = ran.under
+        under = self.fm.under(M)
         strcat = self.fm.strcat
         id_M = self.fm.loc.id_of(M)
 
@@ -239,7 +221,7 @@ class HoKan:
     def rho(self, M: str) -> GradedLinearMap:
         """Order-reversing involution transported along the composite."""
         hou = self.hou_object(M)
-        fiber = hou.fiber
+        fiber = hou.cat
 
         def rule(n, anchor):
             if n == 0:
@@ -254,7 +236,7 @@ class HoKan:
     def beta_homotopy(self, M: str) -> GradedLinearMap:
         """Cochain homotopy between the order reversal and the identity."""
         hou = self.hou_object(M)
-        fiber = hou.fiber
+        fiber = hou.cat
 
         def rule(n, anchor):
             if n == 0:
@@ -299,11 +281,11 @@ class HoKan:
         base = self.fm.loc
         src = self.horan_object(base.source(f))
         tgt = self.horan_object(base.target(f))
-        under_t = tgt.under
+        under_t = self.fm.under(base.target(f))
 
         def rename_obj(obj):
             S, h = under_t.obj_info[obj]
-            return src.under.obj_name(S, base.comp(h, f))
+            return under_t.obj_name(S, base.comp(h, f))
 
         def rule(n, anchor):
             if n == 0:
@@ -358,7 +340,7 @@ class HoKan:
         ext = self.extension(f)
         src = self.hou_object(base.target(f))
         tgt = self.hou_object(base.source(f))
-        fiber_t = src.fiber
+        fiber_t = src.cat
 
         def sharp_inverse(S):
             _, f_sharp = ext.obj_map[S]
@@ -375,7 +357,7 @@ class HoKan:
             entry = tuple(ext.mor_map[g] for g in anchor)
             if any(fiber_t.is_identity(g) for g in entry):
                 return
-            S0 = tgt.fiber.target(anchor[0])
+            S0 = tgt.cat.target(anchor[0])
             yield ONE, entry, sharp_inverse(S0)
 
         return _rule_map(src.dga, tgt.dga, 0, rule)
@@ -386,7 +368,7 @@ class HoKan:
         ext = self.extension(f)
         into, _ = self.witnesses(f)
         hou = self.hou_object(base.source(f))
-        fiber = hou.fiber
+        fiber = hou.cat
 
         def obj_at(anchor, i):
             return fiber.target(anchor[0]) if i == 0 \
@@ -418,7 +400,7 @@ class HoKan:
         ext = self.extension(f)
         _, outof = self.witnesses(f)
         hou = self.hou_object(base.target(f))
-        fiber = hou.fiber
+        fiber = hou.cat
 
         def obj_at(anchor, i):
             return fiber.target(anchor[0]) if i == 0 \

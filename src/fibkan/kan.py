@@ -20,7 +20,6 @@ from .fincat import (
     LocStructure,
     classify_flabbiness,
     connected_components,
-    under_category,
 )
 from .qlinalg import ZERO, QMatrix, Subspace, rank
 
@@ -45,7 +44,7 @@ class Invariants:
 
 def _strict_limit(cat, alg_of, mat_of) -> Invariants:
     """The limit of the algebra diagram on cat, read off in degree 0."""
-    lim = dg.lim_dgalg(dg.algebra_diagram(cat, alg_of, mat_of, 0), 0)
+    lim = dg.lim_dgalg(dg.algebra_diagram(cat, alg_of, mat_of))
     k = lim.dga.complex.dim(0)
 
     def dense(vec):
@@ -53,8 +52,8 @@ def _strict_limit(cat, alg_of, mat_of) -> Invariants:
 
     sc = [[dense(lim.dga.mul_basis(0, i, 0, j)) for j in range(k)]
           for i in range(k)]
-    return Invariants(tuple(sorted(cat.objects)), lim.ambient_labels[0],
-                      lim.subspaces[0], FinAlgebra(k, sc, dense(lim.dga.unit)))
+    return Invariants(tuple(sorted(cat.objects)), lim.ambient_labels,
+                      lim.subspace, FinAlgebra(k, sc, dense(lim.dga.unit)))
 
 
 def u_object(fm: FiberedModel, A: QftFunctor, M: str) -> Invariants:
@@ -70,7 +69,7 @@ class RanUnder:
 
 def ran_under(fm: FiberedModel, A: QftFunctor, M: str) -> RanUnder:
     """Limit of A over the category of objects under M."""
-    under = under_category(fm.pi, M)
+    under = fm.under(M)
     inv = _strict_limit(
         under.cat,
         lambda obj: A.algebra(under.obj_info[obj][0]),
@@ -195,7 +194,7 @@ def pullback_dimension_check(fm: FiberedModel, A: QftFunctor, M: str,
 class KanReport:
     qft_axioms: AxiomReport
     flabbiness: FlabbinessReport
-    u_dims: dict
+    u_objects: dict  # base object -> Invariants
     isotony: bool
     isotony_violations: tuple
     causality: bool
@@ -204,6 +203,10 @@ class KanReport:
     timeslice_violations: tuple
     functorial: bool
     isotony_iff_flabby: bool | None
+
+    @property
+    def u_dims(self) -> dict:
+        return {M: u.dim for M, u in self.u_objects.items()}
 
     @property
     def all_pass(self) -> bool:
@@ -265,7 +268,7 @@ def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
     return KanReport(
         qft_axioms=qft,
         flabbiness=flab,
-        u_dims={M: u_at[M].dim for M in base.objects},
+        u_objects=u_at,
         isotony=not iso_bad,
         isotony_violations=iso_bad,
         causality=not causal_bad,

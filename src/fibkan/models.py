@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import fincat
 from .finalg import QftFunctor, validate_algebra, validate_qft
@@ -25,9 +25,14 @@ class Model:
     strcat: FinCategory
     pi: CatFunctor
     A: QftFunctor
+    _fibered: dict = field(default_factory=dict)
 
     def fibered(self, order: str = "normal") -> fincat.FiberedModel:
-        return build_fibered_model(self.pi, order)
+        """The fibered model with the cleavage picked in the given order,
+        built once per order."""
+        if order not in self._fibered:
+            self._fibered[order] = build_fibered_model(self.pi, order)
+        return self._fibered[order]
 
 
 def _category_from_dict(data, path):
@@ -82,6 +87,12 @@ def model_from_dict(data: dict) -> Model:
         raise ModelError(
             [f"$.projection: {v}" for v in exc.violations] or [f"$.projection: {exc}"]
         )
+    # whether cartesian lifts exist does not depend on the order they are
+    # picked in, so one cleavage validates the projection
+    try:
+        fibered = build_fibered_model(pi)
+    except fincat.FiberedModelError as exc:
+        raise ModelError([f"$.projection: {exc}"])
 
     algebra_specs = _section(data, "algebras")
     map_specs = _section(data, "algebra_maps")
@@ -116,7 +127,8 @@ def model_from_dict(data: dict) -> Model:
         A = validate_qft(strcat, algebras, matrices)
     except ValueError as exc:
         raise ModelError([f"$.algebra_maps: {exc}"])
-    return Model(name, description, loc, strcat, pi, A)
+    return Model(name, description, loc, strcat, pi, A,
+                 _fibered={"normal": fibered})
 
 
 def parse_model(path) -> Model:

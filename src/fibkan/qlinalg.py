@@ -207,15 +207,6 @@ def _echelon(rows, cols):
     return [rows[order[i]] for i in range(r)], pivots
 
 
-def rref(m: QMatrix) -> QMatrix:
-    reduced, _ = _echelon(_dict_rows(m), m.cols)
-    data = {}
-    for i, row in enumerate(reduced):
-        for j, v in row.items():
-            data[(i, j)] = v
-    return QMatrix(m.rows, m.cols, data)
-
-
 def rank(m: QMatrix) -> int:
     _, pivots = _echelon(_dict_rows(m), m.cols)
     return len(pivots)
@@ -335,23 +326,3 @@ def invert(m: QMatrix):
             if j >= n:
                 data[(i, j - n)] = v
     return QMatrix(n, n, data)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: echelon of [[A, A], [B, 0]]; zero-left rows carry a cap b."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    n = a.ambient_dim
-    rows = []
-    for vec in a.basis:
-        row = {j: v for j, v in enumerate(vec) if v}
-        row.update({n + j: v for j, v in enumerate(vec) if v})
-        rows.append(row)
-    for vec in b.basis:
-        rows.append({j: v for j, v in enumerate(vec) if v})
-    reduced, _ = _echelon(rows, 2 * n)
-    vectors = []
-    for row in reduced:
-        if all(j >= n for j in row):
-            vectors.append([row.get(n + j, ZERO) for j in range(n)])
-    return Subspace.from_vectors(n, vectors)

@@ -150,6 +150,41 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     assert any("x" in e for e in json.loads(out)["errors"])
 
 
+def non_groupoid_model():
+    """Two objects over a point joined by the non-invertible fiber arrow a."""
+    one = {"dim": 1, "structure_constants": [[["1"]]], "unit": ["1"]}
+    arrows = (("a", "x", "y"), ("id_x", "x", "x"), ("id_y", "y", "y"))
+    return {
+        "format": 1,
+        "metadata": {"name": "non-groupoid"},
+        "loc": {"objects": ["pt"],
+                "morphisms": [{"name": "i", "source": "pt", "target": "pt"}],
+                "identity": {"pt": "i"}, "compose": [["i", "i", "i"]],
+                "cauchy": ["i"]},
+        "str": {"objects": ["x", "y"],
+                "morphisms": [{"name": g, "source": s, "target": t}
+                              for g, s, t in arrows],
+                "identity": {"x": "id_x", "y": "id_y"},
+                "compose": [["a", "id_x", "a"], ["id_y", "a", "a"],
+                            ["id_x", "id_x", "id_x"], ["id_y", "id_y", "id_y"]]},
+        "projection": {"objects": {"x": "pt", "y": "pt"},
+                       "morphisms": {g: "i" for g, _, _ in arrows}},
+        "algebras": {"x": one, "y": one},
+        "algebra_maps": {g: [["1"]] for g, _, _ in arrows},
+    }
+
+
+@pytest.mark.parametrize("order", ["normal", "reversed"])
+@pytest.mark.parametrize("command", ["validate", "axioms"])
+def test_non_groupoid_model_exits_2(tmp_path, capsys, command, order):
+    path = tmp_path / "non-groupoid.json"
+    path.write_text(json.dumps(non_groupoid_model()))
+    code, out = run(capsys, command, str(path), "--seed-order", order)
+    assert code == 2
+    assert json.loads(out)["errors"] == [
+        "$.projection: fiber morphism 'a' is not invertible in its fiber"]
+
+
 def test_requires_exactly_one_source(capsys):
     assert cli.run(["axioms"]) == 2
     assert cli.run(["axioms", "x.json", "--fixture", "fix-a"]) == 2

@@ -13,41 +13,30 @@ from fibkan.dg import (
     check_homotopy_identity,
     cohomology_dim,
     cohomology_representatives,
-    double_complex,
     graded_tensor,
     holim_dgalg,
     induced_cohomology_map,
     is_weak_equivalence,
     lim_dgalg,
-    matrix_to_map,
     mu_map,
     muop_map,
     tensor_map,
-    total_complex,
     validate_complex,
-    validate_diagram,
     validate_dga,
 )
 from fibkan.fixtures import fixture
 from fibkan.models import model_from_dict
-from fibkan.qlinalg import QMatrix, rank, rat
+from fibkan.qlinalg import QMatrix, kernel_basis, rank, rat
 
 N = 4
 
 
-def z2_diagram(max_degree=N):
+def z2_diagram():
     """The Z2 symmetry of the 2x2 matrix algebra as a one-object diagram."""
     m = model_from_dict(fixture("fix-a"))
-    alg = m.A.algebra("x")
-    dga = algebra_to_dga(alg, max_degree)
-    return validate_diagram(
-        m.strcat,
-        {"x": dga},
-        {
-            "id_x": GradedLinearMap.identity(dga.complex),
-            "g": matrix_to_map(m.A.matrix("g"), dga, dga),
-        },
-    )
+    return dg.DgaDiagram(
+        m.strcat, {"x": algebra_to_dga(m.A.algebra("x"), 0)},
+        {"id_x": QMatrix.identity(4), "g": m.A.matrix("g")})
 
 
 def two_step_complex():
@@ -157,41 +146,27 @@ def test_dga_violations_catch_broken_associativity():
 
 def test_algebra_diagram_limit_is_the_invariants():
     m = model_from_dict(fixture("fix-a"))
-    diagram = dg.algebra_diagram(m.strcat, m.A.algebra, m.A.matrix, 0)
-    assert diagram.violations() == []
-    lim = lim_dgalg(diagram, 0)
+    diagram = dg.algebra_diagram(m.strcat, m.A.algebra, m.A.matrix)
+    assert diagram.maps == z2_diagram().maps
+    lim = lim_dgalg(diagram)
     assert lim.dga.violations() == []
-    assert lim.subspaces[0] == lim_dgalg(z2_diagram(0), 0).subspaces[0]
+    assert lim.ambient_labels == tuple(("x", k) for k in range(4))
+    # the fixed points of the involution, computed without the limit code
+    t = m.A.matrix("g")
+    assert lim.subspace == kernel_basis(t - QMatrix.identity(t.rows))
 
 
-def test_diagram_validation_rejects_nonfunctorial():
-    m = model_from_dict(fixture("fix-a"))
-    dga = algebra_to_dga(m.A.algebra("x"), 2)
-    with pytest.raises(ComplexError):
-        validate_diagram(
-            m.strcat,
-            {"x": dga},
-            {
-                "id_x": GradedLinearMap.identity(dga.complex),
-                # break functoriality with a non-involution
-                "g": matrix_to_map(
-                    QMatrix.from_rows(
-                        [[1, 0, 0, 0], [0, 2, 0, 0],
-                         [0, 0, 2, 0], [0, 0, 0, 1]]),
-                    dga, dga),
-            },
-        )
-
-
-def test_double_and_total_complex_shapes():
+def test_holim_z2_shapes():
     diagram = z2_diagram()
-    dc = double_complex(diagram, N)
+    cx = holim_dgalg(diagram, N).complex
     # one object, one non-identity arrow: a single tuple in each nerve degree
     for n in range(N + 1):
-        assert len(dc.labels[(n, 0)]) == 4
-        assert len(dc.labels.get((n, 1), ())) == 0
-    cx = total_complex(dc)
-    assert [cx.dim(p) for p in range(N + 1)] == [4] * (N + 1)
+        anchor = ("g",) * n if n else "x"
+        assert cx.labels[n] == tuple((anchor, k) for k in range(4))
+    # g after g is the identity, so every inner face vanishes
+    t, ident = diagram.maps["g"], QMatrix.identity(4)
+    for n in range(N):
+        assert cx.d(n) == t + ident.scale(-1 if n % 2 == 0 else 1)
     assert cx.violations() == []
 
 
@@ -214,16 +189,17 @@ def test_lim_z2_invariants():
     assert lim.dga.complex.dim(0) == 2
     assert lim.dga.violations() == []
     # invariants of conjugation by diag(1,-1) are the diagonal matrices
-    for vec in lim.subspaces[0].basis:
+    for vec in lim.subspace.basis:
         assert vec[1] == 0 and vec[2] == 0
 
 
 def test_canonical_e_weak_equivalence():
     diagram = z2_diagram()
-    lim = lim_dgalg(diagram, N)
+    lim = lim_dgalg(diagram)
     holim = holim_dgalg(diagram, N)
-    e = canonical_e(diagram, lim, holim)
-    assert e.is_cochain_map()
+    e = canonical_e(lim, holim)
+    # e lands in the degree-0 cocycles and is an isomorphism on cohomology
+    assert (holim.complex.d(0) * e.matrix(0)).is_zero()
     assert is_weak_equivalence(e, N - 1)
     # e respects products on the degree-0 part
     for i in range(lim.dga.complex.dim(0)):

@@ -7,7 +7,6 @@ from fibkan.finalg import (
     check_axioms_on_str,
     is_iso,
     is_mono,
-    product_algebra,
     validate_algebra,
     validate_alg_morphism,
 )
@@ -83,16 +82,6 @@ def test_is_mono_detects_kernel():
     assert not is_iso(mor)
     collapse = AlgMorphism(two, one, QMatrix.from_rows([[rat(1), rat(0)]]))
     assert not is_mono(collapse)
-
-
-def test_product_algebra():
-    alg = m2()
-    prod, offsets = product_algebra([alg, alg])
-    assert prod.dim == 8
-    assert offsets == [0, 4]
-    assert not prod.violations()
-    # cross terms vanish
-    assert prod.mul(prod.basis_vector(0), prod.basis_vector(4)) == (rat(0),) * 8
 
 
 def test_axioms_pass_on_valid_models():

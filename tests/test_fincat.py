@@ -135,15 +135,21 @@ def test_is_cartesian_identities_and_fiber_isos():
 def test_is_cartesian_fails_without_lift():
     # add a second morphism T -> Sp over f: neither arrow over f stays cartesian
     data = fixture("fix-c")
-    data["str"]["morphisms"].append({"name": "v", "source": "T", "target": "Sp"})
-    data["str"]["compose"] += [["v", "id_T", "v"], ["id_Sp", "v", "v"]]
-    data["projection"]["morphisms"]["v"] = "f"
-    data["algebra_maps"]["v"] = [["1"]]
-    m = model_from_dict(data)
-    assert not is_cartesian(m.pi, "u")
-    assert not is_cartesian(m.pi, "v")
+    strdata, proj = data["str"], data["projection"]
+    strcat = validate_category(
+        strdata["objects"],
+        [(m["name"], m["source"], m["target"]) for m in strdata["morphisms"]]
+        + [("v", "T", "Sp")],
+        strdata["identity"],
+        {**{(g, f): h for g, f, h in strdata["compose"]},
+         ("v", "id_T"): "v", ("id_Sp", "v"): "v"},
+    )
+    pi = validate_functor(strcat, model("fix-c").loc.base, proj["objects"],
+                          {**proj["morphisms"], "v": "f"})
+    assert not is_cartesian(pi, "u")
+    assert not is_cartesian(pi, "v")
     with pytest.raises(FiberedModelError):
-        build_fibered_model(m.pi)
+        build_fibered_model(pi)
 
 
 def test_is_cartesian_fails_with_two_lifts():

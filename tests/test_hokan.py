@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fibkan.dg import (
@@ -6,7 +8,7 @@ from fibkan.dg import (
     cohomology_dim,
     is_weak_equivalence,
 )
-from fibkan.fixtures import fixture
+from fibkan.fixtures import fixture, fixture_names
 from fibkan.hokan import HoKan, HoKanError, check_square_homotopy
 from fibkan.kan import u_object
 from fibkan.models import model_from_dict
@@ -233,6 +235,68 @@ def test_h0_matches_invariants():
         m, hk = context(name)
         for M in m.loc.base.objects:
             assert hk.h0_subspace(M) == u_object(hk.fm, m.A, M).subspace
+
+
+def dga_digest(dga):
+    """sha256 prefix of the labels, differentials, product tables and unit."""
+    cx = dga.complex
+    h = hashlib.sha256()
+    for n in range(cx.max_degree + 1):
+        h.update(repr(("labels", n, cx.labels[n])).encode())
+        if n < cx.max_degree:
+            d = cx.d(n)
+            h.update(repr(("d", n, d.rows, d.cols,
+                           sorted(d.data.items()))).encode())
+    for key in sorted(dga.products):
+        h.update(repr(("mul", key, sorted(
+            (pair, sorted(vec.items()))
+            for pair, vec in dga.products[key].items()))).encode())
+    h.update(repr(("unit", sorted(dga.unit.items()))).encode())
+    return h.hexdigest()[:16]
+
+
+# (hou, horan) digests at degree 3, recorded from the double-complex
+# construction of the homotopy limit that the nerve cochains replaced
+HOLIM_DIGESTS = {
+    "fix-a:pt": ("1ed0e97c0fbbfbba", "54f646a3ca80e1c5"),
+    "fix-b:M": ("db2111df2b76f379", "9a5845d14ddf348b"),
+    "fix-b:M1": ("5573d4d7e908d6a8", "0819df3b7c76557a"),
+    "fix-b:M2": ("3156f657a7fd1fef", "9a9f1f0ec7cf4824"),
+    "fix-bprime:M": ("1c8fb989b112417a", "858e3112340e56b7"),
+    "fix-bprime:M1": ("06acee00c14badbb", "93d18abcfc1eaab7"),
+    "fix-bprime:M2": ("f5fea64a7196a28b", "983bc7e606592023"),
+    "fix-c:M": ("ff12f2344e3b6c1f", "c2e49ae94258d634"),
+    "fix-c:M1": ("32152b6f03b05790", "453bfe381baeeb62"),
+    "fix-d:N": ("df8817691c25ea0e", "e8046c06ce867ee6"),
+    "fix-d:Np": ("1e885a527c9815fd", "c7ef474e097739ad"),
+    "fix-e:M0": ("62ae7924cf230633", "dc9dc5ad34bf2959"),
+    "fix-e:M1": ("06acee00c14badbb", "96609d4d623b41b2"),
+    "fix-e:M2": ("f5fea64a7196a28b", "d41dd07dc4bcc560"),
+    "fix-e:M3": ("f61d5784f251ad34", "b6d4f1cb9331f751"),
+}
+
+
+def test_cochain_algebras_match_recorded_digests():
+    got = {}
+    for name in fixture_names():
+        m, hk = context(name, max_degree=3)
+        for M in sorted(m.loc.base.objects):
+            got[f"{name}:{M}"] = (dga_digest(hk.hou_object(M).dga),
+                                  dga_digest(hk.horan_object(M).dga))
+    assert got == HOLIM_DIGESTS
+
+
+def test_maschke_oracle_on_every_fixture():
+    # over QQ a finite groupoid has no higher cohomology, and H^0 is the
+    # invariants, whose dimension comes from kan without the nerve code
+    for name in fixture_names():
+        m, hk = context(name, max_degree=3)
+        for M in m.loc.base.objects:
+            want = [u_object(hk.fm, m.A, M).dim, 0, 0]
+            for obj in (hk.hou_object(M), hk.horan_object(M)):
+                cx = obj.dga.complex
+                assert [cohomology_dim(cx, n) for n in range(3)] == want, \
+                    (name, M)
 
 
 def test_hou_cohomology_strict():

@@ -99,3 +99,16 @@ def test_model_non_functorial_matrices():
     ]
     with pytest.raises(ModelError):
         model_from_dict(data)
+
+
+def test_model_without_cartesian_lift():
+    # a second arrow T -> Sp over f leaves f with no cartesian lift into Sp
+    data = fixture("fix-c")
+    data["str"]["morphisms"].append({"name": "v", "source": "T", "target": "Sp"})
+    data["str"]["compose"] += [["v", "id_T", "v"], ["id_Sp", "v", "v"]]
+    data["projection"]["morphisms"]["v"] = "f"
+    data["algebra_maps"]["v"] = [["1"]]
+    with pytest.raises(ModelError) as err:
+        model_from_dict(data)
+    assert err.value.errors == [
+        "$.projection: no cartesian lift of 'f' with target 'Sp'"]
