@@ -179,7 +179,7 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     out.append(_finding("hou-identity", _bool_status(ok), objects=detail))
 
     def h0_check(M):
-        return [] if hk.h0_subspace(M) == kan.u_object(fm, model.A, M).subspace \
+        return [] if hk.h0_subspace(M) == kan.u_objects(fm, model.A)[M].subspace \
             else ["degree-0 cocycles differ from the invariants"]
     ok, detail = _per_object(hk, model, h0_check)
     out.append(_finding("h0-comparison", _bool_status(ok), objects=detail))

@@ -11,6 +11,7 @@ cohomology through the requested degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .fincat import FinCategory, nerve
 from .qlinalg import (
@@ -23,6 +24,7 @@ from .qlinalg import (
     rat,
     row_space,
     solve,
+    _axpy,
 )
 
 
@@ -81,23 +83,6 @@ def validate_complex(max_degree, labels, differentials) -> Complex:
     if violations:
         raise ComplexError("; ".join(violations))
     return cx
-
-
-def _sparse_apply(m: QMatrix, vec: dict) -> dict:
-    out = {}
-    by_col = {}
-    for (i, j), v in m.data.items():
-        by_col.setdefault(j, []).append((i, v))
-    for j, c in vec.items():
-        if not c:
-            continue
-        for i, v in by_col.get(j, ()):
-            s = out.get(i, 0) + v * c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-    return out
 
 
 @dataclass
@@ -288,31 +273,20 @@ class Dga:
             for key, table in products.items()
         }
         self.unit = dict(unit)
-        self._left_index = {}
-        self._right_index = {}
+        self._index = {}
 
     def table(self, n1: int, n2: int) -> dict:
         return self.products.get((n1, n2), {})
 
-    def _lefts(self, n1, n2):
-        # right index j -> set of left indices i with a nonzero table entry
-        key = (n1, n2)
-        if key not in self._left_index:
-            idx = {}
-            for (i, j) in self.table(n1, n2):
-                idx.setdefault(j, set()).add(i)
-            self._left_index[key] = idx
-        return self._left_index[key]
-
-    def _rights(self, n1, n2):
-        # left index i -> set of right indices j with a nonzero table entry
-        key = (n1, n2)
-        if key not in self._right_index:
-            idx = {}
-            for (i, j) in self.table(n1, n2):
-                idx.setdefault(i, set()).add(j)
-            self._right_index[key] = idx
-        return self._right_index[key]
+    def _partners(self, n1, n2, side):
+        # side 0: left index -> the right indices with a nonzero product in
+        # table (n1, n2); side 1: right index -> the left indices
+        key = (n1, n2, side)
+        if key not in self._index:
+            idx = self._index[key] = {}
+            for pair in self.table(n1, n2):
+                idx.setdefault(pair[side], set()).add(pair[1 - side])
+        return self._index[key]
 
     def mul_basis(self, n1: int, i: int, n2: int, j: int) -> dict:
         return self.table(n1, n2).get((i, j), {})
@@ -321,21 +295,10 @@ class Dga:
         out = {}
         table = self.table(n1, n2)
         for i, xv in x.items():
-            if not xv:
-                continue
             for j, yv in y.items():
-                if not yv:
-                    continue
                 vec = table.get((i, j))
-                if not vec:
-                    continue
-                c = xv * yv
-                for k, v in vec.items():
-                    s = out.get(k, 0) + c * v
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                if vec and xv and yv:
+                    _axpy(out, xv * yv, vec)
         return out
 
     def violations(self):
@@ -346,26 +309,21 @@ class Dga:
         # unit element must be a degree-0 cocycle
         if not self.unit:
             out.append("unit element is zero")
-        dunit = _sparse_apply(cx.d(0), self.unit) if top >= 1 else {}
-        if dunit:
+        if top >= 1 and cx.d(0).apply_sparse(self.unit):
             out.append("unit element is not closed")
         for n in range(top + 1):
+            left, right = self.table(0, n), self.table(n, 0)
             for i in range(cx.dim(n)):
                 e = {i: ONE}
-                if self.mul(0, self.unit, n, e) != e:
+                if _combine((left.get((u, i)), c)
+                            for u, c in self.unit.items()) != e:
                     out.append(f"left unit law fails in degree {n} at index {i}")
-                if self.mul(n, e, 0, self.unit) != e:
+                if _combine((right.get((i, u)), c)
+                            for u, c in self.unit.items()) != e:
                     out.append(f"right unit law fails in degree {n} at index {i}")
         out.extend(self._associativity_violations())
         out.extend(self._leibniz_violations())
         return out
-
-    def _assoc_check(self, n1, i, n2, j, n3, k):
-        xy = self.mul_basis(n1, i, n2, j)
-        yz = self.mul_basis(n2, j, n3, k)
-        lhs = self.mul(n1 + n2, xy, n3, {k: ONE})
-        rhs = self.mul(n1, {i: ONE}, n2 + n3, yz)
-        return lhs == rhs
 
     def _associativity_violations(self):
         out = []
@@ -373,25 +331,22 @@ class Dga:
         for n1 in range(top + 1):
             for n2 in range(top + 1 - n1):
                 for n3 in range(top + 1 - n1 - n2):
-                    # a triple can only be nonzero when one of the two inner
-                    # products is; sweep both tables and dedupe
-                    checked = set()
-                    for (i, j), vec in self.table(n1, n2).items():
-                        ks = set(self._rights(n2, n3).get(j, ()))
-                        rights = self._rights(n1 + n2, n3)
-                        for l in vec:
-                            ks.update(rights.get(l, ()))
-                        for k in ks:
-                            checked.add((i, j, k))
-                    for (j, k), vec in self.table(n2, n3).items():
-                        is_ = set(self._lefts(n1, n2).get(j, ()))
-                        lefts = self._lefts(n1, n2 + n3)
-                        for l in vec:
-                            is_.update(lefts.get(l, ()))
-                        for i in is_:
-                            checked.add((i, j, k))
-                    for i, j, k in sorted(checked):
-                        if not self._assoc_check(n1, i, n2, j, n3, k):
+                    t12, t23 = self.table(n1, n2), self.table(n2, n3)
+                    t12_3, t1_23 = self.table(n1 + n2, n3), self.table(n1, n2 + n3)
+                    # (x y) z is nonzero only on triples reached from t12
+                    # through t12_3, and x (y z) from t23 through t1_23
+                    rights = self._partners(n1 + n2, n3, 0)
+                    lefts = self._partners(n1, n2 + n3, 1)
+                    triples = {(i, j, k) for (i, j), xy in t12.items()
+                               for l in xy for k in rights.get(l, ())}
+                    triples.update((i, j, k) for (j, k), yz in t23.items()
+                                   for l in yz for i in lefts.get(l, ()))
+                    for i, j, k in sorted(triples):
+                        lhs = _combine((t12_3.get((l, k)), c)
+                                       for l, c in t12.get((i, j), {}).items())
+                        rhs = _combine((t1_23.get((i, l)), c)
+                                       for l, c in t23.get((j, k), {}).items())
+                        if lhs != rhs:
                             out.append(
                                 f"associativity fails on degrees ({n1},{n2},{n3})"
                                 f" indices ({i},{j},{k})")
@@ -403,27 +358,40 @@ class Dga:
         top = cx.max_degree
         for n1 in range(top):
             for n2 in range(top - n1):
-                dcols1 = {j: cx.d(n1).column(j) for j in range(cx.dim(n1))}
-                dcols2 = {j: cx.d(n2).column(j) for j in range(cx.dim(n2))}
-                s = ONE if n1 % 2 == 0 else -ONE
-                for i in range(cx.dim(n1)):
-                    di = dcols1[i]
-                    for j in range(cx.dim(n2)):
-                        lhs = _sparse_apply(
-                            cx.d(n1 + n2), self.mul_basis(n1, i, n2, j))
-                        rhs = self.mul(n1 + 1, di, n2, {j: ONE})
-                        for k, v in self.mul(
-                                n1, {i: ONE}, n2 + 1, dcols2[j]).items():
-                            w = rhs.get(k, 0) + s * v
-                            if w:
-                                rhs[k] = w
-                            else:
-                                rhs.pop(k, None)
-                        if lhs != rhs:
-                            out.append(
-                                f"Leibniz rule fails on degrees ({n1},{n2})"
-                                f" indices ({i},{j})")
+                d1, d2, d12 = cx.d(n1), cx.d(n2), cx.d(n1 + n2)
+                t = self.table(n1, n2)
+                t1, t2 = self.table(n1 + 1, n2), self.table(n1, n2 + 1)
+                odd = n1 % 2
+                # both sides of d(x y) = dx y + (-1)^n1 x dy vanish unless
+                # one of the three products is nonzero
+                pairs = set(t)
+                pairs.update((i, j) for (l, j) in t1
+                             for i in d1.by_row.get(l, ()))
+                pairs.update((i, j) for (i, l) in t2
+                             for j in d2.by_row.get(l, ()))
+                rows, cols = range(cx.dim(n1)), range(cx.dim(n2))
+                for i, j in sorted(p for p in pairs
+                                   if p[0] in rows and p[1] in cols):
+                    lhs = d12.apply_sparse(t.get((i, j), {}))
+                    rhs = _combine(chain(
+                        ((t1.get((l, j)), c)
+                         for l, c in d1.by_col.get(i, {}).items()),
+                        ((t2.get((i, l)), -c if odd else c)
+                         for l, c in d2.by_col.get(j, {}).items())))
+                    if lhs != rhs:
+                        out.append(
+                            f"Leibniz rule fails on degrees ({n1},{n2})"
+                            f" indices ({i},{j})")
         return out
+
+
+def _combine(terms) -> dict:
+    """The sparse sum of c * vec over (vec, c) terms; a vec may be None."""
+    out = {}
+    for vec, c in terms:
+        if vec and c:
+            _axpy(out, c, vec)
+    return out
 
 
 def validate_dga(complex_, products, unit) -> Dga:
@@ -510,10 +478,8 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
             faces.append((u[:n] if n else obj, -ONE if (n + 1) % 2 else ONE))
             for k in range(dims[obj]):
                 row = rows[(u, k)]
-                for j in range(first.cols):
-                    v = first.get(k, j)
-                    if v:
-                        data[(row, cols[(tail, j)])] = v
+                for j, v in first.by_row.get(k, {}).items():
+                    data[(row, cols[(tail, j)])] = v
                 for t, s in faces:
                     key = (row, cols[(t, k)])
                     w = data.get(key, 0) + s
@@ -691,18 +657,11 @@ def tensor_map(f: GradedLinearMap, g: GradedLinearMap,
         for col, (p1, i, j) in enumerate(source.labels[p]):
             p2 = p - p1
             sign = ONE if (g.shift * p1) % 2 == 0 else -ONE
-            fcol = f.matrix(p1).column(i)
-            gcol = g.matrix(p2).column(j)
-            if not fcol or not gcol:
-                continue
-            for a, va in fcol.items():
-                for b, vb in gcol.items():
+            # distinct (a, b) are distinct target slots: nothing accumulates
+            for a, va in f.matrix(p1).by_col.get(i, {}).items():
+                for b, vb in g.matrix(p2).by_col.get(j, {}).items():
                     key = (target.pos[q][(p1 + f.shift, a, b)], col)
-                    w = data.get(key, 0) + sign * va * vb
-                    if w:
-                        data[key] = w
-                    else:
-                        data.pop(key, None)
+                    data[key] = sign * va * vb
         maps[p] = QMatrix(target.dim(q), source.dim(p), data)
     return GradedLinearMap(source, target, f.shift + g.shift, maps)
 

@@ -101,14 +101,12 @@ class AlgMorphism:
             return ["matrix shape does not match source/target dimensions"]
         if self.matrix.apply(self.source.unit) != self.target.unit:
             out.append("unit not preserved")
+        images = [self.matrix.apply(self.source.basis_vector(i))
+                  for i in range(self.source.dim)]
         for i in range(self.source.dim):
             for j in range(self.source.dim):
                 lhs = self.matrix.apply(self.source.sc[i][j])
-                rhs = self.target.mul(
-                    self.matrix.apply(self.source.basis_vector(i)),
-                    self.matrix.apply(self.source.basis_vector(j)),
-                )
-                if lhs != rhs:
+                if lhs != self.target.mul(images[i], images[j]):
                     out.append(f"multiplicativity fails on basis pair ({i},{j})")
         return out
 
@@ -215,10 +213,10 @@ def check_axioms_on_str(fm: FiberedModel, loc: LocStructure,
             m1, m2 = A.matrix(g1), A.matrix(g2)
             src1 = A.algebra(strcat.source(g1))
             src2 = A.algebra(strcat.source(g2))
+            ys = [m2.apply(src2.basis_vector(j)) for j in range(src2.dim)]
             for i in range(src1.dim):
                 x = m1.apply(src1.basis_vector(i))
-                for j in range(src2.dim):
-                    y = m2.apply(src2.basis_vector(j))
+                for j, y in enumerate(ys):
                     if any(tgt.commutator(x, y)):
                         causal_bad.append((g1, g2, i, j))
     ts_bad = tuple(

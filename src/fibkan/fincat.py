@@ -367,6 +367,7 @@ class FiberedModel:
     order: str = "normal"
     _fibers: dict = field(default_factory=dict)
     _unders: dict = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict)
 
     @property
     def strcat(self) -> FinCategory:
@@ -399,6 +400,13 @@ class FiberedModel:
         if M not in self._unders:
             self._unders[M] = under_category(self.pi, M)
         return self._unders[M]
+
+    def memo(self, key, build):
+        """build(), computed once per key for this model: for data that
+        other layers derive from it, such as kan.u_object."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def lift(self, S_prime: str, f: str):
         """(f*S', f_*) for the base morphism f into pi(S')."""

@@ -61,6 +61,12 @@ def u_object(fm: FiberedModel, A: QftFunctor, M: str) -> Invariants:
     return _strict_limit(fm.fiber(M), A.algebra, A.matrix)
 
 
+def u_objects(fm: FiberedModel, A: QftFunctor) -> dict:
+    """u_object of every base object, built once per model and functor."""
+    return fm.memo(("u_objects", A), lambda: {
+        M: u_object(fm, A, M) for M in fm.loc.objects})
+
+
 @dataclass(frozen=True)
 class RanUnder:
     invariants: Invariants
@@ -226,7 +232,7 @@ def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
     qft = check_axioms_on_str(fm, loc, A)
     flab = classify_flabbiness(fm, loc)
 
-    u_at = {M: u_object(fm, A, M) for M in base.objects}
+    u_at = u_objects(fm, A)
     u_maps = {
         f: u_morphism(fm, A, f, u_at[base.source(f)], u_at[base.target(f)])
         for f in base.morphisms
@@ -246,10 +252,11 @@ def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
         M = base.target(f1)
         alg = u_at[M].algebra
         m1, m2 = u_maps[f1], u_maps[f2]
-        for i in range(u_at[base.source(f1)].dim):
-            x = m1.apply(u_at[base.source(f1)].algebra.basis_vector(i))
-            for j in range(u_at[base.source(f2)].dim):
-                y = m2.apply(u_at[base.source(f2)].algebra.basis_vector(j))
+        src1, src2 = (u_at[base.source(f)].algebra for f in (f1, f2))
+        ys = [m2.apply(src2.basis_vector(j)) for j in range(src2.dim)]
+        for i in range(src1.dim):
+            x = m1.apply(src1.basis_vector(i))
+            for j, y in enumerate(ys):
                 if any(alg.commutator(x, y)):
                     causal_bad.append((f1, f2, i, j))
 

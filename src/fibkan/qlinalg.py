@@ -37,13 +37,18 @@ def rat_str(x: Fraction) -> str:
 
 
 class QMatrix:
-    """A rows x cols matrix of Fractions, stored as {(i, j): nonzero value}."""
+    """A rows x cols matrix of Fractions, stored as {(i, j): nonzero value}.
 
-    __slots__ = ("rows", "cols", "data")
+    A matrix is never changed after construction, so its row and column
+    indices are built on first use and kept.
+    """
+
+    __slots__ = ("rows", "cols", "data", "_by_row", "_by_col")
 
     def __init__(self, rows: int, cols: int, data=None):
         self.rows = rows
         self.cols = cols
+        self._by_row = self._by_col = None
         self.data = {}
         if data:
             for (i, j), v in data.items():
@@ -83,8 +88,26 @@ class QMatrix:
             out[i][j] = v
         return out
 
+    @property
+    def by_row(self) -> dict:
+        """{i: {j: value}} over the nonzero rows; shared, so read only."""
+        if self._by_row is None:
+            self._by_row = {}
+            for (i, j), v in self.data.items():
+                self._by_row.setdefault(i, {})[j] = v
+        return self._by_row
+
+    @property
+    def by_col(self) -> dict:
+        """{j: {i: value}} over the nonzero columns; shared, so read only."""
+        if self._by_col is None:
+            self._by_col = {}
+            for (i, j), v in self.data.items():
+                self._by_col.setdefault(j, {})[i] = v
+        return self._by_col
+
     def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.data.items() if jj == j}
+        return dict(self.by_col.get(j, ()))
 
     def transpose(self) -> "QMatrix":
         return QMatrix(self.cols, self.rows,
@@ -109,12 +132,7 @@ class QMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
         data = dict(self.data)
-        for k, v in other.data.items():
-            w = data.get(k, ZERO) + v
-            if w:
-                data[k] = w
-            else:
-                data.pop(k, None)
+        _axpy(data, ONE, other.data)
         return QMatrix(self.rows, self.cols, data)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
@@ -130,39 +148,54 @@ class QMatrix:
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        by_row = {}
-        for (k, j), v in other.data.items():
-            by_row.setdefault(k, []).append((j, v))
+        by_row = other.by_row
         acc = {}
-        for (i, k), v in self.data.items():
-            for j, w in by_row.get(k, ()):
-                key = (i, j)
-                s = acc.get(key, ZERO) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+        for i, row in self.by_row.items():
+            out = {}
+            for k, v in row.items():
+                if k in by_row:
+                    _axpy(out, v, by_row[k])
+            acc.update(((i, j), w) for j, w in out.items())
         return QMatrix(self.rows, other.cols, acc)
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product on a dense coordinate tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [ZERO] * self.rows
-        for (i, j), v in self.data.items():
-            if vec[j]:
-                out[i] += v * vec[j]
-        return tuple(out)
+        out = self.apply_sparse(dict(enumerate(vec)))
+        return tuple(out.get(i, ZERO) for i in range(self.rows))
+
+    def apply_sparse(self, vec: dict) -> dict:
+        """Matrix-vector product on a sparse {index: value} vector."""
+        out = {}
+        by_col = self.by_col
+        for j, c in vec.items():
+            if j in by_col and c:
+                _axpy(out, c, by_col[j])
+        return out
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols}, nnz={len(self.data)})"
 
 
+def _axpy(out: dict, c, vec: dict) -> None:
+    """out += c * vec on sparse vectors, dropping the entries that cancel."""
+    one = c == 1
+    for k, v in vec.items():
+        if not one:
+            v = c * v
+        w = out.get(k)
+        if w is not None:
+            v = w + v
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+
+
 def _dict_rows(m: QMatrix):
-    rows = [dict() for _ in range(m.rows)]
-    for (i, j), v in m.data.items():
-        rows[i][j] = v
-    return rows
+    by_row = m.by_row
+    return [dict(by_row.get(i, ())) for i in range(m.rows)]
 
 
 def _echelon(rows, cols):
@@ -194,12 +227,7 @@ def _echelon(rows, cols):
             row = rows[order[idx]]
             factor = row.get(c)
             if factor:
-                for k, v in prow.items():
-                    w = row.get(k, ZERO) - factor * v
-                    if w:
-                        row[k] = w
-                    else:
-                        row.pop(k, None)
+                _axpy(row, -factor, prow)
         pivots.append(c)
         r += 1
         if r == len(order):

@@ -73,6 +73,24 @@ def test_kan_reports_induced_axioms(capsys):
     assert byname["kan-dimensions"]["details"]["u_dims"] == {"M": 1, "M1": 2}
 
 
+def test_verify_builds_each_fiber_invariant_once(capsys, monkeypatch):
+    # the kan checks and the hokan h0-comparison share one u_object per
+    # base object
+    from fibkan import kan
+    built = []
+    real = kan.u_object
+
+    def counting(fm, A, M):
+        built.append(M)
+        return real(fm, A, M)
+
+    monkeypatch.setattr(kan, "u_object", counting)
+    code, out = run(capsys, "verify", "--fixture", "fix-d", "--max-degree", "2")
+    assert code == 0
+    assert statuses(out)["h0-comparison"] == "pass"
+    assert sorted(built) == ["N", "Np"]
+
+
 def test_hokan_witnesses_pass(capsys):
     code, out = run(capsys, "hokan", "--fixture", "fix-d", "--max-degree", "3")
     assert code == 0

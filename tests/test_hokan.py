@@ -128,14 +128,13 @@ def test_hou_morphism_is_cochain_and_multiplicative():
     assert u.is_cochain_map()
     src = hk.hou_object("M0").dga
     tgt = hk.hou_object("M1").dga
-    from fibkan.dg import _sparse_apply
     for n1 in range(N + 1):
         for n2 in range(N + 1 - n1):
             for (i, j), vec in src.table(n1, n2).items():
-                lhs = _sparse_apply(u.matrix(n1 + n2), vec)
+                lhs = u.matrix(n1 + n2).apply_sparse(vec)
                 rhs = tgt.mul(
-                    n1, _sparse_apply(u.matrix(n1), {i: 1}),
-                    n2, _sparse_apply(u.matrix(n2), {j: 1}))
+                    n1, u.matrix(n1).apply_sparse({i: 1}),
+                    n2, u.matrix(n2).apply_sparse({j: 1}))
                 assert lhs == rhs
 
 

@@ -124,3 +124,78 @@ def test_solve_exact_when_present(m, b):
     x = solve(m, b)
     if x is not None:
         assert m.apply(x) == tuple(rat(v) for v in b)
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    cells = st.tuples(st.integers(0, max(rows - 1, 0)),
+                      st.integers(0, max(cols - 1, 0)))
+    data = draw(st.dictionaries(cells, small_rationals, max_size=8)) \
+        if rows and cols else {}
+    return QMatrix(rows, cols, data)
+
+
+def dense_product(a_rows, b_rows, cols):
+    return [[sum((x * b_rows[k][j] for k, x in enumerate(row)), F(0))
+             for j in range(cols)] for row in a_rows]
+
+
+def assert_indices_match(m):
+    """Column, row and product views agree with the dense entries."""
+    dense = m.to_rows()
+    for j in range(m.cols):
+        assert m.column(j) == {i: dense[i][j] for i in range(m.rows)
+                               if dense[i][j]}
+    for i in range(m.rows):
+        assert m.by_row.get(i, {}) == {j: v for j, v in enumerate(dense[i])
+                                       if v}
+    for j in range(m.cols):
+        # a sparse and a dense unit vector pick out column j
+        unit = tuple(F(1) if k == j else F(0) for k in range(m.cols))
+        assert m.apply(unit) == tuple(row[j] for row in dense)
+        assert m.apply_sparse({j: F(1)}) == m.column(j)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cached_indices_agree_with_dense_products(data):
+    a = data.draw(sparse_matrices())
+    b = data.draw(sparse_matrices(rows=a.cols))
+    vec = data.draw(st.lists(small_rationals, min_size=a.cols,
+                             max_size=a.cols))
+    assert_indices_match(a)
+    want = dense_product(a.to_rows(), [[v] for v in vec], 1)
+    assert a.apply(tuple(vec)) == tuple(row[0] for row in want)
+    assert a.apply_sparse(dict(enumerate(vec))) == {
+        i: row[0] for i, row in enumerate(want) if row[0]}
+    # twice: the second product reads the indices that the first cached
+    for _ in range(2):
+        assert (a * b).to_rows() == dense_product(a.to_rows(), b.to_rows(),
+                                                  b.cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derived_matrices_index_their_own_entries(data):
+    a = data.draw(sparse_matrices())
+    b = data.draw(sparse_matrices(rows=a.rows, cols=a.cols))
+    c = data.draw(small_rationals)
+    assert_indices_match(a)  # builds and caches the indices of a first
+    for derived in (a.transpose(), a + b, a.scale(c), a - b, -a):
+        assert_indices_match(derived)
+    assert a.transpose().to_rows() == [[row[j] for row in a.to_rows()]
+                                       for j in range(a.cols)]
+
+
+def test_column_is_a_copy():
+    m = QMatrix.from_rows([[1, 0], [2, 3]])
+    col = m.column(0)
+    col[0] = F(7)
+    col[5] = F(1)
+    m.column(1).clear()
+    assert m.column(0) == {0: F(1), 1: F(2)}
+    assert m.column(1) == {1: F(3)}
+    assert m.apply((F(1), F(1))) == (F(1), F(5))
+    assert m * QMatrix.identity(2) == m
