@@ -42,12 +42,23 @@ def _category_from_dict(data, path):
         ]
         compose = {(g, f): h for g, f, h in data["compose"]}
         cat = FinCategory(data["objects"], morphisms, data["identity"], compose)
+        violations = cat.violations()
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError([f"{path}: malformed category data ({exc})"])
-    violations = cat.violations()
     if violations:
         raise ModelError([f"{path}: {v}" for v in violations])
     return cat
+
+
+def _validated(path, build, *args):
+    """build(*args), with its violations or malformed data named by path."""
+    try:
+        return build(*args)
+    except fincat.CategoryError as exc:
+        raise ModelError([f"{path}: {v}" for v in exc.violations]
+                         or [f"{path}: {exc}"])
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ModelError([f"{path}: malformed data ({exc})"])
 
 
 def _section(data: dict, key: str) -> dict:
@@ -71,22 +82,12 @@ def model_from_dict(data: dict) -> Model:
     base = _category_from_dict(locdata, "$.loc")
     strcat = _category_from_dict(_section(data, "str"), "$.str")
 
-    try:
-        loc = fincat.validate_loc_structure(
-            base, locdata.get("causal_cospans", []), locdata.get("cauchy", [])
-        )
-    except fincat.CategoryError as exc:
-        raise ModelError([f"$.loc: {v}" for v in exc.violations] or [f"$.loc: {exc}"])
+    loc = _validated("$.loc", fincat.validate_loc_structure, base,
+                     locdata.get("causal_cospans", []), locdata.get("cauchy", []))
 
     proj = _section(data, "projection")
-    try:
-        pi = fincat.validate_functor(
-            strcat, base, proj.get("objects", {}), proj.get("morphisms", {})
-        )
-    except fincat.CategoryError as exc:
-        raise ModelError(
-            [f"$.projection: {v}" for v in exc.violations] or [f"$.projection: {exc}"]
-        )
+    pi = _validated("$.projection", fincat.validate_functor, strcat, base,
+                    proj.get("objects", {}), proj.get("morphisms", {}))
     # whether cartesian lifts exist does not depend on the order they are
     # picked in, so one cleavage validates the projection
     try:
@@ -107,7 +108,7 @@ def model_from_dict(data: dict) -> Model:
             algebras[S] = validate_algebra(
                 spec["dim"], spec["structure_constants"], spec["unit"]
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"$.algebras.{S}: {exc}")
     matrices = {}
     for g in strcat.morphisms:
@@ -119,7 +120,7 @@ def model_from_dict(data: dict) -> Model:
             matrices[g] = QMatrix.from_rows(
                 [[rat(v) for v in row] for row in spec]
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             errors.append(f"$.algebra_maps.{g}: {exc}")
     if errors:
         raise ModelError(errors)

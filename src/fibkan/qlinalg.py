@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (constraint solving, cochain differentials, homotopy
-identities) reduces to rank / kernel / solve computations over QQ. Matrices
-are stored sparsely because the cochain complexes of larger fixtures are
-block sparse, but the interface is that of an ordinary dense matrix.
+identities) reduces to rank / kernel / coordinate computations over QQ.
+Matrices are stored sparsely because the cochain complexes of larger fixtures
+are block sparse, but the interface is that of an ordinary dense matrix.
 """
 
 from __future__ import annotations
@@ -294,9 +294,6 @@ class Subspace:
             return None
         return tuple(coords)
 
-    def contains(self, vec) -> bool:
-        return self.coords(vec) is not None
-
 
 def row_space(m: QMatrix) -> Subspace:
     return Subspace.from_vectors(m.cols, m.to_rows())
@@ -316,25 +313,6 @@ def kernel_basis(m: QMatrix) -> Subspace:
                 vec[c] = -v
         vectors.append(vec)
     return Subspace.from_vectors(m.cols, vectors)
-
-
-def solve(m: QMatrix, b):
-    """A solution x of m x = b with free variables set to 0, or None."""
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    rows = _dict_rows(m)
-    aug = m.cols
-    for i, v in enumerate(b):
-        v = rat(v)
-        if v:
-            rows[i][aug] = v
-    reduced, pivots = _echelon(rows, m.cols + 1)
-    if aug in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for i, c in enumerate(pivots):
-        x[c] = reduced[i].get(aug, ZERO)
-    return tuple(x)
 
 
 def invert(m: QMatrix):

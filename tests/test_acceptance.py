@@ -226,11 +226,15 @@ def test_cohomology_strictness_and_commutators():
         for n in range(1, N):
             assert dg.cohomology_dim(cx, n) == 0, (M, n)
 
+    # the two products agree on cohomology when their difference maps every
+    # cocycle to a coboundary
     _, hk = context("fix-b")
     _, mu_l, muop_l, _ = hk.causal_tensor_data("c1", "c2")
+    diff = mu_l - muop_l
     for n in range(N):
-        assert dg.induced_cohomology_map(mu_l, n) \
-            == dg.induced_cohomology_map(muop_l, n), n
+        bnd = dg.coboundary_space(diff.target, n)
+        for z in dg.cocycle_space(diff.source, n).basis:
+            assert bnd.coords(diff.matrix(n).apply(z)) is not None, n
 
 
 def test_truncation_stability():

@@ -168,6 +168,31 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     assert any("x" in e for e in json.loads(out)["errors"])
 
 
+@pytest.mark.parametrize("name, path, value", [
+    ("fix-a", ("algebras", "x"), [1]),
+    ("fix-a", ("algebras", "x", "structure_constants"), 3),
+    ("fix-a", ("algebras", "x", "unit"), 3),
+    ("fix-a", ("algebra_maps", "g", 0), 3),
+    ("fix-a", ("loc", "cauchy"), 3),
+    ("fix-a", ("loc", "identity", "pt"), [1]),
+    ("fix-a", ("projection", "objects"), [1]),
+    ("fix-b", ("loc", "causal_cospans", 0), {}),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_malformed_value_in_a_section_exits_2(tmp_path, capsys, name, path,
+                                              value):
+    doc = json.loads(fixture_json(name))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    model = tmp_path / "malformed.json"
+    model.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", str(model))
+    assert code == 2
+    errors = json.loads(out)["errors"]
+    assert errors and all(e.startswith(f"$.{path[0]}") for e in errors)
+
+
 def non_groupoid_model():
     """Two objects over a point joined by the non-invertible fiber arrow a."""
     one = {"dim": 1, "structure_constants": [[["1"]]], "unit": ["1"]}

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibkan import dg
 from fibkan.dg import (
@@ -12,10 +14,8 @@ from fibkan.dg import (
     canonical_e,
     check_homotopy_identity,
     cohomology_dim,
-    cohomology_representatives,
     graded_tensor,
     holim_dgalg,
-    induced_cohomology_map,
     is_weak_equivalence,
     lim_dgalg,
     mu_map,
@@ -61,8 +61,6 @@ def test_cohomology_of_two_step_complex():
     assert cohomology_dim(cx, 0) == 1
     assert cohomology_dim(cx, 1) == 0
     assert cohomology_dim(cx, 2) == 0
-    reps = cohomology_representatives(cx, 0)
-    assert reps == [(rat(0), rat(1))]
 
 
 def test_graded_map_algebra():
@@ -78,11 +76,16 @@ def test_graded_map_algebra():
     assert not is_weak_equivalence(zero, 0)
 
 
+def projection_onto_cohomology(cx):
+    """Kills a, c, d, e and keeps b, the class spanning H^0."""
+    return GradedLinearMap(cx, cx, 0, {0: QMatrix.from_rows([[0, 0], [0, 1]])})
+
+
 def test_check_homotopy_identity_contractible_part():
     cx = two_step_complex()
     ident = GradedLinearMap.identity(cx)
-    # projection onto the cohomology (kill a, c, d, e) is homotopic to id
-    p = GradedLinearMap(cx, cx, 0, {0: QMatrix.from_rows([[0, 0], [0, 1]])})
+    # projection onto the cohomology is homotopic to id
+    p = projection_onto_cohomology(cx)
     h = GradedLinearMap(cx, cx, -1, {
         1: QMatrix.from_rows([[1, 0], [0, 0]]),
         2: QMatrix.from_rows([[0], [1]]),
@@ -92,11 +95,46 @@ def test_check_homotopy_identity_contractible_part():
     assert check_homotopy_identity(ident, p, bad, 2) != []
 
 
-def test_induced_cohomology_map_identity():
+def test_weak_equivalence_projection_and_mismatched_cohomology():
+    cx = two_step_complex()
+    p = projection_onto_cohomology(cx)
+    for up_to in range(3):
+        assert is_weak_equivalence(p, up_to), up_to
+    # Q^2 in degree 0 with zero differential: H^0 has dimension 2, not 1
+    wide = validate_complex(2, {0: ("x", "y")}, {})
+    into = GradedLinearMap(cx, wide, 0, {0: QMatrix.from_rows([[0, 1], [0, 1]])})
+    onto = GradedLinearMap(wide, cx, 0, {0: QMatrix.from_rows([[0, 0], [1, 1]])})
+    for f in (into, onto):
+        assert f.is_cochain_map()
+        assert not is_weak_equivalence(f, 0)
+    # a map between equal cohomology dimensions that kills the class
+    assert not is_weak_equivalence(GradedLinearMap.zero(cx, cx), 0)
+
+
+small_ints = st.integers(-2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["identity", "double", "projection", "zero"]),
+       st.lists(small_ints, min_size=4, max_size=4),
+       st.lists(small_ints, min_size=2, max_size=2))
+def test_weak_equivalence_is_homotopy_invariant(which, h1, h2):
+    # f and f + dh + hd induce the same map on cohomology
     cx = two_step_complex()
     ident = GradedLinearMap.identity(cx)
-    m = induced_cohomology_map(ident, 0)
-    assert m == QMatrix.identity(1)
+    f = {"identity": ident, "double": ident.scale(2),
+         "projection": projection_onto_cohomology(cx),
+         "zero": GradedLinearMap.zero(cx, cx)}[which]
+    h = GradedLinearMap(cx, cx, -1, {
+        1: QMatrix.from_rows([h1[:2], h1[2:]]),
+        2: QMatrix.from_rows([[h2[0]], [h2[1]]]),
+    })
+    d = GradedLinearMap(cx, cx, 1, {0: cx.d(0), 1: cx.d(1)})
+    moved = f + d.after(h) + h.after(d)
+    assert moved.is_cochain_map()
+    for up_to in range(3):
+        assert is_weak_equivalence(moved, up_to) \
+            == is_weak_equivalence(f, up_to) == (which != "zero"), up_to
 
 
 def test_algebra_to_dga_validates():

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibkan.fixtures import fixture, fixture_json, fixture_names, load_bundled
-from fibkan.models import ModelError, model_from_dict, parse_model
+from fibkan.models import Model, ModelError, model_from_dict, parse_model
 
 
 def test_all_fixtures_parse():
@@ -112,3 +114,53 @@ def test_model_without_cartesian_lift():
         model_from_dict(data)
     assert err.value.errors == [
         "$.projection: no cartesian lift of 'f' with target 'Sp'"]
+
+
+def value_paths(node, prefix=()):
+    """The key path of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+def json_type(value):
+    for kind, types in (("boolean", bool), ("number", (int, float)),
+                        ("string", str), ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null"
+
+
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([0.5, 1e9]),
+    st.sampled_from(["", "x", "1/0", "id_x", "pt"]),
+    st.lists(st.one_of(st.integers(0, 2), st.sampled_from(["1", "x"])),
+             max_size=2),
+    st.dictionaries(st.sampled_from(["x", "dim", "name"]), st.integers(0, 2),
+                    max_size=2))
+
+FIXTURE_PATHS = {name: list(value_paths(fixture(name)))
+                 for name in fixture_names()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_fixture_is_a_model_or_a_model_error(data):
+    # one value replaced by a value of another JSON type never escapes as a
+    # bare exception: the model parses, or every message names its place
+    name = data.draw(st.sampled_from(fixture_names()))
+    doc = json.loads(fixture_json(name))  # fixture() shares nested values
+    path = data.draw(st.sampled_from(FIXTURE_PATHS[name]))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(json_values.filter(
+        lambda v: json_type(v) != json_type(node[last])))
+    try:
+        assert isinstance(model_from_dict(doc), Model)
+    except ModelError as exc:
+        assert exc.errors
+        assert all(e.startswith("$") for e in exc.errors), exc.errors

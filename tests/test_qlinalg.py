@@ -12,7 +12,6 @@ from fibkan.qlinalg import (
     rat,
     rat_str,
     row_space,
-    solve,
 )
 
 
@@ -52,14 +51,6 @@ def test_kernel_substitution_oracle():
     # x - y = 0 has solution line spanned by (1, 1)
     ker = kernel_basis(QMatrix.from_rows([[1, -1]]))
     assert ker.basis == ((F(1), F(1)),)
-
-
-def test_solve():
-    eye = QMatrix.identity(2)
-    assert solve(eye, (F(5), F(7))) == (F(5), F(7))
-    # free variable set to zero after reduction
-    assert solve(QMatrix.from_rows([[1, 1]]), (F(2),)) == (F(2), F(0))
-    assert solve(QMatrix.from_rows([[0]]), (F(1),)) is None
 
 
 def test_subspace_coords():
@@ -115,15 +106,6 @@ def test_kernel_vectors_annihilate(m):
 def test_echelon_canonical(m):
     # same input twice gives identical bases
     assert row_space(m) == row_space(m)
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrices(), st.lists(small_rationals, min_size=1, max_size=5))
-def test_solve_exact_when_present(m, b):
-    b = (b * m.rows)[: m.rows]
-    x = solve(m, b)
-    if x is not None:
-        assert m.apply(x) == tuple(rat(v) for v in b)
 
 
 @st.composite

@@ -1,11 +1,15 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 import pathlib
+import types
 
 import fibkan
+from fibkan import dg, qlinalg
 
 SOURCE = pathlib.Path(fibkan.__file__).resolve().parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_library_has_no_assert_statements():
@@ -33,3 +37,35 @@ def test_library_has_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def load_bench_module(name):
+    """A bench module executed from its source, without writing bytecode."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_bench_tracer_installs_and_uninstalls():
+    # the bench tracer wraps library functions and methods by name, so a
+    # rename or deletion it depends on fails here
+    fibtrace = load_bench_module("fibtrace")
+    tracer = load_bench_module("tracer").Tracer()
+    modules = {m: importlib.import_module(f"fibkan.{m}") for m in fibtrace.MODULES}
+    classes = [getattr(modules[m], cls)
+               for m, cls in (owner.split(".") for owner in fibtrace.METHODS)]
+    namespaces = [*modules.values(), *classes]
+
+    def bindings():
+        return [dict(vars(ns)) for ns in namespaces]
+
+    before = bindings()
+    original = dg.is_weak_equivalence
+    try:
+        fibtrace.install(tracer)
+        assert dg.is_weak_equivalence is not original
+        assert dg.kernel_basis is qlinalg.kernel_basis
+    finally:
+        tracer.uninstall()
+    assert bindings() == before
