@@ -128,7 +128,6 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     top = max_degree
     out = []
 
-    qft = check_axioms_on_str(fm, model.loc, model.A)
     flab = classify_flabbiness(fm, model.loc)
 
     # structural suite on every constructed dg-algebra

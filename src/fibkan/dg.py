@@ -75,14 +75,6 @@ class Complex:
         return out
 
 
-def validate_complex(max_degree, labels, differentials) -> Complex:
-    cx = Complex(max_degree, labels, differentials)
-    violations = cx.violations()
-    if violations:
-        raise ComplexError("; ".join(violations))
-    return cx
-
-
 @dataclass
 class GradedLinearMap:
     """A degreewise linear map of complexes raising degree by `shift`."""
@@ -360,14 +352,6 @@ def _combine(terms) -> dict:
     return out
 
 
-def validate_dga(complex_, products, unit) -> Dga:
-    dga = Dga(complex_, products, unit)
-    violations = dga.violations()
-    if violations:
-        raise ComplexError("; ".join(violations[:10]))
-    return dga
-
-
 def algebra_to_dga(alg, max_degree: int) -> Dga:
     """A unital algebra viewed as a dg-algebra concentrated in degree 0."""
     cx = Complex(max_degree, {0: tuple(range(alg.dim))}, {})
@@ -615,10 +599,6 @@ class TensorComplex(Complex):
                     data[key] = data.get(key, 0) + s * v
             differentials[p] = QMatrix(self.dim(p + 1), self.dim(p), data)
         self.differentials = differentials
-
-
-def graded_tensor(left: Complex, right: Complex, max_degree: int) -> TensorComplex:
-    return TensorComplex(left, right, max_degree)
 
 
 def tensor_map(f: GradedLinearMap, g: GradedLinearMap,

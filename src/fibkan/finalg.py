@@ -111,12 +111,17 @@ class AlgMorphism:
         return out
 
 
-def validate_alg_morphism(source, target, matrix) -> AlgMorphism:
-    m = AlgMorphism(source, target, matrix)
-    violations = m.violations()
-    if violations:
-        raise AlgebraError("; ".join(violations))
-    return m
+def noncommuting_pairs(leg1: AlgMorphism, leg2: AlgMorphism) -> list:
+    """The basis pairs (i, j) of the two sources, in row-major order, whose
+    images under two legs into one algebra do not commute there."""
+    tgt = leg1.target
+    ys = [leg2.matrix.apply(leg2.source.basis_vector(j))
+          for j in range(leg2.source.dim)]
+    out = []
+    for i in range(leg1.source.dim):
+        x = leg1.matrix.apply(leg1.source.basis_vector(i))
+        out.extend((i, j) for j, y in enumerate(ys) if any(tgt.commutator(x, y)))
+    return out
 
 
 def is_mono(m: AlgMorphism) -> bool:
@@ -209,16 +214,9 @@ def check_axioms_on_str(fm: FiberedModel, loc: LocStructure,
                 continue
             if frozenset((fm.pi.on_mor(g1), fm.pi.on_mor(g2))) not in declared:
                 continue
-            tgt = A.algebra(strcat.target(g1))
-            m1, m2 = A.matrix(g1), A.matrix(g2)
-            src1 = A.algebra(strcat.source(g1))
-            src2 = A.algebra(strcat.source(g2))
-            ys = [m2.apply(src2.basis_vector(j)) for j in range(src2.dim)]
-            for i in range(src1.dim):
-                x = m1.apply(src1.basis_vector(i))
-                for j, y in enumerate(ys):
-                    if any(tgt.commutator(x, y)):
-                        causal_bad.append((g1, g2, i, j))
+            causal_bad.extend(
+                (g1, g2, i, j)
+                for i, j in noncommuting_pairs(A.morphism(g1), A.morphism(g2)))
     ts_bad = tuple(
         g for g in sorted(strcat.morphisms)
         if fm.pi.on_mor(g) in loc.cauchy and not is_iso(A.morphism(g))

@@ -140,16 +140,9 @@ class FinCategory:
         return out
 
 
-def validate_category(objects, morphisms, identity, compose) -> FinCategory:
-    cat = FinCategory(objects, morphisms, identity, compose)
-    violations = cat.violations()
-    if violations:
-        raise CategoryError("invalid category", violations)
-    return cat
-
-
-def nerve(cat: FinCategory, n: int, normalized: bool = True):
-    """Composable n-tuples (g1,...,gn) with source(g_i) = target(g_{i+1}).
+def nerve(cat: FinCategory, n: int):
+    """Composable n-tuples of non-identity arrows (g1,...,gn) with
+    source(g_i) = target(g_{i+1}): the normalized nerve.
 
     Degree 0 returns the objects. Lexicographic order throughout.
     """
@@ -157,10 +150,7 @@ def nerve(cat: FinCategory, n: int, normalized: bool = True):
         raise ValueError("nerve degree must be nonnegative")
     if n == 0:
         return sorted(cat.objects)
-    arrows = sorted(
-        g for g in cat.morphisms
-        if not (normalized and cat.is_identity(g))
-    )
+    arrows = sorted(g for g in cat.morphisms if not cat.is_identity(g))
     tuples = [(g,) for g in arrows]
     for _ in range(n - 1):
         tuples = [

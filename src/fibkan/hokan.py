@@ -438,8 +438,8 @@ class HoKan:
         src1 = self.hou_object(base.source(f1)).dga
         src2 = self.hou_object(base.source(f2)).dga
         tgt = self.hou_object(M).dga
-        t_src = dg.graded_tensor(src1.complex, src2.complex, self.max_degree)
-        t_tgt = dg.graded_tensor(tgt.complex, tgt.complex, self.max_degree)
+        t_src = dg.TensorComplex(src1.complex, src2.complex, self.max_degree)
+        t_tgt = dg.TensorComplex(tgt.complex, tgt.complex, self.max_degree)
         big_l = dg.tensor_map(self.hou_morphism(f1), self.hou_morphism(f2),
                               t_src, t_tgt)
         return M, tgt, t_tgt, big_l

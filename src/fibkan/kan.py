@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dg
-from .finalg import AxiomReport, FinAlgebra, QftFunctor, check_axioms_on_str
+from .finalg import (
+    AlgMorphism,
+    AxiomReport,
+    FinAlgebra,
+    QftFunctor,
+    check_axioms_on_str,
+    noncommuting_pairs,
+)
 from .fincat import (
     FiberedModel,
     FlabbinessReport,
@@ -249,16 +256,11 @@ def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
     )
     causal_bad = []
     for f1, f2 in loc.cospan_pairs():
-        M = base.target(f1)
-        alg = u_at[M].algebra
-        m1, m2 = u_maps[f1], u_maps[f2]
-        src1, src2 = (u_at[base.source(f)].algebra for f in (f1, f2))
-        ys = [m2.apply(src2.basis_vector(j)) for j in range(src2.dim)]
-        for i in range(src1.dim):
-            x = m1.apply(src1.basis_vector(i))
-            for j, y in enumerate(ys):
-                if any(alg.commutator(x, y)):
-                    causal_bad.append((f1, f2, i, j))
+        legs = (AlgMorphism(u_at[base.source(f)].algebra,
+                            u_at[base.target(f)].algebra, u_maps[f])
+                for f in (f1, f2))
+        causal_bad.extend(
+            (f1, f2, i, j) for i, j in noncommuting_pairs(*legs))
 
     functorial = all(
         u_maps[base.id_of(M)] == QMatrix.identity(u_at[M].dim)

@@ -136,6 +136,7 @@ def parse_model(path) -> Model:
     with open(path) as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # undecodable bytes, nesting too deep, integers too long
             raise ModelError([f"$: invalid JSON ({exc})"])
     return model_from_dict(data)

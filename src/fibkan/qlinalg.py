@@ -29,13 +29,6 @@ def rat(value) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
-def rat_str(x: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 class QMatrix:
     """A rows x cols matrix of Fractions, stored as {(i, j): nonzero value}.
 

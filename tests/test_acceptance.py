@@ -12,7 +12,7 @@ from fibkan import cli, dg, kan
 from fibkan.dg import GradedLinearMap, check_homotopy_identity
 from fibkan.finalg import check_axioms_on_str
 from fibkan.fincat import classify_flabbiness
-from fibkan.fixtures import fixture
+from fibkan.fixtures import load_bundled
 from fibkan.hokan import HoKan, check_square_homotopy
 from fibkan.models import model_from_dict
 from fibkan.qlinalg import QMatrix, kernel_basis, rank
@@ -24,7 +24,7 @@ VALID = ("fix-a", "fix-b", "fix-c", "fix-d", "fix-e")
 
 @lru_cache(maxsize=None)
 def context(name, order="normal", max_degree=N):
-    m = model_from_dict(fixture(name))
+    m = model_from_dict(load_bundled(name))
     fm = m.fibered(order)
     return m, HoKan(fm, m.loc, m.A, max_degree)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fibkan import cli
-from fibkan.fixtures import fixture_json, fixture_names
+from fibkan.fixtures import fixture_names, load_bundled
 
 # the model properties each bundled fixture violates on purpose
 EXPECT = {
@@ -144,7 +144,7 @@ def test_seed_order_flag(capsys):
 
 def test_model_file_path(tmp_path, capsys):
     path = tmp_path / "model.json"
-    path.write_text(fixture_json("fix-a"))
+    path.write_text(json.dumps(load_bundled("fix-a")))
     code, out = run(capsys, "axioms", str(path))
     assert code == 0
     assert json.loads(out)["model"] == "bz2-matrix"
@@ -158,8 +158,22 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert json.loads(out)["errors"]
 
 
+@pytest.mark.parametrize("content", [
+    b'{"format": "\xff"}',  # not UTF-8
+    b"[" * 100_000,  # nested deeper than the decoder recurses
+    b"1" + b"0" * 5000,  # above the int-string conversion limit
+], ids=["not-utf8", "deep-nesting", "long-integer"])
+def test_unreadable_model_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    errors = json.loads(out)["errors"]
+    assert len(errors) == 1 and errors[0].startswith("$: invalid JSON (")
+
+
 def test_invalid_model_exits_2(tmp_path, capsys):
-    doc = json.loads(fixture_json("fix-a"))
+    doc = load_bundled("fix-a")
     del doc["algebras"]["x"]
     path = tmp_path / "missing.json"
     path.write_text(json.dumps(doc))
@@ -180,7 +194,7 @@ def test_invalid_model_exits_2(tmp_path, capsys):
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_malformed_value_in_a_section_exits_2(tmp_path, capsys, name, path,
                                               value):
-    doc = json.loads(fixture_json(name))
+    doc = load_bundled(name)
     node = doc
     for key in path[:-1]:
         node = node[key]

@@ -15,16 +15,21 @@ from fibkan.fincat import (
     nerve,
     pullback_tuple,
     under_category,
-    validate_category,
     validate_functor,
     validate_loc_structure,
 )
-from fibkan.fixtures import fixture
+from fibkan.fixtures import load_bundled
 from fibkan.models import model_from_dict
 
 
+def category(objects, morphisms, identity, compose):
+    cat = FinCategory(objects, morphisms, identity, compose)
+    assert cat.violations() == []
+    return cat
+
+
 def bz2():
-    return validate_category(
+    return category(
         ["x"],
         [("e", "x", "x"), ("g", "x", "x")],
         {"x": "e"},
@@ -33,11 +38,11 @@ def bz2():
 
 
 def point():
-    return validate_category(["pt"], [("i", "pt", "pt")], {"pt": "i"}, {("i", "i"): "i"})
+    return category(["pt"], [("i", "pt", "pt")], {"pt": "i"}, {("i", "i"): "i"})
 
 
 def model(name):
-    return model_from_dict(fixture(name))
+    return model_from_dict(load_bundled(name))
 
 
 def test_validate_trivial_category():
@@ -55,25 +60,23 @@ def test_validate_bz2_groupoid():
 
 def test_invalid_unit_axiom():
     # g * g = g with g not the identity breaks the unit axiom once composed
-    with pytest.raises(CategoryError) as err:
-        validate_category(
-            ["x"],
-            [("e", "x", "x"), ("g", "x", "x")],
-            {"x": "e"},
-            {("e", "e"): "e", ("e", "g"): "e", ("g", "e"): "g", ("g", "g"): "g"},
-        )
-    assert any("unit axiom" in v for v in err.value.violations)
+    cat = FinCategory(
+        ["x"],
+        [("e", "x", "x"), ("g", "x", "x")],
+        {"x": "e"},
+        {("e", "e"): "e", ("e", "g"): "e", ("g", "e"): "g", ("g", "g"): "g"},
+    )
+    assert cat.violations() == ["unit axiom fails: identity after 'g'"]
 
 
 def test_missing_composition_entry():
-    with pytest.raises(CategoryError) as err:
-        validate_category(
-            ["x"],
-            [("e", "x", "x"), ("g", "x", "x")],
-            {"x": "e"},
-            {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g"},
-        )
-    assert any("missing entry" in v for v in err.value.violations)
+    cat = FinCategory(
+        ["x"],
+        [("e", "x", "x"), ("g", "x", "x")],
+        {"x": "e"},
+        {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g"},
+    )
+    assert cat.violations() == ["composition table missing entry ('g','g')"]
 
 
 def test_nerve_counts():
@@ -81,25 +84,13 @@ def test_nerve_counts():
     assert nerve(cat, 0) == ["x"]
     assert nerve(cat, 1) == [("g",)]
     assert nerve(cat, 2) == [("g", "g")]
-    assert nerve(cat, 2, normalized=False) == [
-        ("e", "e"), ("e", "g"), ("g", "e"), ("g", "g")
-    ]
-    discrete = validate_category(
+    discrete = category(
         ["a", "b"],
         [("ia", "a", "a"), ("ib", "b", "b")],
         {"a": "ia", "b": "ib"},
         {("ia", "ia"): "ia", ("ib", "ib"): "ib"},
     )
     assert nerve(discrete, 1) == []
-
-
-def test_nerve_normalized_count_consistency():
-    cat = model("fix-e").strcat
-    for n in (1, 2, 3):
-        full = nerve(cat, n, normalized=False)
-        normalized = nerve(cat, n, normalized=True)
-        with_id = [t for t in full if any(cat.is_identity(g) for g in t)]
-        assert len(full) == len(normalized) + len(with_id)
 
 
 def test_under_category_bz2_over_point():
@@ -134,9 +125,9 @@ def test_is_cartesian_identities_and_fiber_isos():
 
 def test_is_cartesian_fails_without_lift():
     # add a second morphism T -> Sp over f: neither arrow over f stays cartesian
-    data = fixture("fix-c")
+    data = load_bundled("fix-c")
     strdata, proj = data["str"], data["projection"]
-    strcat = validate_category(
+    strcat = category(
         strdata["objects"],
         [(m["name"], m["source"], m["target"]) for m in strdata["morphisms"]]
         + [("v", "T", "Sp")],
@@ -154,7 +145,7 @@ def test_is_cartesian_fails_without_lift():
 
 def test_is_cartesian_fails_with_two_lifts():
     # fiber automorphism a with u * a = u gives two competing factorizations
-    cat = validate_category(
+    cat = category(
         ["S", "Sp"],
         [("iS", "S", "S"), ("a", "S", "S"), ("iSp", "Sp", "Sp"), ("u", "S", "Sp")],
         {"S": "iS", "Sp": "iSp"},
@@ -184,7 +175,7 @@ def test_build_fibered_model_fix_c():
 
 
 def test_build_fibered_model_rejects_noninvertible_fiber():
-    cat = validate_category(
+    cat = category(
         ["S"],
         [("iS", "S", "S"), ("n", "S", "S")],
         {"S": "iS"},
@@ -266,7 +257,7 @@ def test_connected_components():
     m = model("fix-c")
     fm = m.fibered()
     assert connected_components(fm.fiber("M1")) == [("S",), ("T",)]
-    iso_pair = validate_category(
+    iso_pair = category(
         ["a", "b"],
         [("ia", "a", "a"), ("ib", "b", "b"), ("j", "a", "b"), ("k", "b", "a")],
         {"a": "ia", "b": "ib"},

@@ -8,7 +8,7 @@ from fibkan.dg import (
     cohomology_dim,
     is_weak_equivalence,
 )
-from fibkan.fixtures import fixture, fixture_names
+from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.hokan import HoKan, HoKanError, check_square_homotopy
 from fibkan.kan import u_object
 from fibkan.models import model_from_dict
@@ -18,7 +18,7 @@ N = 4
 
 
 def context(name, order="normal", max_degree=N):
-    m = model_from_dict(fixture(name))
+    m = model_from_dict(load_bundled(name))
     fm = m.fibered(order)
     return m, HoKan(fm, m.loc, m.A, max_degree)
 
@@ -29,7 +29,7 @@ def assert_equal_maps(f, g, up_to):
 
 
 def test_max_degree_below_one_rejected():
-    m = model_from_dict(fixture("fix-a"))
+    m = model_from_dict(load_bundled("fix-a"))
     for degree in (0, -1):
         with pytest.raises(HoKanError):
             HoKan(m.fibered(), m.loc, m.A, degree)

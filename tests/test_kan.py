@@ -1,6 +1,6 @@
 import pytest
 
-from fibkan.fixtures import fixture
+from fibkan.fixtures import load_bundled
 from fibkan.kan import (
     KanError,
     check_induced_axioms,
@@ -16,7 +16,7 @@ from fibkan.qlinalg import QMatrix, rank, rat
 
 
 def model(name):
-    return model_from_dict(fixture(name))
+    return model_from_dict(load_bundled(name))
 
 
 def test_u_object_z2_invariants():

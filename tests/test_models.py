@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibkan.fixtures import fixture, fixture_json, fixture_names, load_bundled
+from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.models import Model, ModelError, model_from_dict, parse_model
 
 
 def test_all_fixtures_parse():
     for name in fixture_names():
-        m = model_from_dict(fixture(name))
+        m = model_from_dict(load_bundled(name))
         assert m.name
         assert m.strcat.objects
 
@@ -22,25 +22,17 @@ def test_fixture_names():
 
 
 def test_unknown_fixture():
-    with pytest.raises(KeyError):
-        fixture("nope")
-
-
-def test_bundled_json_matches_builders():
-    for name in fixture_names():
-        assert load_bundled(name) == fixture(name)
-
-
-def test_fixture_json_deterministic():
-    for name in fixture_names():
-        blob = fixture_json(name)
-        assert blob == fixture_json(name)
-        assert json.loads(blob) == fixture(name)
+    # a name outside the bundled list never reaches the filesystem
+    for name in ("nope", "../pyproject"):
+        with pytest.raises(KeyError) as err:
+            load_bundled(name)
+        assert "known: fix-a, fix-b, fix-bprime, fix-c, fix-d, fix-e" \
+            in str(err.value)
 
 
 def test_parse_model_roundtrip(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text(fixture_json("fix-a"))
+    path.write_text(json.dumps(load_bundled("fix-a")))
     m = parse_model(path)
     assert m.name == "bz2-matrix"
 
@@ -60,7 +52,7 @@ def test_model_requires_format():
 
 
 def test_model_missing_algebra():
-    data = fixture("fix-c")
+    data = load_bundled("fix-c")
     del data["algebras"]["T"]
     with pytest.raises(ModelError) as err:
         model_from_dict(data)
@@ -68,7 +60,7 @@ def test_model_missing_algebra():
 
 
 def test_model_missing_matrix():
-    data = fixture("fix-c")
+    data = load_bundled("fix-c")
     del data["algebra_maps"]["u"]
     with pytest.raises(ModelError) as err:
         model_from_dict(data)
@@ -76,7 +68,7 @@ def test_model_missing_matrix():
 
 
 def test_model_invalid_category():
-    data = fixture("fix-c")
+    data = load_bundled("fix-c")
     data["str"]["compose"] = data["str"]["compose"][:-1]
     with pytest.raises(ModelError) as err:
         model_from_dict(data)
@@ -86,7 +78,7 @@ def test_model_invalid_category():
 @pytest.mark.parametrize("section", [
     "metadata", "loc", "str", "projection", "algebras", "algebra_maps"])
 def test_model_section_of_wrong_type(section):
-    data = fixture("fix-a")
+    data = load_bundled("fix-a")
     data[section] = [data[section]]
     with pytest.raises(ModelError) as err:
         model_from_dict(data)
@@ -94,7 +86,7 @@ def test_model_section_of_wrong_type(section):
 
 
 def test_model_non_functorial_matrices():
-    data = fixture("fix-a")
+    data = load_bundled("fix-a")
     data["algebra_maps"]["g"] = [
         ["1", "0", "0", "0"], ["0", "1", "0", "0"],
         ["0", "0", "-1", "0"], ["0", "0", "0", "1"],
@@ -105,7 +97,7 @@ def test_model_non_functorial_matrices():
 
 def test_model_without_cartesian_lift():
     # a second arrow T -> Sp over f leaves f with no cartesian lift into Sp
-    data = fixture("fix-c")
+    data = load_bundled("fix-c")
     data["str"]["morphisms"].append({"name": "v", "source": "T", "target": "Sp"})
     data["str"]["compose"] += [["v", "id_T", "v"], ["id_Sp", "v", "v"]]
     data["projection"]["morphisms"]["v"] = "f"
@@ -141,7 +133,7 @@ json_values = st.one_of(
     st.dictionaries(st.sampled_from(["x", "dim", "name"]), st.integers(0, 2),
                     max_size=2))
 
-FIXTURE_PATHS = {name: list(value_paths(fixture(name)))
+FIXTURE_PATHS = {name: list(value_paths(load_bundled(name)))
                  for name in fixture_names()}
 
 
@@ -151,7 +143,7 @@ def test_mutated_fixture_is_a_model_or_a_model_error(data):
     # one value replaced by a value of another JSON type never escapes as a
     # bare exception: the model parses, or every message names its place
     name = data.draw(st.sampled_from(fixture_names()))
-    doc = json.loads(fixture_json(name))  # fixture() shares nested values
+    doc = load_bundled(name)
     path = data.draw(st.sampled_from(FIXTURE_PATHS[name]))
     *parents, last = path
     node = doc

@@ -10,7 +10,6 @@ from fibkan.qlinalg import (
     kernel_basis,
     rank,
     rat,
-    rat_str,
     row_space,
 )
 
@@ -22,8 +21,8 @@ def F(x):
 def test_rat_roundtrip():
     assert rat("3/4") == Fraction(3, 4)
     assert rat("-2") == Fraction(-2)
-    assert rat_str(Fraction(3, 4)) == "3/4"
-    assert rat_str(Fraction(-2)) == "-2"
+    for x in (Fraction(3, 4), Fraction(-2)):
+        assert rat(str(x)) == x
     with pytest.raises(ValueError):
         rat("1/0")
     with pytest.raises(ValueError):

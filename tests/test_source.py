@@ -69,3 +69,34 @@ def test_bench_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert bindings() == before
+
+
+def loaded_names(node):
+    """Every name and attribute name read below an AST node."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+        and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_library_has_no_test_only_entry_points():
+    # a public function or class that only tests reach is an entry point
+    # kept for the tests; the paper's own maps are the exception
+    paper_maps = {"canonical_e", "counit", "pullback_dimension_check"}
+    statements = [
+        (path, stmt, loaded_names(stmt))
+        for path in [*sorted(SOURCE.glob("*.py")), *sorted(BENCH.glob("*.py"))]
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    found = [
+        f"{path.name}:{stmt.lineno} {stmt.name}"
+        for path, stmt, _ in statements
+        if path.parent == SOURCE
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_") and stmt.name not in paper_maps
+        and not any(stmt.name in names
+                    for _, other, names in statements if other is not stmt)
+    ]
+    assert found == []
