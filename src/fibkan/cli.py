@@ -14,8 +14,8 @@ import json
 import sys
 
 from . import dg, hokan, kan
-from .finalg import check_axioms_on_str
-from .fincat import FiberedModelError, classify_flabbiness
+from .finalg import axiom_report
+from .fincat import FiberedModelError, flabbiness_report
 from .fixtures import fixture_names, load_bundled
 from .hokan import HoKan, check_square_homotopy
 from .models import Model, ModelError, model_from_dict, parse_model
@@ -46,7 +46,7 @@ def _viol_status(ok):
 
 def checks_axioms(model: Model, order: str, max_degree: int):
     fm = model.fibered(order)
-    report = check_axioms_on_str(fm, model.loc, model.A)
+    report = axiom_report(fm, model.loc, model.A)
     return [
         _finding("qft-isotony", _viol_status(report.isotony),
                  violations=list(report.isotony_violations)),
@@ -59,7 +59,7 @@ def checks_axioms(model: Model, order: str, max_degree: int):
 
 def checks_classify(model: Model, order: str, max_degree: int):
     fm = model.fibered(order)
-    report = classify_flabbiness(fm, model.loc)
+    report = flabbiness_report(fm, model.loc)
 
     def ce(value):
         return list(value) if value else None
@@ -111,12 +111,13 @@ def checks_kan(model: Model, order: str, max_degree: int):
     return out
 
 
-def _per_object(hk: HoKan, model: Model, check):
+def _per_key(keys, check):
+    """(all pass, detail) over keys, where check(key) lists what fails."""
     detail = {}
     ok = True
-    for M in sorted(model.loc.base.objects):
-        bad = check(M)
-        detail[M] = PASS if not bad else f"failing degrees {bad}"
+    for key in keys:
+        bad = check(key)
+        detail[key] = PASS if not bad else f"failing degrees {bad}"
         ok = ok and not bad
     return ok, detail
 
@@ -128,11 +129,12 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     top = max_degree
     out = []
 
-    flab = classify_flabbiness(fm, model.loc)
+    objects = sorted(base.objects)
+    flab = flabbiness_report(fm, model.loc)
 
     # structural suite on every constructed dg-algebra
     structural = {}
-    for M in sorted(base.objects):
+    for M in objects:
         structural[M] = {
             "fiber": len(hk.hou_object(M).dga.violations()),
             "under": len(hk.horan_object(M).dga.violations()),
@@ -144,35 +146,35 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     def maps_equal(f, g, up_to):
         return [n for n in range(up_to + 1) if f.matrix(n) != g.matrix(n)]
 
-    ok, detail = _per_object(hk, model, lambda M: maps_equal(
+    ok, detail = _per_key(objects, lambda M: maps_equal(
         hk.kappa(M).after(hk.zeta(M)),
         dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex), top))
     out.append(_finding("kappa-zeta-identity", _bool_status(ok),
                         objects=detail))
 
-    ok, detail = _per_object(hk, model, lambda M: dg.check_homotopy_identity(
+    ok, detail = _per_key(objects, lambda M: dg.check_homotopy_identity(
         hk.zeta(M).after(hk.kappa(M)),
         dg.GradedLinearMap.identity(hk.horan_object(M).dga.complex),
         hk.eta_homotopy(M), top - 1))
     out.append(_finding("eta-homotopy", _bool_status(ok), objects=detail))
 
-    ok, detail = _per_object(hk, model, lambda M: [] if dg.is_weak_equivalence(
+    ok, detail = _per_key(objects, lambda M: [] if dg.is_weak_equivalence(
         hk.kappa(M), top - 1) else ["not a weak equivalence"])
     out.append(_finding("kappa-weak-equivalence", _bool_status(ok),
                         objects=detail))
 
-    ok, detail = _per_object(hk, model, lambda M: maps_equal(
+    ok, detail = _per_key(objects, lambda M: maps_equal(
         hk.rho(M).after(hk.rho(M)),
         dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex), top))
     out.append(_finding("rho-involution", _bool_status(ok), objects=detail))
 
-    ok, detail = _per_object(hk, model, lambda M: dg.check_homotopy_identity(
+    ok, detail = _per_key(objects, lambda M: dg.check_homotopy_identity(
         hk.rho(M),
         dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex),
         hk.beta_homotopy(M), top - 1))
     out.append(_finding("beta-homotopy", _bool_status(ok), objects=detail))
 
-    ok, detail = _per_object(hk, model, lambda M: maps_equal(
+    ok, detail = _per_key(objects, lambda M: maps_equal(
         hk.hou_morphism(base.id_of(M)),
         dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex), top))
     out.append(_finding("hou-identity", _bool_status(ok), objects=detail))
@@ -180,40 +182,37 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     def h0_check(M):
         return [] if hk.h0_subspace(M) == kan.u_objects(fm, model.A)[M].subspace \
             else ["degree-0 cocycles differ from the invariants"]
-    ok, detail = _per_object(hk, model, h0_check)
+    ok, detail = _per_key(objects, h0_check)
     out.append(_finding("h0-comparison", _bool_status(ok), objects=detail))
 
     arrows = sorted(g for g in base.morphisms if not base.is_identity(g))
-    pairs = [
-        (g, f) for g in arrows for f in arrows if base.source(g) == base.target(f)
-    ]
-    detail = {}
-    ok = True
-    for g, f in pairs:
+    pairs = {f"{g} after {f}": (g, f) for g in arrows for f in arrows
+             if base.source(g) == base.target(f)}
+
+    def gamma2_check(key):
+        g, f = pairs[key]
         lhs = hk.hou_morphism(g).after(hk.hou_morphism(f)) \
             - hk.hou_morphism(base.comp(g, f))
-        bad = dg.check_homotopy_identity(
+        return dg.check_homotopy_identity(
             lhs, dg.GradedLinearMap.zero(lhs.source, lhs.target),
             hk.gamma2(g, f), top - 1)
-        detail[f"{g} after {f}"] = PASS if not bad else f"failing degrees {bad}"
-        ok = ok and not bad
+    ok, detail = _per_key(pairs, gamma2_check)
     out.append(_finding("gamma2-homotopy", _bool_status(ok), pairs=detail))
 
-    triples = [
-        (h, g, f) for h in arrows for g in arrows for f in arrows
+    triples = {
+        f"{h} after {g} after {f}": (h, g, f)
+        for h in arrows for g in arrows for f in arrows
         if base.source(h) == base.target(g) and base.source(g) == base.target(f)
-    ]
-    detail = {}
-    ok = True
-    for h, g, f in triples:
+    }
+
+    def gamma3_check(key):
+        h, g, f = triples[key]
         lhs = (hk.gamma2(h, base.comp(g, f))
                + hk.hou_morphism(h).after(hk.gamma2(g, f))
                - hk.gamma2(base.comp(h, g), f)
                - hk.gamma2(h, g).after(hk.hou_morphism(f)))
-        bad = check_square_homotopy(lhs, hk.gamma3(h, g, f), top - 2)
-        detail[f"{h} after {g} after {f}"] = \
-            PASS if not bad else f"failing degrees {bad}"
-        ok = ok and not bad
+        return check_square_homotopy(lhs, hk.gamma3(h, g, f), top - 2)
+    ok, detail = _per_key(triples, gamma3_check)
     out.append(_finding("gamma3-coherence", _bool_status(ok), triples=detail))
 
     cauchy = sorted(f for f in model.loc.cauchy if not base.is_identity(f))
@@ -226,27 +225,21 @@ def checks_hokan(model: Model, order: str, max_degree: int):
         out.append(_finding("ext-phi-homotopy", BLOCKED, reason=reason))
         out.append(_finding("ext-phibar-homotopy", BLOCKED, reason=reason))
     else:
-        phi_detail, phibar_detail = {}, {}
-        phi_ok = phibar_ok = True
-        for f in cauchy:
-            src = hk.hou_object(base.source(f)).dga.complex
-            tgt = hk.hou_object(base.target(f)).dga.complex
-            ext_star = hk.ext_pullback(f)
-            hou_f = hk.hou_morphism(f)
-            bad = dg.check_homotopy_identity(
-                ext_star.after(hou_f), dg.GradedLinearMap.identity(src),
-                hk.phi_homotopy(f), top - 1)
-            phi_detail[f] = PASS if not bad else f"failing degrees {bad}"
-            phi_ok = phi_ok and not bad
-            bad = dg.check_homotopy_identity(
-                hou_f.after(ext_star), dg.GradedLinearMap.identity(tgt),
-                hk.phibar_homotopy(f), top - 1)
-            phibar_detail[f] = PASS if not bad else f"failing degrees {bad}"
-            phibar_ok = phibar_ok and not bad
-        out.append(_finding("ext-phi-homotopy", _bool_status(phi_ok),
-                            morphisms=phi_detail))
-        out.append(_finding("ext-phibar-homotopy", _bool_status(phibar_ok),
-                            morphisms=phibar_detail))
+        ext_hou = {f: (hk.ext_pullback(f), hk.hou_morphism(f)) for f in cauchy}
+
+        def identity(M):
+            return dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex)
+
+        ok, detail = _per_key(cauchy, lambda f: dg.check_homotopy_identity(
+            ext_hou[f][0].after(ext_hou[f][1]), identity(base.source(f)),
+            hk.phi_homotopy(f), top - 1))
+        out.append(_finding("ext-phi-homotopy", _bool_status(ok),
+                            morphisms=detail))
+        ok, detail = _per_key(cauchy, lambda f: dg.check_homotopy_identity(
+            ext_hou[f][1].after(ext_hou[f][0]), identity(base.target(f)),
+            hk.phibar_homotopy(f), top - 1))
+        out.append(_finding("ext-phibar-homotopy", _bool_status(ok),
+                            morphisms=detail))
 
     cospans = model.loc.cospan_pairs()
     if not cospans:

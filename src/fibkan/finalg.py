@@ -226,3 +226,9 @@ def check_axioms_on_str(fm: FiberedModel, loc: LocStructure,
         not causal_bad, tuple(causal_bad),
         not ts_bad, ts_bad,
     )
+
+
+def axiom_report(fm: FiberedModel, loc: LocStructure,
+                 A: QftFunctor) -> AxiomReport:
+    """check_axioms_on_str, run once per model, base structure and functor."""
+    return fm.memo(("axioms", loc, A), lambda: check_axioms_on_str(fm, loc, A))

@@ -449,7 +449,7 @@ def build_fibered_model(pi: CatFunctor, order: str = "normal") -> FiberedModel:
     return FiberedModel(pi, cleavage, order)
 
 
-# --- pullbacks of tuples -------------------------------------------------
+# --- pullbacks of arrows -------------------------------------------------
 
 
 def pullback_fiber_square(fm: FiberedModel, f: str, g_prime: str) -> str:
@@ -466,32 +466,19 @@ def pullback_fiber_square(fm: FiberedModel, f: str, g_prime: str) -> str:
     return fm.solve_cartesian(lift0, strcat.comp(g_prime, lift1), fm.loc.id_of(M))
 
 
-def pullback_tuple(fm: FiberedModel, f: str, arrows) -> tuple:
-    """Pull a fiber tuple over the target of f back along f, entry by entry."""
-    return tuple(pullback_fiber_square(fm, f, g) for g in arrows)
+def under_pullback_arrow(fm: FiberedModel, under: UnderCategory,
+                         name: str) -> str:
+    """The fiber arrow attached to an under-category arrow.
 
-
-def under_pullback_tuple(fm: FiberedModel, under: UnderCategory, arrows) -> tuple:
-    """The fiber tuple (g1^h, ..., gn^h) attached to an under-category tuple.
-
-    Each entry g_i: (S_i, h_i) -> (S_{i-1}, h_{i-1}) is replaced by the unique
-    fiber arrow h_i*S_i -> h_{i-1}*S_{i-1} closing the cleavage square.
+    The arrow g: (S1, h1) -> (S0, h0) is replaced by the unique fiber arrow
+    h1*S1 -> h0*S0 closing the cleavage square.
     """
     strcat = fm.strcat
-    out = []
-    for name in arrows:
-        g, h_src = under.mor_info[name]
-        src_obj = under.cat.source(name)
-        tgt_obj = under.cat.target(name)
-        _, h_tgt = under.obj_info[tgt_obj]
-        S_tgt, _ = under.obj_info[tgt_obj]
-        _, lift_tgt = fm.lift(S_tgt, h_tgt)
-        S_src, _ = under.obj_info[src_obj]
-        _, lift_src = fm.lift(S_src, h_src)
-        M = fm.loc.source(h_src)
-        out.append(fm.solve_cartesian(
-            lift_tgt, strcat.comp(g, lift_src), fm.loc.id_of(M)))
-    return tuple(out)
+    g, h1 = under.mor_info[name]
+    _, lift0 = fm.lift(*under.obj_info[under.cat.target(name)])
+    _, lift1 = fm.lift(strcat.source(g), h1)
+    return fm.solve_cartesian(lift0, strcat.comp(g, lift1),
+                              fm.loc.id_of(fm.loc.source(h1)))
 
 
 # --- flabbiness ----------------------------------------------------------
@@ -557,6 +544,11 @@ def classify_flabbiness(fm: FiberedModel, loc: LocStructure) -> FlabbinessReport
                             strong_ok, strong_ce)
 
 
+def flabbiness_report(fm: FiberedModel, loc: LocStructure) -> FlabbinessReport:
+    """classify_flabbiness, run once per model and base structure."""
+    return fm.memo(("flabbiness", loc), lambda: classify_flabbiness(fm, loc))
+
+
 # --- extension data along Cauchy morphisms --------------------------------
 
 
@@ -570,8 +562,7 @@ class ExtensionData:
 def extension_data(fm: FiberedModel, loc: LocStructure, f: str) -> ExtensionData:
     if f not in loc.cauchy:
         raise FiberedModelError(f"{f!r} is not a Cauchy morphism")
-    report = classify_flabbiness(fm, loc)
-    if not report.strongly_cauchy_flabby:
+    if not flabbiness_report(fm, loc).strongly_cauchy_flabby:
         raise FiberedModelError("model is not strongly Cauchy flabby")
     strcat, base = fm.strcat, fm.loc
     M, M_prime = base.source(f), base.target(f)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from . import dg
 from .dg import Dga, GradedLinearMap
@@ -25,8 +26,7 @@ from .fincat import (
     extension_data,
     lemma_witnesses,
     pullback_fiber_square,
-    pullback_tuple,
-    under_pullback_tuple,
+    under_pullback_arrow,
 )
 from .qlinalg import ONE, QMatrix, Subspace, invert, kernel_basis
 
@@ -106,6 +106,64 @@ class CochainData:
     cat: FinCategory
 
 
+def _nonidentity(cat: FinCategory, image):
+    """image, evaluated once per argument, with None for an identity of cat."""
+    @cache
+    def get(x):
+        g = image(x)
+        return None if cat.is_identity(g) else g
+    return get
+
+
+def _induced_map(source: CochainData, target: CochainData, vertex,
+                 arrow) -> GradedLinearMap:
+    """The cochain map induced by a functor F from target.cat to source.cat.
+
+    vertex(v) is (F(v), m), where the matrix m transports the coefficients at
+    F(v) to those at v (None for the identity), and arrow(g) is F(g). A slot
+    at u reads the source at F(u) through m at the leading vertex of u; a
+    tuple that F sends to one with an identity arrow reads 0.
+    """
+    cat = target.cat
+    vertex, arrow = cache(vertex), _nonidentity(source.cat, arrow)
+
+    def rule(n, anchor):
+        if n == 0:
+            yield ONE, *vertex(anchor)
+            return
+        image = tuple(arrow(g) for g in anchor)
+        if None not in image:
+            yield ONE, image, vertex(cat.target(anchor[0]))[1]
+
+    return _rule_map(source.dga, target.dga, 0, rule)
+
+
+def _prism(cochains: CochainData, witness, arrow) -> GradedLinearMap:
+    """The prism homotopy of a natural transformation w: G => id of the index
+    category, between the map that G induces and the identity.
+
+    witness(v) is w at the object v and arrow(g) is G(g). With v_0 the
+    leading vertex and v_i the source of g_i, a slot at (g_1, ..., g_n) reads
+    the sum over i of (-1)^i (g_1, ..., g_i, w(v_i), G(g_{i+1}), ...,
+    G(g_n)); a tuple with an identity arrow reads 0.
+    """
+    cat = cochains.cat
+    witness, arrow = _nonidentity(cat, witness), _nonidentity(cat, arrow)
+
+    def rule(n, anchor):
+        if n == 0:
+            anchor, vertices = (), (anchor,)
+        else:
+            vertices = (cat.target(anchor[0]), *map(cat.source, anchor))
+        image = tuple(arrow(g) for g in anchor)
+        for i, v in enumerate(vertices):
+            entry = anchor[:i] + (witness(v),) + image[i:]
+            if None not in entry:
+                yield _sign(i), entry, None
+
+    return _rule_map(cochains.dga, cochains.dga, -1, rule)
+
+
 class HoKan:
     """All homotopy Kan extension data of one fibered model, memoized."""
 
@@ -142,79 +200,39 @@ class HoKan:
                 dg.holim_dgalg(diagram, self.max_degree), cat)
         return self._objects[key]
 
+    def _transport(self, S: str, h: str):
+        """(h*S, A(h_*)): the cleavage pullback of S along h and the matrix
+        that transports its coefficients to S."""
+        pb, lift = self.fm.lift(S, h)
+        return pb, self.A.matrix(lift)
+
     # --- comparison with the under-category --------------------------------
 
     def kappa(self, M: str) -> GradedLinearMap:
         """Restriction of an under-category cochain to the fiber slots."""
-        hou = self.hou_object(M)
-        ran = self.horan_object(M)
         under = self.fm.under(M)
         id_M = self.fm.loc.id_of(M)
-
-        def rule(n, anchor):
-            if n == 0:
-                yield ONE, under.obj_name(anchor, id_M), None
-            else:
-                yield ONE, tuple(f"({g},{id_M})" for g in anchor), None
-
-        return _rule_map(ran.dga, hou.dga, 0, rule)
+        return _induced_map(
+            self.horan_object(M), self.hou_object(M),
+            lambda S: (under.obj_name(S, id_M), None),
+            lambda g: f"({g},{id_M})")
 
     def zeta(self, M: str) -> GradedLinearMap:
         """Extension of a fiber cochain by cleavage transport."""
-        hou = self.hou_object(M)
-        ran = self.horan_object(M)
         under = self.fm.under(M)
-        fiber = hou.cat
-
-        def rule(n, anchor):
-            if n == 0:
-                S, h = under.obj_info[anchor]
-                pb, lift = self.fm.lift(S, h)
-                yield ONE, pb, self.A.matrix(lift)
-                return
-            tgt = under.cat.target(anchor[0])
-            S0, h0 = under.obj_info[tgt]
-            _, lift0 = self.fm.lift(S0, h0)
-            pulled = under_pullback_tuple(self.fm, under, anchor)
-            if any(fiber.is_identity(g) for g in pulled):
-                return
-            yield ONE, pulled, self.A.matrix(lift0)
-
-        return _rule_map(hou.dga, ran.dga, 0, rule)
+        return _induced_map(
+            self.hou_object(M), self.horan_object(M),
+            lambda obj: self._transport(*under.obj_info[obj]),
+            lambda g: under_pullback_arrow(self.fm, under, g))
 
     def eta_homotopy(self, M: str) -> GradedLinearMap:
         """Cochain homotopy between zeta after kappa and the identity."""
-        ran = self.horan_object(M)
         under = self.fm.under(M)
-        strcat = self.fm.strcat
         id_M = self.fm.loc.id_of(M)
-
-        def obj_at(anchor, i):
-            name = under.cat.target(anchor[0]) if i == 0 \
-                else under.cat.source(anchor[i - 1])
-            return under.obj_info[name]
-
-        def rule(n, anchor):
-            if n == 0:
-                S, h = under.obj_info[anchor]
-                _, lift = self.fm.lift(S, h)
-                if strcat.is_identity(lift):
-                    return
-                yield ONE, (f"({lift},{id_M})",), None
-                return
-            for i in range(n + 1):
-                S_i, h_i = obj_at(anchor, i)
-                _, lift_i = self.fm.lift(S_i, h_i)
-                if strcat.is_identity(lift_i):
-                    continue
-                pulled = under_pullback_tuple(self.fm, under, anchor[i:])
-                if any(strcat.is_identity(g) for g in pulled):
-                    continue
-                entry = anchor[:i] + (f"({lift_i},{id_M})",) + tuple(
-                    f"({g},{id_M})" for g in pulled)
-                yield _sign(i), entry, None
-
-        return _rule_map(ran.dga, ran.dga, -1, rule)
+        return _prism(
+            self.horan_object(M),
+            lambda obj: f"({self.fm.lift(*under.obj_info[obj])[1]},{id_M})",
+            lambda g: f"({under_pullback_arrow(self.fm, under, g)},{id_M})")
 
     # --- product reversal ---------------------------------------------------
 
@@ -258,46 +276,27 @@ class HoKan:
     def hou_morphism(self, f: str) -> GradedLinearMap:
         """Transport of fiber cochains along a base morphism via the cleavage."""
         base = self.fm.loc
-        src = self.hou_object(base.source(f))
-        tgt = self.hou_object(base.target(f))
-        strcat = self.fm.strcat
-
-        def rule(n, anchor):
-            if n == 0:
-                pb, lift = self.fm.lift(anchor, f)
-                yield ONE, pb, self.A.matrix(lift)
-                return
-            S0 = strcat.target(anchor[0])
-            _, lift = self.fm.lift(S0, f)
-            pulled = pullback_tuple(self.fm, f, anchor)
-            if any(strcat.is_identity(g) for g in pulled):
-                return
-            yield ONE, pulled, self.A.matrix(lift)
-
-        return _rule_map(src.dga, tgt.dga, 0, rule)
+        return _induced_map(
+            self.hou_object(base.source(f)), self.hou_object(base.target(f)),
+            lambda S: self._transport(S, f),
+            lambda g: pullback_fiber_square(self.fm, f, g))
 
     def horan_morphism(self, f: str) -> GradedLinearMap:
         """Strict reindexing of under-category cochains along a base morphism."""
         base = self.fm.loc
-        src = self.horan_object(base.source(f))
-        tgt = self.horan_object(base.target(f))
         under_t = self.fm.under(base.target(f))
 
-        def rename_obj(obj):
+        def vertex(obj):
             S, h = under_t.obj_info[obj]
-            return under_t.obj_name(S, base.comp(h, f))
+            return under_t.obj_name(S, base.comp(h, f)), None
 
-        def rule(n, anchor):
-            if n == 0:
-                yield ONE, rename_obj(anchor), None
-                return
-            entry = []
-            for name in anchor:
-                g, h = under_t.mor_info[name]
-                entry.append(f"({g},{base.comp(h, f)})")
-            yield ONE, tuple(entry), None
+        def arrow(name):
+            g, h = under_t.mor_info[name]
+            return f"({g},{base.comp(h, f)})"
 
-        return _rule_map(src.dga, tgt.dga, 0, rule)
+        return _induced_map(
+            self.horan_object(base.source(f)),
+            self.horan_object(base.target(f)), vertex, arrow)
 
     def _composition_homotopy(self, *fs) -> GradedLinearMap:
         """kappa after horan(f_k) after eta after ... after horan(f_1) after
@@ -338,93 +337,36 @@ class HoKan:
         """Inverse transport along the chosen extensions of a Cauchy morphism."""
         base = self.fm.loc
         ext = self.extension(f)
-        src = self.hou_object(base.target(f))
-        tgt = self.hou_object(base.source(f))
-        fiber_t = src.cat
 
-        def sharp_inverse(S):
-            _, f_sharp = ext.obj_map[S]
+        def vertex(S):
+            ext_S, f_sharp = ext.obj_map[S]
             inv = invert(self.A.matrix(f_sharp))
             if inv is None:
                 raise HoKanError(
                     f"extension map at {S!r} is not invertible")
-            return inv
+            return ext_S, inv
 
-        def rule(n, anchor):
-            if n == 0:
-                yield ONE, ext.obj_map[anchor][0], sharp_inverse(anchor)
-                return
-            entry = tuple(ext.mor_map[g] for g in anchor)
-            if any(fiber_t.is_identity(g) for g in entry):
-                return
-            S0 = tgt.cat.target(anchor[0])
-            yield ONE, entry, sharp_inverse(S0)
-
-        return _rule_map(src.dga, tgt.dga, 0, rule)
+        return _induced_map(
+            self.hou_object(base.target(f)), self.hou_object(base.source(f)),
+            vertex, ext.mor_map.__getitem__)
 
     def phi_homotopy(self, f: str) -> GradedLinearMap:
         """Homotopy between ext_pullback after hou(f) and the identity."""
-        base = self.fm.loc
         ext = self.extension(f)
         into, _ = self.witnesses(f)
-        hou = self.hou_object(base.source(f))
-        fiber = hou.cat
-
-        def obj_at(anchor, i):
-            return fiber.target(anchor[0]) if i == 0 \
-                else fiber.source(anchor[i - 1])
-
-        def rule(n, anchor):
-            if n == 0:
-                w = fiber.inverse(into[anchor])
-                if fiber.is_identity(w):
-                    return
-                yield ONE, (w,), None
-                return
-            for i in range(n + 1):
-                w = fiber.inverse(into[obj_at(anchor, i)])
-                tail = []
-                for g in anchor[i:]:
-                    tail.append(pullback_fiber_square(
-                        self.fm, f, ext.mor_map[g]))
-                entry = anchor[:i] + (w,) + tuple(tail)
-                if any(fiber.is_identity(g) for g in entry):
-                    continue
-                yield _sign(i), entry, None
-
-        return _rule_map(hou.dga, hou.dga, -1, rule)
+        hou = self.hou_object(self.fm.loc.source(f))
+        return _prism(
+            hou, lambda S: hou.cat.inverse(into[S]),
+            lambda g: pullback_fiber_square(self.fm, f, ext.mor_map[g]))
 
     def phibar_homotopy(self, f: str) -> GradedLinearMap:
         """Homotopy between hou(f) after ext_pullback and the identity."""
-        base = self.fm.loc
         ext = self.extension(f)
         _, outof = self.witnesses(f)
-        hou = self.hou_object(base.target(f))
-        fiber = hou.cat
-
-        def obj_at(anchor, i):
-            return fiber.target(anchor[0]) if i == 0 \
-                else fiber.source(anchor[i - 1])
-
-        def rule(n, anchor):
-            if n == 0:
-                w = fiber.inverse(outof[anchor])
-                if fiber.is_identity(w):
-                    return
-                yield ONE, (w,), None
-                return
-            for i in range(n + 1):
-                w = fiber.inverse(outof[obj_at(anchor, i)])
-                tail = []
-                for g in anchor[i:]:
-                    pulled = pullback_fiber_square(self.fm, f, g)
-                    tail.append(ext.mor_map[pulled])
-                entry = anchor[:i] + (w,) + tuple(tail)
-                if any(fiber.is_identity(g) for g in entry):
-                    continue
-                yield _sign(i), entry, None
-
-        return _rule_map(hou.dga, hou.dga, -1, rule)
+        hou = self.hou_object(self.fm.loc.target(f))
+        return _prism(
+            hou, lambda S: hou.cat.inverse(outof[S]),
+            lambda g: ext.mor_map[pullback_fiber_square(self.fm, f, g)])
 
     # --- causality -----------------------------------------------------------
 

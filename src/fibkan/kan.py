@@ -18,15 +18,15 @@ from .finalg import (
     AxiomReport,
     FinAlgebra,
     QftFunctor,
-    check_axioms_on_str,
+    axiom_report,
     noncommuting_pairs,
 )
 from .fincat import (
     FiberedModel,
     FlabbinessReport,
     LocStructure,
-    classify_flabbiness,
     connected_components,
+    flabbiness_report,
 )
 from .qlinalg import ZERO, QMatrix, Subspace, rank
 
@@ -236,8 +236,8 @@ def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
     sides and their agreement.
     """
     base = fm.loc
-    qft = check_axioms_on_str(fm, loc, A)
-    flab = classify_flabbiness(fm, loc)
+    qft = axiom_report(fm, loc, A)
+    flab = flabbiness_report(fm, loc)
 
     u_at = u_objects(fm, A)
     u_maps = {

@@ -1,4 +1,7 @@
+import ast
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -85,10 +88,26 @@ def test_verify_builds_each_fiber_invariant_once(capsys, monkeypatch):
         return real(fm, A, M)
 
     monkeypatch.setattr(kan, "u_object", counting)
-    code, out = run(capsys, "verify", "--fixture", "fix-d", "--max-degree", "2")
+    # the axiom and flabbiness reports are each built once per model, under
+    # every name a module binds them to
+    from fibkan import finalg, fincat
+    reports = []
+    for name, owner in (("check_axioms_on_str", finalg),
+                        ("classify_flabbiness", fincat)):
+        real_report = getattr(owner, name)
+
+        def counting_report(*args, name=name, real_report=real_report):
+            reports.append(name)
+            return real_report(*args)
+
+        for module in (cli, kan, finalg, fincat):
+            if getattr(module, name, None) is real_report:
+                monkeypatch.setattr(module, name, counting_report)
+    code, out = run(capsys, "verify", "--fixture", "fix-e", "--max-degree", "2")
     assert code == 0
     assert statuses(out)["h0-comparison"] == "pass"
-    assert sorted(built) == ["N", "Np"]
+    assert sorted(built) == ["M0", "M1", "M2", "M3"]
+    assert sorted(reports) == ["check_axioms_on_str", "classify_flabbiness"]
 
 
 def test_hokan_witnesses_pass(capsys):
@@ -122,6 +141,30 @@ def test_hokan_blocked_without_causality(capsys):
     got = statuses(out)
     assert got["product-reversal-causality"] == "violation"
     assert got["lambda-homotopy"] == "blocked"
+
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_constant(name):
+    """A literal module constant of bench/workloads.py, read from its AST."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == name for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_verify_matches_recorded_bench_digest(capsys, name):
+    # the fixtures-verify bench gate as a test: exit code and stdout sha256
+    want = json.loads((BENCH / "expected.json").read_text())["fixtures-verify"]
+    expect = bench_constant("FIXTURE_EXPECT").get(name)
+    code, out = run(capsys, "verify", "--fixture", name, "--max-degree",
+                    str(bench_constant("FIXTURE_DEGREE")),
+                    *(["--expect", *expect] if expect else []))
+    assert [code, hashlib.sha256(out.encode()).hexdigest()] == want[name]
 
 
 def test_verify_reports_are_byte_identical(capsys):

@@ -13,7 +13,7 @@ from fibkan.fincat import (
     is_cartesian,
     lemma_witnesses,
     nerve,
-    pullback_tuple,
+    pullback_fiber_square,
     under_category,
     validate_functor,
     validate_loc_structure,
@@ -190,9 +190,8 @@ def test_pullback_tuple_z2():
     m = model("fix-d")
     fm = m.fibered()
     # the fiber automorphism over Np pulls back to the one over N
-    assert pullback_tuple(fm, "f", ("id_Np.g",)) == ("id_N.g",)
-    assert pullback_tuple(fm, "f", ("id_Np.e",)) == ("id_N.e",)
-    assert pullback_tuple(fm, "f", ("id_Np.g", "id_Np.g")) == ("id_N.g", "id_N.g")
+    assert pullback_fiber_square(fm, "f", "id_Np.g") == "id_N.g"
+    assert pullback_fiber_square(fm, "f", "id_Np.e") == "id_N.e"
 
 
 def test_classify_flabbiness_z2():

@@ -8,6 +8,7 @@ from fibkan.dg import (
     cohomology_dim,
     is_weak_equivalence,
 )
+from fibkan.fincat import classify_flabbiness
 from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.hokan import HoKan, HoKanError, check_square_homotopy
 from fibkan.kan import u_object
@@ -283,6 +284,81 @@ def test_cochain_algebras_match_recorded_digests():
             got[f"{name}:{M}"] = (dga_digest(hk.hou_object(M).dga),
                                   dga_digest(hk.horan_object(M).dga))
     assert got == HOLIM_DIGESTS
+
+
+def maps_digest(keyed_maps):
+    """sha256 prefix of every matrix of a family of graded maps, by key."""
+    h = hashlib.sha256()
+    for key, f in keyed_maps:
+        for n in sorted(f.maps):
+            m = f.maps[n]
+            h.update(repr((key, f.shift, n, m.rows, m.cols,
+                           sorted(m.data.items()))).encode())
+    return h.hexdigest()[:16]
+
+
+# digests of the comparison maps and homotopies at degree 3: kappa, zeta and
+# eta per base object, hou and horan per base arrow, ext_pullback, phi and
+# phibar per non-identity Cauchy arrow of a strongly Cauchy flabby model
+MAP_DIGESTS = {
+    "fix-a": {
+        "kappa": "21b97261b9ec9967", "zeta": "21b97261b9ec9967",
+        "eta": "9f14a3ebd73ce153",
+        "hou": "8e3910e0a14f7388", "horan": "8e3910e0a14f7388",
+    },
+    "fix-b": {
+        "kappa": "b8613d59219a1989", "zeta": "1666209e17caae81",
+        "eta": "db2849a1916c272c",
+        "hou": "0a13442aa0f9939f", "horan": "d79bcdce06705bb4",
+    },
+    "fix-bprime": {
+        "kappa": "24ef0150d1c440d9", "zeta": "7a1ba3c62d388130",
+        "eta": "977b22294d16a261",
+        "hou": "8b7b82aa508e4ce1", "horan": "fc43329c8adfdd2b",
+    },
+    "fix-c": {
+        "kappa": "89b54fa5df68e424", "zeta": "4450d60810c215e9",
+        "eta": "5dd2f19ee3cbe7cc",
+        "hou": "4ee65b8c8a9bbe8a", "horan": "4cd50bb0a430274d",
+    },
+    "fix-d": {
+        "kappa": "6ce0b30cae610a0e", "zeta": "859ffd4f2610d45b",
+        "eta": "84897f99460130f2",
+        "hou": "a95e3f6324d3cc38", "horan": "652ef203a3f6fdb5",
+        "ext": "df672d1bcb462116", "phi": "ae2a284c472bf6a2",
+        "phibar": "ae2a284c472bf6a2",
+    },
+    "fix-e": {
+        "kappa": "de62dba825175fb1", "zeta": "f5c6cf6bc4368275",
+        "eta": "ba0f8a394b4ce3d6",
+        "hou": "0a96f2ff6857885d", "horan": "88542c55cd5118cf",
+        "ext": "f922b64aa4062872", "phi": "700c40dfef7f0e45",
+        "phibar": "700c40dfef7f0e45",
+    },
+}
+
+
+def test_comparison_maps_match_recorded_digests():
+    got = {}
+    for name in fixture_names():
+        m, hk = context(name, max_degree=3)
+        base = m.loc.base
+        objects, arrows = sorted(base.objects), sorted(base.morphisms)
+        cauchy = []
+        if classify_flabbiness(hk.fm, m.loc).strongly_cauchy_flabby:
+            cauchy = sorted(f for f in m.loc.cauchy if not base.is_identity(f))
+        families = {
+            "kappa": (hk.kappa, objects), "zeta": (hk.zeta, objects),
+            "eta": (hk.eta_homotopy, objects),
+            "hou": (hk.hou_morphism, arrows),
+            "horan": (hk.horan_morphism, arrows),
+            "ext": (hk.ext_pullback, cauchy), "phi": (hk.phi_homotopy, cauchy),
+            "phibar": (hk.phibar_homotopy, cauchy),
+        }
+        got[name] = {
+            family: maps_digest([(key, build(key)) for key in keys])
+            for family, (build, keys) in families.items() if keys}
+    assert got == MAP_DIGESTS
 
 
 def test_maschke_oracle_on_every_fixture():
