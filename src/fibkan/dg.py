@@ -16,12 +16,9 @@ from itertools import chain
 from .fincat import FinCategory, nerve
 from .qlinalg import (
     ONE,
-    ZERO,
     QMatrix,
     Subspace,
     kernel_basis,
-    rat,
-    row_space,
     _axpy,
 )
 
@@ -129,11 +126,6 @@ class GradedLinearMap:
     def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         return self + (-other)
 
-    def scale(self, c) -> "GradedLinearMap":
-        c = rat(c)
-        return GradedLinearMap(self.source, self.target, self.shift,
-                               {n: m.scale(c) for n, m in self.maps.items()})
-
     def is_cochain_map(self, up_to: int | None = None) -> bool:
         if self.shift != 0:
             raise ComplexError("cochain map check requires shift 0")
@@ -178,8 +170,8 @@ def cocycle_space(cx: Complex, n: int) -> Subspace:
 
 def coboundary_space(cx: Complex, n: int) -> Subspace:
     if n == 0:
-        return Subspace.from_vectors(cx.dim(0), [])
-    return row_space(cx.d(n - 1).transpose())
+        return Subspace(cx.dim(0), (), ())
+    return Subspace.from_vectors(cx.dim(n), list(cx.d(n - 1).by_col.values()))
 
 
 def cohomology_dim(cx: Complex, n: int) -> int:
@@ -207,7 +199,7 @@ def is_weak_equivalence(f: GradedLinearMap, up_to: int) -> bool:
             return False
         fn = f.matrix(n)
         image = Subspace.from_vectors(
-            tgt.dim(n), [fn.apply(z) for z in z_src.basis] + list(b_tgt.basis))
+            tgt.dim(n), [*map(fn.apply_sparse, z_src.rows), *b_tgt.rows])
         if image.dim != z_tgt.dim:
             return False
     return True
@@ -491,6 +483,15 @@ class LimDga:
     subspace: Subspace
 
 
+def ambient_parts(ambient_labels, vec) -> dict:
+    """A sparse vector on (object, index) slots as {object: {index: value}}."""
+    out = {}
+    for slot, v in vec.items():
+        obj, k = ambient_labels[slot]
+        out.setdefault(obj, {})[k] = v
+    return out
+
+
 def lim_dgalg(diagram: DgaDiagram) -> LimDga:
     """Limit: families x with A(g)(x at source of g) = x at target of g, an
     algebra concentrated in degree 0."""
@@ -518,27 +519,16 @@ def lim_dgalg(diagram: DgaDiagram) -> LimDga:
         row += mat.rows
     subspace = kernel_basis(QMatrix(row, len(ambient_labels), data))
 
-    def split(vec):
-        # the nonzero entries of an ambient vector as {object: {index: value}}
-        out = {}
-        for slot, v in enumerate(vec):
-            if v:
-                obj = ambient_labels[slot][0]
-                out.setdefault(obj, {})[slot - offsets[obj]] = v
-        return out
-
     def limit_coords(parts, what):
         # coordinates in the limit basis of a family given per object
-        vec = [ZERO] * len(ambient_labels)
-        for obj, part in parts.items():
-            for k, v in part.items():
-                vec[offsets[obj] + k] = v
-        coords = subspace.coords(tuple(vec))
+        coords = subspace.coords({offsets[obj] + k: v
+                                  for obj, part in parts.items()
+                                  for k, v in part.items()})
         if coords is None:
             raise ComplexError(f"{what} does not satisfy the limit constraints")
-        return {i: v for i, v in enumerate(coords) if v}
+        return coords
 
-    blocks = [split(vec) for vec in subspace.basis]
+    blocks = [ambient_parts(ambient_labels, vec) for vec in subspace.rows]
     table = {}
     for i, parts1 in enumerate(blocks):
         for j, parts2 in enumerate(blocks):
@@ -559,10 +549,9 @@ def canonical_e(lim: LimDga, holim: Dga) -> GradedLinearMap:
     family is placed in the degree-0 slots."""
     cx_lim, cx_ho = lim.dga.complex, holim.complex
     data = {}
-    for j, vec in enumerate(lim.subspace.basis):
-        for slot, v in enumerate(vec):
-            if v:
-                data[(cx_ho.pos[0][lim.ambient_labels[slot]], j)] = v
+    for j, row in enumerate(lim.subspace.rows):
+        for slot, v in row.items():
+            data[(cx_ho.pos[0][lim.ambient_labels[slot]], j)] = v
     return GradedLinearMap(cx_lim, cx_ho, 0, {
         0: QMatrix(cx_ho.dim(0), cx_lim.dim(0), data)})
 

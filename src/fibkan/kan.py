@@ -94,24 +94,21 @@ def ran_under(fm: FiberedModel, A: QftFunctor, M: str) -> RanUnder:
 def _transport_matrix(src: Invariants, tgt: Invariants, image_of) -> QMatrix:
     """Matrix in subspace coordinates of an ambient-level assignment.
 
-    image_of(ambient_vector_of_src) must return an ambient vector of tgt
-    lying in its subspace.
+    image_of maps the parts {object: {index: value}} of an ambient vector of
+    src to the parts of an ambient vector of tgt lying in its subspace.
     """
+    slots = {label: slot for slot, label in enumerate(tgt.ambient_labels)}
     data = {}
-    for j, vec in enumerate(src.subspace.basis):
-        coords = tgt.subspace.coords(image_of(vec))
+    for j, vec in enumerate(src.subspace.rows):
+        coords = tgt.subspace.coords({
+            slots[(obj, k)]: v
+            for obj, part in image_of(
+                dg.ambient_parts(src.ambient_labels, vec)).items()
+            for k, v in part.items()})
         if coords is None:
             raise KanError("image leaves the invariant subspace")
-        for i, v in enumerate(coords):
-            if v:
-                data[(i, j)] = v
+        data.update(((i, j), v) for i, v in coords.items())
     return QMatrix(tgt.dim, src.dim, data)
-
-
-def _block(inv: Invariants, vec, obj):
-    off = next(i for i, lbl in enumerate(inv.ambient_labels) if lbl[0] == obj)
-    dim = sum(1 for lbl in inv.ambient_labels if lbl[0] == obj)
-    return tuple(vec[off:off + dim])
 
 
 def u_morphism(fm: FiberedModel, A: QftFunctor, f: str,
@@ -121,12 +118,12 @@ def u_morphism(fm: FiberedModel, A: QftFunctor, f: str,
     The value at S' over M' transports the component at the pullback of S'
     along the cartesian lift.
     """
-    def image_of(vec):
-        out = []
+    def image_of(parts):
+        out = {}
         for S_prime in tgt.objects:
             pb, lift = fm.lift(S_prime, f)
-            out.extend(A.matrix(lift).apply(_block(src, vec, pb)))
-        return tuple(out)
+            out[S_prime] = A.matrix(lift).apply_sparse(parts.get(pb, {}))
+        return out
 
     return _transport_matrix(src, tgt, image_of)
 
@@ -143,20 +140,17 @@ def kappa_iso(fm: FiberedModel, A: QftFunctor, M: str,
     base = fm.loc
     inv = ran.invariants
 
-    def forward(vec):
-        out = []
-        for S in u.objects:
-            name = under.obj_name(S, base.id_of(M))
-            out.extend(_block(inv, vec, name))
-        return tuple(out)
+    def forward(parts):
+        return {S: parts.get(under.obj_name(S, base.id_of(M)), {})
+                for S in u.objects}
 
-    def backward(vec):
-        out = []
+    def backward(parts):
+        out = {}
         for obj in inv.objects:
             S, h = under.obj_info[obj]
             pb, lift = fm.lift(S, h)
-            out.extend(A.matrix(lift).apply(_block(u, vec, pb)))
-        return tuple(out)
+            out[obj] = A.matrix(lift).apply_sparse(parts.get(pb, {}))
+        return out
 
     kappa = _transport_matrix(inv, u, forward)
     kappa_inv = _transport_matrix(u, inv, backward)
@@ -176,10 +170,9 @@ def counit(fm: FiberedModel, A: QftFunctor, ran: RanUnder, S: str) -> QMatrix:
         raise KanError(f"{S!r} does not lie over the base object of the limit")
     alg = A.algebra(S)
     data = {}
-    for j, vec in enumerate(inv.subspace.basis):
-        for i, v in enumerate(_block(inv, vec, name)):
-            if v:
-                data[(i, j)] = v
+    for j, vec in enumerate(inv.subspace.rows):
+        part = dg.ambient_parts(inv.ambient_labels, vec).get(name, {})
+        data.update(((i, j), v) for i, v in part.items())
     return QMatrix(alg.dim, inv.dim, data)
 
 

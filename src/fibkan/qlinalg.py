@@ -3,7 +3,11 @@
 Everything downstream (constraint solving, cochain differentials, homotopy
 identities) reduces to rank / kernel / coordinate computations over QQ.
 Matrices are stored sparsely because the cochain complexes of larger fixtures
-are block sparse, but the interface is that of an ordinary dense matrix.
+are block sparse. Vectors are sparse {index: value} dicts; only
+``QMatrix.apply`` takes and returns dense tuples. A subspace is its canonical
+basis: the reduced row echelon rows as sparse vectors, with their pivot
+columns. ``_echelon`` is the one elimination behind rank, kernel, span and
+inverse.
 """
 
 from __future__ import annotations
@@ -72,15 +76,6 @@ class QMatrix:
     def zero(cls, rows: int, cols: int) -> "QMatrix":
         return cls(rows, cols)
 
-    def get(self, i: int, j: int) -> Fraction:
-        return self.data.get((i, j), ZERO)
-
-    def to_rows(self):
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.data.items():
-            out[i][j] = v
-        return out
-
     @property
     def by_row(self) -> dict:
         """{i: {j: value}} over the nonzero rows; shared, so read only."""
@@ -101,10 +96,6 @@ class QMatrix:
 
     def column(self, j: int) -> dict:
         return dict(self.by_col.get(j, ()))
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       {(j, i): v for (i, j), v in self.data.items()})
 
     def is_zero(self) -> bool:
         return not self.data
@@ -130,13 +121,6 @@ class QMatrix:
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
-
-    def scale(self, c: Fraction) -> "QMatrix":
-        c = rat(c)
-        if not c:
-            return QMatrix(self.rows, self.cols)
-        return QMatrix(self.rows, self.cols,
-                       {k: c * v for k, v in self.data.items()})
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -191,16 +175,17 @@ def _dict_rows(m: QMatrix):
     return [dict(by_row.get(i, ())) for i in range(m.rows)]
 
 
-def _echelon(rows, cols):
+def _echelon(rows, columns):
     """In-place reduced row echelon on a list of {col: value} rows.
 
-    Returns (reduced_rows_without_zero_rows, pivot_columns). Deterministic:
-    scans columns left to right, picks the first available pivot row.
+    Scans the columns in the order given and picks the first available pivot
+    row for each. Returns (reduced_rows_without_zero_rows, pivot_columns),
+    both in the order the pivots were found.
     """
     pivots = []
     r = 0
     order = list(range(len(rows)))
-    for c in range(cols):
+    for c in columns:
         pivot = None
         for idx in range(r, len(order)):
             if rows[order[idx]].get(c):
@@ -229,83 +214,79 @@ def _echelon(rows, cols):
 
 
 def rank(m: QMatrix) -> int:
-    _, pivots = _echelon(_dict_rows(m), m.cols)
+    _, pivots = _echelon(_dict_rows(m), range(m.cols))
     return len(pivots)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of QQ^ambient_dim with a canonical (RREF) basis."""
+    """A subspace of QQ^ambient_dim held as its canonical basis.
+
+    rows is the reduced row echelon basis as sparse {col: value} rows and
+    pivots their pivot columns, ascending: each row is 0 left of its pivot,
+    1 at it and 0 at the other pivots. That basis is unique, so == compares
+    spaces. The rows are shared, so read only.
+    """
 
     ambient_dim: int
-    basis: tuple
+    rows: tuple
+    pivots: tuple
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
+        """The span of sparse {col: value} vectors."""
         rows = []
         for vec in vectors:
-            if len(vec) != ambient_dim:
-                raise ValueError("ambient dimension mismatch")
-            rows.append({j: rat(v) for j, v in enumerate(vec) if v})
-        reduced, _ = _echelon(rows, ambient_dim)
-        basis = tuple(
-            tuple(row.get(j, ZERO) for j in range(ambient_dim)) for row in reduced
-        )
-        return cls(ambient_dim, basis)
+            row = {}
+            for j, v in vec.items():
+                if not 0 <= j < ambient_dim:
+                    raise ValueError(f"column {j} outside 0..{ambient_dim - 1}")
+                if v:
+                    row[j] = rat(v)
+            rows.append(row)
+        reduced, pivots = _echelon(rows, range(ambient_dim))
+        return cls(ambient_dim, tuple(reduced), tuple(pivots))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(
-            ambient_dim,
-            [[ONE if i == j else ZERO for j in range(ambient_dim)]
-             for i in range(ambient_dim)],
-        )
+        return cls(ambient_dim, tuple({j: ONE} for j in range(ambient_dim)),
+                   tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def coords(self, vec):
-        """Coordinates of vec in the basis, or None if vec is not in the span."""
-        if len(vec) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        residue = {j: rat(v) for j, v in enumerate(vec) if v}
-        coords = []
-        for row in self.basis:
-            pivot = next(j for j, v in enumerate(row) if v)
-            c = residue.get(pivot, ZERO)
-            coords.append(c)
+    def coords(self, vec: dict):
+        """Coordinates {i: value} of the sparse vector vec in the basis, or
+        None if vec is not in the span."""
+        residue = {j: v for j, v in vec.items() if v}
+        coords = {}
+        for i, (row, pivot) in enumerate(zip(self.rows, self.pivots)):
+            c = residue.get(pivot)
             if c:
-                for j, v in enumerate(row):
-                    if v:
-                        w = residue.get(j, ZERO) - c * v
-                        if w:
-                            residue[j] = w
-                        else:
-                            residue.pop(j, None)
+                coords[i] = c
+                _axpy(residue, -c, row)
         if residue:
             return None
-        return tuple(coords)
-
-
-def row_space(m: QMatrix) -> Subspace:
-    return Subspace.from_vectors(m.cols, m.to_rows())
+        return coords
 
 
 def kernel_basis(m: QMatrix) -> Subspace:
-    reduced, pivots = _echelon(_dict_rows(m), m.cols)
+    """The kernel of m from one elimination, right to left.
+
+    Each pivot row is then 1 at its pivot c and 0 right of it except at free
+    columns j < c. So the kernel vector read off at free column j is 1 at j,
+    0 at every other free column and nonzero only at pivots right of j: it is
+    already the row with pivot j of the kernel's reduced row echelon basis.
+    """
+    reduced, pivots = _echelon(_dict_rows(m), range(m.cols - 1, -1, -1))
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vectors = []
-    for j in free:
-        vec = [ZERO] * m.cols
-        vec[j] = ONE
-        for i, c in enumerate(pivots):
-            v = reduced[i].get(j)
-            if v:
-                vec[c] = -v
-        vectors.append(vec)
-    return Subspace.from_vectors(m.cols, vectors)
+    kernel = {j: {j: ONE} for j in range(m.cols) if j not in pivot_set}
+    for row, c in zip(reduced, pivots):
+        for j, v in row.items():
+            if j != c:
+                kernel[j][c] = -v
+    return Subspace(m.cols, tuple(kernel.values()), tuple(kernel))
 
 
 def invert(m: QMatrix):
@@ -316,7 +297,7 @@ def invert(m: QMatrix):
     rows = _dict_rows(m)
     for i in range(n):
         rows[i][n + i] = ONE
-    reduced, pivots = _echelon(rows, 2 * n)
+    reduced, pivots = _echelon(rows, range(2 * n))
     if pivots[:n] != list(range(n)):
         return None
     data = {}

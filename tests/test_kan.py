@@ -45,7 +45,7 @@ def test_u_object_swap_invariants():
     u = u_object(fm, m.A, "M")
     assert u.dim == 1
     # the invariant line is spanned by (1, 1)
-    assert u.subspace.basis == ((rat(1), rat(1)),)
+    assert u.subspace.rows == ({0: rat(1), 1: rat(1)},)
 
 
 def test_u_morphism_not_injective_when_not_flabby():

@@ -81,14 +81,26 @@ def loaded_names(node):
     }
 
 
+def units(tree):
+    """(definition, nodes it reads) per top-level statement; a class is split
+    into its header and each of its members, so that a method counts as used
+    only where something other than itself reads it."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            yield stmt, [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+            yield from ((member, [member]) for member in stmt.body)
+        else:
+            yield stmt, [stmt]
+
+
 def test_library_has_no_test_only_entry_points():
-    # a public function or class that only tests reach is an entry point
-    # kept for the tests; the paper's own maps are the exception
+    # a public function, class or method that only tests reach is an entry
+    # point kept for the tests; the paper's own maps are the exception
     paper_maps = {"canonical_e", "counit", "pullback_dimension_check"}
     statements = [
-        (path, stmt, loaded_names(stmt))
+        (path, node, set().union(*map(loaded_names, reads)))
         for path in [*sorted(SOURCE.glob("*.py")), *sorted(BENCH.glob("*.py"))]
-        for stmt in ast.parse(path.read_text()).body
+        for node, reads in units(ast.parse(path.read_text()))
     ]
     found = [
         f"{path.name}:{stmt.lineno} {stmt.name}"
