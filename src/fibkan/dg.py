@@ -171,7 +171,7 @@ def cocycle_space(cx: Complex, n: int) -> Subspace:
 def coboundary_space(cx: Complex, n: int) -> Subspace:
     if n == 0:
         return Subspace(cx.dim(0), (), ())
-    return Subspace.from_vectors(cx.dim(n), list(cx.d(n - 1).by_col.values()))
+    return cx.d(n - 1).column_space
 
 
 def cohomology_dim(cx: Complex, n: int) -> int:

@@ -22,6 +22,8 @@ class FinAlgebra:
     """dim, structure constants c[i][j] -> coordinate vector, unit vector."""
 
     def __init__(self, dim: int, structure_constants, unit):
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise AlgebraError(f"dim must be an integer, got {dim!r}")
         self.dim = dim
         self.sc = tuple(
             tuple(tuple(rat(v) for v in vec) for vec in row)

@@ -72,7 +72,7 @@ def _section(data: dict, key: str) -> dict:
 def model_from_dict(data: dict) -> Model:
     if not isinstance(data, dict):
         raise ModelError(["$: model file must be a JSON object"])
-    if data.get("format") != 1:
+    if isinstance(data.get("format"), bool) or data.get("format") != 1:
         raise ModelError(["$.format: expected 1"])
     meta = _section(data, "metadata")
     name = meta.get("name", "unnamed")

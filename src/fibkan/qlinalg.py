@@ -7,23 +7,27 @@ are block sparse. Vectors are sparse {index: value} dicts; only
 ``QMatrix.apply`` takes and returns dense tuples. A subspace is its canonical
 basis: the reduced row echelon rows as sparse vectors, with their pivot
 columns. ``_echelon`` is the one elimination behind rank, kernel, span and
-inverse.
+inverse; it runs on integers and makes Fractions only of its result, so it is
+exact with no modulus and no fallback. A matrix keeps its kernel and column
+space, so each differential is eliminated at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def rat(value) -> Fraction:
-    """Parse a rational from "p/q" or "p" strings (also accepts int/Fraction)."""
+    """Parse a rational from "p/q" or "p" strings (also accepts int/Fraction,
+    but not bool: a JSON true is no number)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -37,15 +41,16 @@ class QMatrix:
     """A rows x cols matrix of Fractions, stored as {(i, j): nonzero value}.
 
     A matrix is never changed after construction, so its row and column
-    indices are built on first use and kept.
+    indices, its kernel and its column space are built on first use and kept.
     """
 
-    __slots__ = ("rows", "cols", "data", "_by_row", "_by_col")
+    __slots__ = ("rows", "cols", "data", "_by_row", "_by_col", "_kernel",
+                 "_column_space")
 
     def __init__(self, rows: int, cols: int, data=None):
         self.rows = rows
         self.cols = cols
-        self._by_row = self._by_col = None
+        self._by_row = self._by_col = self._kernel = self._column_space = None
         self.data = {}
         if data:
             for (i, j), v in data.items():
@@ -93,6 +98,14 @@ class QMatrix:
             for (i, j), v in self.data.items():
                 self._by_col.setdefault(j, {})[i] = v
         return self._by_col
+
+    @property
+    def column_space(self) -> "Subspace":
+        """The span of the columns; shared, so read only."""
+        if self._column_space is None:
+            self._column_space = Subspace.from_vectors(
+                self.rows, list(self.by_col.values()))
+        return self._column_space
 
     def column(self, j: int) -> dict:
         return dict(self.by_col.get(j, ()))
@@ -170,51 +183,74 @@ def _axpy(out: dict, c, vec: dict) -> None:
             out.pop(k, None)
 
 
-def _dict_rows(m: QMatrix):
-    by_row = m.by_row
-    return [dict(by_row.get(i, ())) for i in range(m.rows)]
-
-
 def _echelon(rows, columns):
-    """In-place reduced row echelon on a list of {col: value} rows.
+    """Reduced row echelon form of sparse {col: value} rows (left unchanged).
 
-    Scans the columns in the order given and picks the first available pivot
-    row for each. Returns (reduced_rows_without_zero_rows, pivot_columns),
-    both in the order the pivots were found.
+    Scans the columns in the order given; a column is a pivot when a row not
+    yet used as a pivot meets it. Returns (reduced_rows_without_zero_rows,
+    pivot_columns) in the order the pivots were found, a form fixed by the
+    span and the column order alone.
+
+    Exact on integers (fraction-free, Bareiss, Math. Comp. 22, 1968): rows are
+    scaled to integers once, a step sets row := (p/g)*row - (a/g)*pivot_row
+    with g = gcd(a, p) and divides out the row's content, and only the pivot
+    rows become Fractions. A column -> rows index limits a step to the rows
+    meeting its column; the shortest is the pivot (Markowitz, 1957).
     """
-    pivots = []
-    r = 0
-    order = list(range(len(rows)))
+    live = {}
+    index = {}
+    for rid, row in enumerate(rows):
+        scale = lcm(*(v.denominator for v in row.values()))
+        ints = {k: v.numerator * (scale // v.denominator)
+                for k, v in row.items() if v}
+        if ints:
+            live[rid] = ints
+            for k in ints:
+                index.setdefault(k, set()).add(rid)
+    unused = set(live)
+    found = []
     for c in columns:
-        pivot = None
-        for idx in range(r, len(order)):
-            if rows[order[idx]].get(c):
-                pivot = idx
-                break
-        if pivot is None:
+        meet = index.get(c, ())
+        candidates = [rid for rid in meet if rid in unused]
+        if not candidates:
             continue
-        order[r], order[pivot] = order[pivot], order[r]
-        prow = rows[order[r]]
-        pv = prow[c]
-        if pv != ONE:
-            for k in list(prow):
-                prow[k] /= pv
-        for idx in range(len(order)):
-            if idx == r:
-                continue
-            row = rows[order[idx]]
-            factor = row.get(c)
-            if factor:
-                _axpy(row, -factor, prow)
-        pivots.append(c)
-        r += 1
-        if r == len(order):
+        pid = min(candidates, key=lambda rid: len(live[rid]))
+        unused.discard(pid)
+        prow = live[pid]
+        p = prow[c]
+        for rid in [rid for rid in meet if rid != pid]:
+            row = live[rid]
+            g = gcd(row[c], p)
+            s, t = p // g, row[c] // g
+            if s != 1:
+                for k in row:
+                    row[k] *= s
+            for k, v in prow.items():
+                w = row.get(k, 0) - t * v
+                if w:
+                    if k not in row:
+                        index.setdefault(k, set()).add(rid)
+                    row[k] = w
+                else:
+                    del row[k]
+                    index[k].discard(rid)
+            if row:
+                content = gcd(*row.values())
+                if content != 1:
+                    for k in row:
+                        row[k] //= content
+            else:
+                del live[rid]
+                unused.discard(rid)
+        found.append((c, prow))
+        if not unused:
             break
-    return [rows[order[i]] for i in range(r)], pivots
+    return ([{k: Fraction(v, row[c]) for k, v in row.items()}
+             for c, row in found], [c for c, _ in found])
 
 
 def rank(m: QMatrix) -> int:
-    _, pivots = _echelon(_dict_rows(m), range(m.cols))
+    _, pivots = _echelon(m.by_row.values(), range(m.cols))
     return len(pivots)
 
 
@@ -272,21 +308,24 @@ class Subspace:
 
 
 def kernel_basis(m: QMatrix) -> Subspace:
-    """The kernel of m from one elimination, right to left.
+    """The kernel of m from one elimination, right to left, kept on m.
 
     Each pivot row is then 1 at its pivot c and 0 right of it except at free
     columns j < c. So the kernel vector read off at free column j is 1 at j,
     0 at every other free column and nonzero only at pivots right of j: it is
     already the row with pivot j of the kernel's reduced row echelon basis.
     """
-    reduced, pivots = _echelon(_dict_rows(m), range(m.cols - 1, -1, -1))
-    pivot_set = set(pivots)
-    kernel = {j: {j: ONE} for j in range(m.cols) if j not in pivot_set}
-    for row, c in zip(reduced, pivots):
-        for j, v in row.items():
-            if j != c:
-                kernel[j][c] = -v
-    return Subspace(m.cols, tuple(kernel.values()), tuple(kernel))
+    if m._kernel is None:
+        reduced, pivots = _echelon(m.by_row.values(),
+                                   range(m.cols - 1, -1, -1))
+        pivot_set = set(pivots)
+        kernel = {j: {j: ONE} for j in range(m.cols) if j not in pivot_set}
+        for row, c in zip(reduced, pivots):
+            for j, v in row.items():
+                if j != c:
+                    kernel[j][c] = -v
+        m._kernel = Subspace(m.cols, tuple(kernel.values()), tuple(kernel))
+    return m._kernel
 
 
 def invert(m: QMatrix):
@@ -294,9 +333,7 @@ def invert(m: QMatrix):
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    rows = _dict_rows(m)
-    for i in range(n):
-        rows[i][n + i] = ONE
+    rows = [{**m.by_row.get(i, {}), n + i: ONE} for i in range(n)]
     reduced, pivots = _echelon(rows, range(2 * n))
     if pivots[:n] != list(range(n)):
         return None

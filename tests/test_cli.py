@@ -234,6 +234,10 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     ("fix-a", ("loc", "identity", "pt"), [1]),
     ("fix-a", ("projection", "objects"), [1]),
     ("fix-b", ("loc", "causal_cospans", 0), {}),
+    # a JSON true is no number, although Python compares it equal to 1
+    ("fix-a", ("algebra_maps", "g", 0, 0), True),
+    ("fix-a", ("format",), True),
+    ("fix-c", ("algebras", "S", "dim"), True),
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_malformed_value_in_a_section_exits_2(tmp_path, capsys, name, path,
                                               value):

@@ -1,7 +1,9 @@
 import hashlib
 
 import pytest
+from test_source import load_bench_module
 
+from fibkan import qlinalg
 from fibkan.dg import (
     GradedLinearMap,
     check_homotopy_identity,
@@ -50,6 +52,32 @@ def test_horan_object_dims_chain():
     assert cx.dim(0) == 16
     assert cx.dim(1) == 64
     assert cx.violations() == []
+
+
+def test_cohomology_after_the_kappa_check_runs_no_elimination(monkeypatch):
+    # the weak-equivalence check builds the cocycle and coboundary spaces of
+    # both complexes; the cohomology and h0 reads take them from the
+    # differentials, which keep their kernels and column spaces
+    chain = load_bench_module("chainmodel")
+    m = model_from_dict(chain.chain_dict(2, "Z2"))
+    hk = HoKan(m.fibered(), m.loc, m.A, 2)
+    invariants = u_object(m.fibered(), m.A, "M0").dim
+    calls = []
+    echelon = qlinalg._echelon
+
+    def counted(rows, columns):
+        calls.append(columns)
+        return echelon(rows, columns)
+
+    monkeypatch.setattr(qlinalg, "_echelon", counted)
+    assert is_weak_equivalence(hk.kappa("M0"), 1)
+    checked = len(calls)
+    complexes = [hk.horan_object("M0").dga.complex,
+                 hk.hou_object("M0").dga.complex]
+    assert [cohomology_dim(cx, n) for cx in complexes for n in (0, 1)] == \
+        [invariants, 0] * 2
+    assert hk.h0_subspace("M0").dim == invariants
+    assert checked and len(calls) == checked
 
 
 def test_kappa_zeta_identity():

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibkan import qlinalg
 from fibkan.qlinalg import (
     QMatrix,
     Subspace,
+    invert,
     kernel_basis,
     rank,
     rat,
@@ -26,6 +28,8 @@ def test_rat_roundtrip():
         rat("1/0")
     with pytest.raises(ValueError):
         rat("x")
+    with pytest.raises(ValueError):
+        rat(True)  # a bool is an int to Python, but no JSON number
 
 
 def test_rank_trivial_cases():
@@ -58,6 +62,13 @@ def test_kernel_is_read_off_from_the_right():
     ker = kernel_basis(QMatrix.from_rows([[1, 1, 1]]))
     assert ker.rows == ({0: F(1), 2: F(-1)}, {1: F(1), 2: F(-1)})
     assert ker.pivots == (0, 1)
+
+
+def test_kernel_and_column_space_are_built_once():
+    m = QMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
+    assert kernel_basis(m) is kernel_basis(m)
+    assert m.column_space is m.column_space
+    assert m.column_space == Subspace.from_vectors(2, [{0: F(1), 1: F(2)}])
 
 
 def test_subspace_coords():
@@ -143,6 +154,81 @@ def test_echelon_canonical(data):
                   for k in range(m.cols)})
     assert Subspace.from_vectors(m.cols, moved) == \
         Subspace.from_vectors(m.cols, rows)
+
+
+def fraction_echelon(rows, columns):
+    """The Fraction Gauss-Jordan elimination that the integer _echelon
+    replaced, kept as its oracle: the first row with a nonzero entry takes
+    each column, is divided by that entry and clears the column from every
+    other row."""
+    pivots = []
+    r = 0
+    order = list(range(len(rows)))
+    for c in columns:
+        pivot = next((idx for idx in range(r, len(order))
+                      if rows[order[idx]].get(c)), None)
+        if pivot is None:
+            continue
+        order[r], order[pivot] = order[pivot], order[r]
+        prow = rows[order[r]]
+        pv = prow[c]
+        for k in list(prow):
+            prow[k] /= pv
+        for idx in range(len(order)):
+            row = rows[order[idx]]
+            factor = row.get(c) if idx != r else None
+            if factor:
+                for k, v in prow.items():
+                    w = row.get(k, 0) - factor * v
+                    if w:
+                        row[k] = w
+                    else:
+                        row.pop(k, None)
+        pivots.append(c)
+        r += 1
+        if r == len(order):
+            break
+    return [rows[order[i]] for i in range(r)], pivots
+
+
+wide_rationals = st.one_of(
+    st.just(F(0)), small_rationals,
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 10**12)))
+
+
+@st.composite
+def rational_rows(draw, cols=None):
+    """Sparse rows over cols columns, some repeated, some all zero."""
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    rows = draw(st.lists(st.lists(wide_rationals, min_size=cols,
+                                  max_size=cols), max_size=6))
+    if rows:
+        rows += [list(rows[i]) for i in draw(
+            st.lists(st.integers(0, len(rows) - 1), max_size=2))]
+    return cols, [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_rows())
+def test_integer_elimination_matches_the_fraction_oracle(case):
+    cols, rows = case
+    for columns in (range(cols), range(cols - 1, -1, -1)):
+        want = fraction_echelon([dict(row) for row in rows], columns)
+        assert qlinalg._echelon([dict(row) for row in rows], columns) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: rational_rows(cols=n)))
+def test_invert_is_an_inverse_exactly_at_full_rank(case):
+    n, rows = case
+    rows = (rows + [{}] * n)[:n]
+    m = QMatrix(n, n, {(i, j): v for i, row in enumerate(rows)
+                       for j, v in row.items()})
+    inv = invert(m)
+    if rank(m) < n:
+        assert inv is None
+    else:
+        assert inv * m == QMatrix.identity(n) == m * inv
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+import sys
 import types
 
 import fibkan
@@ -37,6 +38,37 @@ def test_library_has_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def inexact_or_foreign(source, name):
+    """Float constants, float() calls and imports from outside the standard
+    library in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        where = f"{name}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{where} float constant {node.value!r}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(f"{where} float()")
+        elif isinstance(node, ast.Import):
+            found += [f"{where} import {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] not in sys.stdlib_module_names]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] not in sys.stdlib_module_names):
+            found.append(f"{where} from {node.module} import")
+    return found
+
+
+def test_library_is_exact_and_stdlib_only():
+    # every identity is checked in Fraction and int arithmetic, and the
+    # library runs on a bare Python
+    assert inexact_or_foreign("import numpy.linalg\nfrom scipy import sparse\n"
+                              "from . import dg\nx = float(1) + 0.5\n", "m") == [
+        "m:1 import numpy.linalg", "m:2 from scipy import",
+        "m:4 float()", "m:4 float constant 0.5"]
+    assert [finding for path in sorted(SOURCE.glob("*.py"))
+            for finding in inexact_or_foreign(path.read_text(), path.name)] == []
 
 
 def load_bench_module(name):
