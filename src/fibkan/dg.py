@@ -11,7 +11,7 @@ cohomology through the requested degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from math import lcm
 
 from .fincat import FinCategory, nerve
 from .qlinalg import (
@@ -223,20 +223,9 @@ class Dga:
             for key, table in products.items()
         }
         self.unit = dict(unit)
-        self._index = {}
 
     def table(self, n1: int, n2: int) -> dict:
         return self.products.get((n1, n2), {})
-
-    def _partners(self, n1, n2, side):
-        # side 0: left index -> the right indices with a nonzero product in
-        # table (n1, n2); side 1: right index -> the left indices
-        key = (n1, n2, side)
-        if key not in self._index:
-            idx = self._index[key] = {}
-            for pair in self.table(n1, n2):
-                idx.setdefault(pair[side], set()).add(pair[1 - side])
-        return self._index[key]
 
     def mul_basis(self, n1: int, i: int, n2: int, j: int) -> dict:
         return self.table(n1, n2).get((i, j), {})
@@ -252,8 +241,7 @@ class Dga:
         return out
 
     def violations(self):
-        out = []
-        out.extend(self.complex.violations())
+        out = self.complex.violations()
         cx = self.complex
         top = cx.max_degree
         # unit element must be a degree-0 cocycle
@@ -261,87 +249,124 @@ class Dga:
             out.append("unit element is zero")
         if top >= 1 and cx.d(0).apply_sparse(self.unit):
             out.append("unit element is not closed")
+        # built per call, not kept: a caller may still edit the products
+        scale, by_left, by_right = _integer_tables(self.products)
         for n in range(top + 1):
-            left, right = self.table(0, n), self.table(n, 0)
+            left = _unit_sums(self.unit, by_left.get((0, n), {}))
+            right = _unit_sums(self.unit, by_right.get((n, 0), {}))
             for i in range(cx.dim(n)):
-                e = {i: ONE}
-                if _combine((left.get((u, i)), c)
-                            for u, c in self.unit.items()) != e:
+                e = {i: scale}
+                if left.get(i, {}) != e:
                     out.append(f"left unit law fails in degree {n} at index {i}")
-                if _combine((right.get((i, u)), c)
-                            for u, c in self.unit.items()) != e:
+                if right.get(i, {}) != e:
                     out.append(f"right unit law fails in degree {n} at index {i}")
-        out.extend(self._associativity_violations())
-        out.extend(self._leibniz_violations())
+        out.extend(self._associativity_violations(by_left, by_right))
+        out.extend(self._leibniz_violations(by_left, by_right))
         return out
 
-    def _associativity_violations(self):
+    def _associativity_violations(self, by_left, by_right):
+        # (x y) z - x (y z), times D^2, on every (i, j, k, m) that a nonzero
+        # term reaches: a triple fails exactly where this is nonzero
         out = []
         top = self.complex.max_degree
         for n1 in range(top + 1):
             for n2 in range(top + 1 - n1):
                 for n3 in range(top + 1 - n1 - n2):
-                    t12, t23 = self.table(n1, n2), self.table(n2, n3)
-                    t12_3, t1_23 = self.table(n1 + n2, n3), self.table(n1, n2 + n3)
-                    # (x y) z is nonzero only on triples reached from t12
-                    # through t12_3, and x (y z) from t23 through t1_23
-                    rights = self._partners(n1 + n2, n3, 0)
-                    lefts = self._partners(n1, n2 + n3, 1)
-                    triples = {(i, j, k) for (i, j), xy in t12.items()
-                               for l in xy for k in rights.get(l, ())}
-                    triples.update((i, j, k) for (j, k), yz in t23.items()
-                                   for l in yz for i in lefts.get(l, ()))
-                    for i, j, k in sorted(triples):
-                        lhs = _combine((t12_3.get((l, k)), c)
-                                       for l, c in t12.get((i, j), {}).items())
-                        rhs = _combine((t1_23.get((i, l)), c)
-                                       for l, c in t23.get((j, k), {}).items())
-                        if lhs != rhs:
-                            out.append(
-                                f"associativity fails on degrees ({n1},{n2},{n3})"
-                                f" indices ({i},{j},{k})")
+                    diff = {}
+                    after = by_left.get((n1 + n2, n3), {})
+                    for i, row in by_left.get((n1, n2), {}).items():
+                        for j, xy in row.items():
+                            for l, c in xy.items():
+                                for k, vec in after.get(l, {}).items():
+                                    for m, v in vec.items():
+                                        key = (i, j, k, m)
+                                        diff[key] = diff.get(key, 0) + c * v
+                    before = by_right.get((n1, n2 + n3), {})
+                    for j, row in by_left.get((n2, n3), {}).items():
+                        for k, yz in row.items():
+                            for l, c in yz.items():
+                                for i, vec in before.get(l, {}).items():
+                                    for m, v in vec.items():
+                                        key = (i, j, k, m)
+                                        diff[key] = diff.get(key, 0) - c * v
+                    failing = {key[:3] for key, v in diff.items() if v}
+                    out.extend(
+                        f"associativity fails on degrees ({n1},{n2},{n3})"
+                        f" indices ({i},{j},{k})" for i, j, k in sorted(failing))
         return out
 
-    def _leibniz_violations(self):
+    def _leibniz_violations(self, by_left, by_right):
+        # d(x y) - dx y - (-1)^n1 x dy, times D*E (E the lcm of the
+        # differentials' denominators), on every (i, j, m) that a nonzero
+        # term reaches: a pair fails exactly where this is nonzero
         out = []
         cx = self.complex
         top = cx.max_degree
+        scale = lcm(*(v.denominator for n in range(top)
+                      for v in cx.d(n).data.values()))
+        d = [{j: {i: v.numerator * (scale // v.denominator)
+                  for i, v in col.items()} for j, col in cx.d(n).by_col.items()}
+             for n in range(top)]
         for n1 in range(top):
             for n2 in range(top - n1):
-                d1, d2, d12 = cx.d(n1), cx.d(n2), cx.d(n1 + n2)
-                t = self.table(n1, n2)
-                t1, t2 = self.table(n1 + 1, n2), self.table(n1, n2 + 1)
-                odd = n1 % 2
-                # both sides of d(x y) = dx y + (-1)^n1 x dy vanish unless
-                # one of the three products is nonzero
-                pairs = set(t)
-                pairs.update((i, j) for (l, j) in t1
-                             for i in d1.by_row.get(l, ()))
-                pairs.update((i, j) for (i, l) in t2
-                             for j in d2.by_row.get(l, ()))
+                sign = -1 if n1 % 2 else 1
+                diff = {}
+                d12 = d[n1 + n2]
+                for i, row in by_left.get((n1, n2), {}).items():
+                    for j, xy in row.items():
+                        for l, c in xy.items():
+                            for m, v in d12.get(l, {}).items():
+                                key = (i, j, m)
+                                diff[key] = diff.get(key, 0) + c * v
+                t1 = by_left.get((n1 + 1, n2), {})
+                for i, col in d[n1].items():
+                    for l, c in col.items():
+                        for j, vec in t1.get(l, {}).items():
+                            for m, v in vec.items():
+                                key = (i, j, m)
+                                diff[key] = diff.get(key, 0) - c * v
+                t2 = by_right.get((n1, n2 + 1), {})
+                for j, col in d[n2].items():
+                    for l, c in col.items():
+                        c *= sign
+                        for i, vec in t2.get(l, {}).items():
+                            for m, v in vec.items():
+                                key = (i, j, m)
+                                diff[key] = diff.get(key, 0) - c * v
                 rows, cols = range(cx.dim(n1)), range(cx.dim(n2))
-                for i, j in sorted(p for p in pairs
-                                   if p[0] in rows and p[1] in cols):
-                    lhs = d12.apply_sparse(t.get((i, j), {}))
-                    rhs = _combine(chain(
-                        ((t1.get((l, j)), c)
-                         for l, c in d1.by_col.get(i, {}).items()),
-                        ((t2.get((i, l)), -c if odd else c)
-                         for l, c in d2.by_col.get(j, {}).items())))
-                    if lhs != rhs:
-                        out.append(
-                            f"Leibniz rule fails on degrees ({n1},{n2})"
-                            f" indices ({i},{j})")
+                failing = {(i, j) for (i, j, _), v in diff.items()
+                           if v and i in rows and j in cols}
+                out.extend(f"Leibniz rule fails on degrees ({n1},{n2})"
+                           f" indices ({i},{j})" for i, j in sorted(failing))
         return out
 
 
-def _combine(terms) -> dict:
-    """The sparse sum of c * vec over (vec, c) terms; a vec may be None."""
-    out = {}
-    for vec, c in terms:
-        if vec and c:
-            _axpy(out, c, vec)
-    return out
+def _integer_tables(products):
+    """(D, by_left, by_right): every product table times D, the lcm of all
+    their denominators, as integer vectors indexed {i: {j: vec}} by the left
+    factor and {j: {i: vec}} by the right one, per degree pair. Both sides of
+    an identity scale alike, so comparing these is exact."""
+    scale = lcm(*(v.denominator for table in products.values()
+                  for vec in table.values() for v in vec.values()))
+    by_left, by_right = {}, {}
+    for key, table in products.items():
+        left, right = by_left[key], by_right[key] = {}, {}
+        for (i, j), vec in table.items():
+            ints = {m: v.numerator * (scale // v.denominator)
+                    for m, v in vec.items() if v}
+            if ints:
+                left.setdefault(i, {})[j] = ints
+                right.setdefault(j, {})[i] = ints
+    return scale, by_left, by_right
+
+
+def _unit_sums(unit, index) -> dict:
+    """{i: the sum of c * index[u][i] over the unit's entries c at u}."""
+    sums = {}
+    for u, c in unit.items():
+        for i, vec in index.get(u, {}).items():
+            _axpy(sums.setdefault(i, {}), c, vec)
+    return sums
 
 
 def algebra_to_dga(alg, max_degree: int) -> Dga:
@@ -451,13 +476,16 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
                 else:
                     tail, move = u1, None
                 alg = diagram.at[obj]
-                partners = [
-                    (j2, u2, {k2: ONE} if move is None else move.column(k2))
-                    for j2, u2, k2 in slots[n2].get(tail, ())]
+                partners = slots[n2].get(tail, ())
+                moved = {k2: {k2: ONE} if move is None else move.column(k2)
+                         for k2 in {k2 for _, _, k2 in partners}}
                 for k1 in range(dims[obj]):
                     j1 = in_pos[(u1, k1)]
-                    for j2, u2, moved in partners:
-                        prod = alg.mul(0, {k1: ONE}, 0, moved)
+                    # a product depends on k2, not on the partner's anchor
+                    prods = {k2: alg.mul(0, {k1: ONE}, 0, vec)
+                             for k2, vec in moved.items()}
+                    for j2, u2, k2 in partners:
+                        prod = prods[k2]
                         if prod:
                             # a degree-0 anchor is an object, the unit of
                             # concatenation

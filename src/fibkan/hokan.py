@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 
 from . import dg
 from .dg import Dga, GradedLinearMap
@@ -164,8 +164,25 @@ def _prism(cochains: CochainData, witness, arrow) -> GradedLinearMap:
     return _rule_map(cochains.dga, cochains.dga, -1, rule)
 
 
+def _kept(build):
+    """A HoKan map builder that builds once per argument and keeps the map
+    in the instance's _maps."""
+    @wraps(build)
+    def get(self, *args):
+        key = (build.__name__, *args)
+        if key not in self._maps:
+            self._maps[key] = build(self, *args)
+        return self._maps[key]
+    return get
+
+
 class HoKan:
-    """All homotopy Kan extension data of one fibered model, memoized."""
+    """All homotopy Kan extension data of one fibered model, memoized.
+
+    The cochain algebras and the maps kappa, zeta, eta_homotopy, rho,
+    beta_homotopy, hou_morphism, horan_morphism and ext_pullback are built
+    once per argument and kept; they are shared, so read only.
+    """
 
     def __init__(self, fm: FiberedModel, loc: LocStructure, A: QftFunctor,
                  max_degree: int | None = None):
@@ -175,6 +192,7 @@ class HoKan:
         self.max_degree = check_max_degree(
             default_max_degree() if max_degree is None else max_degree)
         self._objects = {}
+        self._maps = {}
         self._ext = {}
         self._witnesses = {}
 
@@ -208,6 +226,7 @@ class HoKan:
 
     # --- comparison with the under-category --------------------------------
 
+    @_kept
     def kappa(self, M: str) -> GradedLinearMap:
         """Restriction of an under-category cochain to the fiber slots."""
         under = self.fm.under(M)
@@ -217,6 +236,7 @@ class HoKan:
             lambda S: (under.obj_name(S, id_M), None),
             lambda g: f"({g},{id_M})")
 
+    @_kept
     def zeta(self, M: str) -> GradedLinearMap:
         """Extension of a fiber cochain by cleavage transport."""
         under = self.fm.under(M)
@@ -225,6 +245,7 @@ class HoKan:
             lambda obj: self._transport(*under.obj_info[obj]),
             lambda g: under_pullback_arrow(self.fm, under, g))
 
+    @_kept
     def eta_homotopy(self, M: str) -> GradedLinearMap:
         """Cochain homotopy between zeta after kappa and the identity."""
         under = self.fm.under(M)
@@ -236,6 +257,7 @@ class HoKan:
 
     # --- product reversal ---------------------------------------------------
 
+    @_kept
     def rho(self, M: str) -> GradedLinearMap:
         """Order-reversing involution transported along the composite."""
         hou = self.hou_object(M)
@@ -251,6 +273,7 @@ class HoKan:
 
         return _rule_map(hou.dga, hou.dga, 0, rule)
 
+    @_kept
     def beta_homotopy(self, M: str) -> GradedLinearMap:
         """Cochain homotopy between the order reversal and the identity."""
         hou = self.hou_object(M)
@@ -273,6 +296,7 @@ class HoKan:
 
     # --- induced morphisms ---------------------------------------------------
 
+    @_kept
     def hou_morphism(self, f: str) -> GradedLinearMap:
         """Transport of fiber cochains along a base morphism via the cleavage."""
         base = self.fm.loc
@@ -281,6 +305,7 @@ class HoKan:
             lambda S: self._transport(S, f),
             lambda g: pullback_fiber_square(self.fm, f, g))
 
+    @_kept
     def horan_morphism(self, f: str) -> GradedLinearMap:
         """Strict reindexing of under-category cochains along a base morphism."""
         base = self.fm.loc
@@ -333,6 +358,7 @@ class HoKan:
                 self.fm, self.loc, f, self.extension(f))
         return self._witnesses[f]
 
+    @_kept
     def ext_pullback(self, f: str) -> GradedLinearMap:
         """Inverse transport along the chosen extensions of a Cauchy morphism."""
         base = self.fm.loc

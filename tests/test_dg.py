@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from fibkan.dg import (
 )
 from fibkan.fixtures import load_bundled
 from fibkan.models import model_from_dict
-from fibkan.qlinalg import QMatrix, kernel_basis, rank, rat
+from fibkan.qlinalg import ONE, QMatrix, _axpy, kernel_basis, rank, rat
 
 N = 4
 
@@ -341,3 +342,151 @@ def test_dga_violations_catch_bad_product():
         f"associativity fails on degrees (0,0,0) indices {ijk}"
         for ijk in ("(1,0,1)", "(1,1,0)", "(1,1,1)", "(1,1,3)", "(1,3,1)",
                     "(2,1,1)")]
+
+
+# --- the per-triple structure suite as an oracle ----------------------------
+
+
+def _combine(terms) -> dict:
+    """The sparse sum of c * vec over (vec, c) terms; a vec may be None."""
+    out = {}
+    for vec, c in terms:
+        if vec and c:
+            _axpy(out, c, vec)
+    return out
+
+
+def _partners(table, side):
+    # side 0: left index -> the right indices with a nonzero product;
+    # side 1: right index -> the left indices
+    idx = {}
+    for pair in table:
+        idx.setdefault(pair[side], set()).add(pair[1 - side])
+    return idx
+
+
+def oracle_violations(dga):
+    """Dga.violations as first written: one Fraction combination per basis
+    pair and triple that a nonzero product reaches, compared side by side."""
+    cx = dga.complex
+    top = cx.max_degree
+    out = cx.violations()
+    if not dga.unit:
+        out.append("unit element is zero")
+    if top >= 1 and cx.d(0).apply_sparse(dga.unit):
+        out.append("unit element is not closed")
+    for n in range(top + 1):
+        left, right = dga.table(0, n), dga.table(n, 0)
+        for i in range(cx.dim(n)):
+            e = {i: ONE}
+            if _combine((left.get((u, i)), c)
+                        for u, c in dga.unit.items()) != e:
+                out.append(f"left unit law fails in degree {n} at index {i}")
+            if _combine((right.get((i, u)), c)
+                        for u, c in dga.unit.items()) != e:
+                out.append(f"right unit law fails in degree {n} at index {i}")
+    for n1 in range(top + 1):
+        for n2 in range(top + 1 - n1):
+            for n3 in range(top + 1 - n1 - n2):
+                t12, t23 = dga.table(n1, n2), dga.table(n2, n3)
+                t12_3, t1_23 = dga.table(n1 + n2, n3), dga.table(n1, n2 + n3)
+                rights = _partners(t12_3, 0)
+                lefts = _partners(t1_23, 1)
+                triples = {(i, j, k) for (i, j), xy in t12.items()
+                           for l in xy for k in rights.get(l, ())}
+                triples.update((i, j, k) for (j, k), yz in t23.items()
+                               for l in yz for i in lefts.get(l, ()))
+                for i, j, k in sorted(triples):
+                    lhs = _combine((t12_3.get((l, k)), c)
+                                   for l, c in t12.get((i, j), {}).items())
+                    rhs = _combine((t1_23.get((i, l)), c)
+                                   for l, c in t23.get((j, k), {}).items())
+                    if lhs != rhs:
+                        out.append(
+                            f"associativity fails on degrees ({n1},{n2},{n3})"
+                            f" indices ({i},{j},{k})")
+    for n1 in range(top):
+        for n2 in range(top - n1):
+            d1, d2, d12 = cx.d(n1), cx.d(n2), cx.d(n1 + n2)
+            t = dga.table(n1, n2)
+            t1, t2 = dga.table(n1 + 1, n2), dga.table(n1, n2 + 1)
+            odd = n1 % 2
+            pairs = set(t)
+            pairs.update((i, j) for (l, j) in t1
+                         for i in d1.by_row.get(l, ()))
+            pairs.update((i, j) for (i, l) in t2
+                         for j in d2.by_row.get(l, ()))
+            rows, cols = range(cx.dim(n1)), range(cx.dim(n2))
+            for i, j in sorted(p for p in pairs
+                               if p[0] in rows and p[1] in cols):
+                lhs = d12.apply_sparse(t.get((i, j), {}))
+                rhs = _combine(chain(
+                    ((t1.get((l, j)), c)
+                     for l, c in d1.by_col.get(i, {}).items()),
+                    ((t2.get((i, l)), -c if odd else c)
+                     for l, c in d2.by_col.get(j, {}).items())))
+                if lhs != rhs:
+                    out.append(
+                        f"Leibniz rule fails on degrees ({n1},{n2})"
+                        f" indices ({i},{j})")
+    return out
+
+
+def rescaled(dga, scale):
+    """The same dg-algebra in the basis f_i = scale(n, i) e_i of each degree
+    n: its structure constants become fractions."""
+    cx = dga.complex
+    s = {n: [rat(scale(n, i)) for i in range(cx.dim(n))]
+         for n in range(cx.max_degree + 1)}
+    d = {n: QMatrix(m.rows, m.cols, {(r, c): v * s[n][c] / s[n + 1][r]
+                                     for (r, c), v in m.data.items()})
+         for n, m in cx.differentials.items()}
+    products = {
+        (n1, n2): {(i, j): {m: v * s[n1][i] * s[n2][j] / s[n1 + n2][m]
+                            for m, v in vec.items()}
+                   for (i, j), vec in table.items()}
+        for (n1, n2), table in dga.products.items()}
+    unit = {i: v / s[0][i] for i, v in dga.unit.items()}
+    return Dga(Complex(cx.max_degree, cx.labels, d), products, unit)
+
+
+def test_fractional_structure_constants_give_no_violations():
+    holim = rescaled(holim_dgalg(z2_diagram(), 2),
+                     lambda n, i: Fraction(2 * i + 1, n + 2))
+    assert any(v.denominator > 1 for table in holim.products.values()
+               for vec in table.values() for v in vec.values())
+    assert any(v.denominator > 1 for m in holim.complex.differentials.values()
+               for v in m.data.values())
+    assert holim.violations() == oracle_violations(holim) == []
+
+
+scales = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+nudges = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_violations_match_the_per_triple_oracle(data):
+    # a valid dga with fractional constants, then a few entries of its
+    # products, differentials and unit nudged so that checks fail
+    top = data.draw(st.integers(1, 2))
+    factors = data.draw(st.lists(scales, min_size=12, max_size=12))
+    dga = rescaled(holim_dgalg(z2_diagram(), top),
+                   lambda n, i: factors[4 * n + i])
+    cx = dga.complex
+    entries = [(key, pair, m) for key, table in sorted(dga.products.items())
+               for pair, vec in sorted(table.items()) for m in sorted(vec)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        key, pair, m = data.draw(st.sampled_from(entries))
+        at = data.draw(st.sampled_from([m, (m + 1) % 4]))
+        vec = dga.products[key][pair]
+        vec[at] = vec.get(at, 0) + data.draw(nudges)
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(0, top - 1))
+        cell = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+        m = cx.d(n)
+        nudged = {**m.data, cell: m.data.get(cell, 0) + data.draw(nudges)}
+        cx.differentials[n] = QMatrix(m.rows, m.cols, nudged)
+    if data.draw(st.booleans()):
+        dga.unit[data.draw(st.integers(0, 3))] = data.draw(nudges)
+    assert dga.violations() == oracle_violations(dga)

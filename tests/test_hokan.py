@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from test_source import load_bench_module
 
-from fibkan import qlinalg
+from fibkan import cli, qlinalg
 from fibkan.dg import (
     GradedLinearMap,
     check_homotopy_identity,
@@ -52,6 +52,35 @@ def test_horan_object_dims_chain():
     assert cx.dim(0) == 16
     assert cx.dim(1) == 64
     assert cx.violations() == []
+
+
+KEPT = ("kappa", "zeta", "eta_homotopy", "rho", "beta_homotopy",
+        "hou_morphism", "horan_morphism", "ext_pullback")
+
+
+def test_maps_are_built_once_and_kept():
+    m, hk = context("fix-d", max_degree=2)
+    base = m.loc.base
+    for M in base.objects:
+        assert hk.kappa(M) is hk.kappa(M)
+        assert hk.rho(M) is hk.rho(M)
+    for f in base.morphisms:
+        assert hk.hou_morphism(f) is hk.hou_morphism(f)
+    # the key holds the method and its argument: no map answers for another
+    assert hk.zeta("N") is not hk.zeta("Np")
+    assert hk.kappa("N") is not hk.zeta("N")
+
+
+def test_kept_maps_leave_the_verify_report_unchanged(monkeypatch, capsys):
+    argv = ["verify", "--fixture", "fix-d", "--max-degree", "2"]
+    assert cli.run(argv) == 0
+    kept = capsys.readouterr().out
+    for name in KEPT:
+        monkeypatch.setattr(HoKan, name, getattr(HoKan, name).__wrapped__)
+    _, hk = context("fix-d", max_degree=2)
+    assert hk.kappa("N") is not hk.kappa("N")
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == kept
 
 
 def test_cohomology_after_the_kappa_check_runs_no_elimination(monkeypatch):
