@@ -243,31 +243,48 @@ class Dga:
     def violations(self):
         out = self.complex.violations()
         cx = self.complex
-        top = cx.max_degree
         # unit element must be a degree-0 cocycle
         if not self.unit:
             out.append("unit element is zero")
-        if top >= 1 and cx.d(0).apply_sparse(self.unit):
+        if cx.max_degree >= 1 and cx.d(0).apply_sparse(self.unit):
             out.append("unit element is not closed")
+        units, triples, pairs = self.law_failures()
+        out.extend(f"{side} unit law fails in degree {n} at index {i}"
+                   for n, i, side in units)
+        out.extend(f"associativity fails on degrees ({n1},{n2},{n3})"
+                   f" indices ({i},{j},{k})"
+                   for n1, n2, n3, i, j, k in triples)
+        out.extend(f"Leibniz rule fails on degrees ({n1},{n2})"
+                   f" indices ({i},{j})" for n1, n2, i, j in pairs)
+        return out
+
+    def law_failures(self):
+        """Where the unit laws, associativity and the Leibniz rule fail, as
+        three lists in report order: (n, i, side) for a unit law on the given
+        side of index i in degree n, (n1, n2, n3, i, j, k) for a triple and
+        (n1, n2, i, j) for a pair. The product tables are scaled to integers
+        once for all three."""
         # built per call, not kept: a caller may still edit the products
         scale, by_left, by_right = _integer_tables(self.products)
-        for n in range(top + 1):
+        return (list(self._unit_failures(scale, by_left, by_right)),
+                list(self._associativity_failures(by_left, by_right)),
+                list(self._leibniz_failures(by_left, by_right)))
+
+    def _unit_failures(self, scale, by_left, by_right):
+        cx = self.complex
+        for n in range(cx.max_degree + 1):
             left = _unit_sums(self.unit, by_left.get((0, n), {}))
             right = _unit_sums(self.unit, by_right.get((n, 0), {}))
             for i in range(cx.dim(n)):
                 e = {i: scale}
                 if left.get(i, {}) != e:
-                    out.append(f"left unit law fails in degree {n} at index {i}")
+                    yield n, i, "left"
                 if right.get(i, {}) != e:
-                    out.append(f"right unit law fails in degree {n} at index {i}")
-        out.extend(self._associativity_violations(by_left, by_right))
-        out.extend(self._leibniz_violations(by_left, by_right))
-        return out
+                    yield n, i, "right"
 
-    def _associativity_violations(self, by_left, by_right):
+    def _associativity_failures(self, by_left, by_right):
         # (x y) z - x (y z), times D^2, on every (i, j, k, m) that a nonzero
         # term reaches: a triple fails exactly where this is nonzero
-        out = []
         top = self.complex.max_degree
         for n1 in range(top + 1):
             for n2 in range(top + 1 - n1):
@@ -290,16 +307,13 @@ class Dga:
                                         key = (i, j, k, m)
                                         diff[key] = diff.get(key, 0) - c * v
                     failing = {key[:3] for key, v in diff.items() if v}
-                    out.extend(
-                        f"associativity fails on degrees ({n1},{n2},{n3})"
-                        f" indices ({i},{j},{k})" for i, j, k in sorted(failing))
-        return out
+                    for ijk in sorted(failing):
+                        yield (n1, n2, n3, *ijk)
 
-    def _leibniz_violations(self, by_left, by_right):
+    def _leibniz_failures(self, by_left, by_right):
         # d(x y) - dx y - (-1)^n1 x dy, times D*E (E the lcm of the
         # differentials' denominators), on every (i, j, m) that a nonzero
         # term reaches: a pair fails exactly where this is nonzero
-        out = []
         cx = self.complex
         top = cx.max_degree
         scale = lcm(*(v.denominator for n in range(top)
@@ -336,9 +350,8 @@ class Dga:
                 rows, cols = range(cx.dim(n1)), range(cx.dim(n2))
                 failing = {(i, j) for (i, j, _), v in diff.items()
                            if v and i in rows and j in cols}
-                out.extend(f"Leibniz rule fails on degrees ({n1},{n2})"
-                           f" indices ({i},{j})" for i, j in sorted(failing))
-        return out
+                for ij in sorted(failing):
+                    yield (n1, n2, *ij)
 
 
 def _integer_tables(products):
@@ -369,19 +382,6 @@ def _unit_sums(unit, index) -> dict:
     return sums
 
 
-def algebra_to_dga(alg, max_degree: int) -> Dga:
-    """A unital algebra viewed as a dg-algebra concentrated in degree 0."""
-    cx = Complex(max_degree, {0: tuple(range(alg.dim))}, {})
-    table = {}
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            vec = {k: v for k, v in enumerate(alg.sc[i][j]) if v}
-            if vec:
-                table[(i, j)] = vec
-    unit = {i: v for i, v in enumerate(alg.unit) if v}
-    return Dga(cx, {(0, 0): table}, unit)
-
-
 # --- diagrams of algebras ---------------------------------------------------
 
 
@@ -389,20 +389,13 @@ def algebra_to_dga(alg, max_degree: int) -> Dga:
 class DgaDiagram:
     """A functor from a finite category to algebras.
 
-    at[obj] is the algebra at obj as a dg-algebra concentrated in degree 0;
+    at[obj] is the algebra at obj, a dg-algebra concentrated in degree 0;
     maps[g] is the matrix of the algebra map at g.
     """
 
     cat: FinCategory
     at: dict    # object -> Dga
     maps: dict  # morphism -> QMatrix
-
-
-def algebra_diagram(cat: FinCategory, alg_of, mat_of) -> DgaDiagram:
-    """The diagram of algebras alg_of(obj) and algebra maps mat_of(g) on cat."""
-    return DgaDiagram(
-        cat, {obj: algebra_to_dga(alg_of(obj), 0) for obj in cat.objects},
-        {g: mat_of(g) for g in cat.morphisms})
 
 
 def _anchor_object(cat: FinCategory, anchor):

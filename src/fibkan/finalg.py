@@ -1,8 +1,9 @@
 """Finite-dimensional unital associative algebras over QQ and the axiom checks.
 
-An algebra is a structure-constant table in a fixed basis; a morphism is a
-matrix. The three axioms checked for algebra-valued functors are: injectivity
-of every morphism image, vanishing commutators over declared causal cospans,
+An algebra is a dg-algebra concentrated in degree 0 (``dg.Dga``), its sparse
+product table read from dense structure constants; a morphism is a matrix.
+The three axioms checked for algebra-valued functors are: injectivity of
+every morphism image, vanishing commutators over declared causal cospans,
 and invertibility over declared Cauchy morphisms.
 """
 
@@ -10,82 +11,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dg import Complex, Dga
 from .fincat import FinCategory, FiberedModel, LocStructure
-from .qlinalg import ONE, ZERO, QMatrix, rank, rat
+from .qlinalg import QMatrix, _rationals, rank
 
 
 class AlgebraError(ValueError):
     pass
 
 
-class FinAlgebra:
-    """dim, structure constants c[i][j] -> coordinate vector, unit vector."""
-
-    def __init__(self, dim: int, structure_constants, unit):
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise AlgebraError(f"dim must be an integer, got {dim!r}")
-        self.dim = dim
-        self.sc = tuple(
-            tuple(tuple(rat(v) for v in vec) for vec in row)
-            for row in structure_constants
-        )
-        self.unit = tuple(rat(v) for v in unit)
-        if len(self.sc) != dim or any(
-            len(row) != dim or any(len(vec) != dim for vec in row) for row in self.sc
-        ):
-            raise AlgebraError("structure constant table has wrong shape")
-        if len(self.unit) != dim:
-            raise AlgebraError("unit vector has wrong length")
-
-    def mul(self, x, y):
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, v in enumerate(self.sc[i][j]):
-                    if v:
-                        out[k] += c * v
-        return tuple(out)
-
-    def commutator(self, x, y):
-        xy = self.mul(x, y)
-        yx = self.mul(y, x)
-        return tuple(a - b for a, b in zip(xy, yx))
-
-    def basis_vector(self, i: int):
-        return tuple(ONE if j == i else ZERO for j in range(self.dim))
-
-    def violations(self):
-        out = []
-        basis = [self.basis_vector(i) for i in range(self.dim)]
-        if all(v == 0 for v in self.unit):
-            out.append("unit element is zero")
-        for i, e in enumerate(basis):
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                out.append(f"unit law fails on basis element {i}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.sc[i][j]
-                for k in range(self.dim):
-                    left = self.mul(ij, basis[k])
-                    right = self.mul(basis[i], self.sc[j][k])
-                    if left != right:
-                        out.append(f"associativity fails on triple ({i},{j},{k})")
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, FinAlgebra):
-            return NotImplemented
-        return (self.dim, self.sc, self.unit) == (other.dim, other.sc, other.unit)
-
-
-def validate_algebra(dim, structure_constants, unit) -> FinAlgebra:
-    alg = FinAlgebra(dim, structure_constants, unit)
-    violations = alg.violations()
+def validate_algebra(dim, structure_constants, unit) -> Dga:
+    """The algebra with basis 0..dim-1, products e_i e_j = sum over k of
+    structure_constants[i][j][k] e_k and the given unit vector, as a
+    dg-algebra concentrated in degree 0, once its laws hold."""
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise AlgebraError(f"dim must be an integer, got {dim!r}")
+    sc = _rationals(structure_constants, 3, "structure constants")
+    unit = _rationals(unit, 1, "unit vector")
+    if len(sc) != dim or any(
+        len(row) != dim or any(len(vec) != dim for vec in row) for row in sc
+    ):
+        raise AlgebraError("structure constant table has wrong shape")
+    if len(unit) != dim:
+        raise AlgebraError("unit vector has wrong length")
+    table = {(i, j): {k: v for k, v in enumerate(vec) if v}
+             for i, row in enumerate(sc) for j, vec in enumerate(row)}
+    alg = Dga(Complex(0, {0: tuple(range(dim))}, {}), {(0, 0): table},
+              {k: v for k, v in enumerate(unit) if v})
+    units, triples, _ = alg.law_failures()
+    violations = ["unit element is zero"] if not alg.unit else []
+    # a basis element fails once, whichever side of the unit it fails on
+    violations += [f"unit law fails on basis element {i}"
+                   for i in dict.fromkeys(i for _, i, _ in units)]
+    violations += [f"associativity fails on triple ({i},{j},{k})"
+                   for _, _, _, i, j, k in triples]
     if violations:
         raise AlgebraError("; ".join(violations))
     return alg
@@ -93,22 +52,23 @@ def validate_algebra(dim, structure_constants, unit) -> FinAlgebra:
 
 @dataclass
 class AlgMorphism:
-    source: FinAlgebra
-    target: FinAlgebra
+    source: Dga
+    target: Dga
     matrix: QMatrix
 
     def violations(self):
-        out = []
-        if (self.matrix.rows, self.matrix.cols) != (self.target.dim, self.source.dim):
+        src, tgt, m = self.source, self.target, self.matrix
+        dim = src.complex.dim(0)
+        if (m.rows, m.cols) != (tgt.complex.dim(0), dim):
             return ["matrix shape does not match source/target dimensions"]
-        if self.matrix.apply(self.source.unit) != self.target.unit:
+        out = []
+        if m.apply_sparse(src.unit) != tgt.unit:
             out.append("unit not preserved")
-        images = [self.matrix.apply(self.source.basis_vector(i))
-                  for i in range(self.source.dim)]
-        for i in range(self.source.dim):
-            for j in range(self.source.dim):
-                lhs = self.matrix.apply(self.source.sc[i][j])
-                if lhs != self.target.mul(images[i], images[j]):
+        images = [m.by_col.get(i, {}) for i in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                if (m.apply_sparse(src.mul_basis(0, i, 0, j))
+                        != tgt.mul(0, images[i], 0, images[j])):
                     out.append(f"multiplicativity fails on basis pair ({i},{j})")
         return out
 
@@ -117,21 +77,23 @@ def noncommuting_pairs(leg1: AlgMorphism, leg2: AlgMorphism) -> list:
     """The basis pairs (i, j) of the two sources, in row-major order, whose
     images under two legs into one algebra do not commute there."""
     tgt = leg1.target
-    ys = [leg2.matrix.apply(leg2.source.basis_vector(j))
-          for j in range(leg2.source.dim)]
+    ys = [leg2.matrix.by_col.get(j, {})
+          for j in range(leg2.source.complex.dim(0))]
     out = []
-    for i in range(leg1.source.dim):
-        x = leg1.matrix.apply(leg1.source.basis_vector(i))
-        out.extend((i, j) for j, y in enumerate(ys) if any(tgt.commutator(x, y)))
+    for i in range(leg1.source.complex.dim(0)):
+        x = leg1.matrix.by_col.get(i, {})
+        out.extend((i, j) for j, y in enumerate(ys)
+                   if tgt.mul(0, x, 0, y) != tgt.mul(0, y, 0, x))
     return out
 
 
 def is_mono(m: AlgMorphism) -> bool:
-    return rank(m.matrix) == m.source.dim
+    return rank(m.matrix) == m.source.complex.dim(0)
 
 
 def is_iso(m: AlgMorphism) -> bool:
-    return m.source.dim == m.target.dim and rank(m.matrix) == m.source.dim
+    dim = m.source.complex.dim(0)
+    return dim == m.target.complex.dim(0) and rank(m.matrix) == dim
 
 
 class QftFunctor:
@@ -139,10 +101,10 @@ class QftFunctor:
 
     def __init__(self, strcat: FinCategory, on_objects, on_morphisms):
         self.strcat = strcat
-        self.on_objects = dict(on_objects)   # obj -> FinAlgebra
+        self.on_objects = dict(on_objects)   # obj -> Dga
         self.on_morphisms = dict(on_morphisms)  # mor -> QMatrix
 
-    def algebra(self, S: str) -> FinAlgebra:
+    def algebra(self, S: str) -> Dga:
         return self.on_objects[S]
 
     def matrix(self, g: str) -> QMatrix:
@@ -167,8 +129,8 @@ class QftFunctor:
         if out:
             return out
         for S in cat.objects:
-            alg = self.on_objects[S]
-            if self.on_morphisms[cat.id_of(S)] != QMatrix.identity(alg.dim):
+            dim = self.on_objects[S].complex.dim(0)
+            if self.on_morphisms[cat.id_of(S)] != QMatrix.identity(dim):
                 out.append(f"identity of {S!r} is not the identity matrix")
         for g in cat.morphisms:
             out.extend(

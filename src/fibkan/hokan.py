@@ -213,7 +213,9 @@ class HoKan:
 
     def _cochains(self, key, cat, alg_of, mat_of) -> CochainData:
         if key not in self._objects:
-            diagram = dg.algebra_diagram(cat, alg_of, mat_of)
+            diagram = dg.DgaDiagram(
+                cat, {obj: alg_of(obj) for obj in cat.objects},
+                {g: mat_of(g) for g in cat.morphisms})
             self._objects[key] = CochainData(
                 dg.holim_dgalg(diagram, self.max_degree), cat)
         return self._objects[key]

@@ -16,7 +16,6 @@ from . import dg
 from .finalg import (
     AlgMorphism,
     AxiomReport,
-    FinAlgebra,
     QftFunctor,
     axiom_report,
     noncommuting_pairs,
@@ -28,7 +27,7 @@ from .fincat import (
     connected_components,
     flabbiness_report,
 )
-from .qlinalg import ZERO, QMatrix, Subspace, rank
+from .qlinalg import QMatrix, Subspace, rank
 
 
 class KanError(ValueError):
@@ -42,7 +41,7 @@ class Invariants:
     objects: tuple        # carrier objects in ambient block order
     ambient_labels: tuple  # (object, basis index) per ambient coordinate
     subspace: Subspace
-    algebra: FinAlgebra   # induced structure on the subspace basis
+    algebra: dg.Dga       # induced structure on the subspace basis
 
     @property
     def dim(self) -> int:
@@ -51,16 +50,11 @@ class Invariants:
 
 def _strict_limit(cat, alg_of, mat_of) -> Invariants:
     """The limit of the algebra diagram on cat, read off in degree 0."""
-    lim = dg.lim_dgalg(dg.algebra_diagram(cat, alg_of, mat_of))
-    k = lim.dga.complex.dim(0)
-
-    def dense(vec):
-        return tuple(vec.get(i, ZERO) for i in range(k))
-
-    sc = [[dense(lim.dga.mul_basis(0, i, 0, j)) for j in range(k)]
-          for i in range(k)]
+    lim = dg.lim_dgalg(dg.DgaDiagram(
+        cat, {obj: alg_of(obj) for obj in cat.objects},
+        {g: mat_of(g) for g in cat.morphisms}))
     return Invariants(tuple(sorted(cat.objects)), lim.ambient_labels,
-                      lim.subspace, FinAlgebra(k, sc, dense(lim.dga.unit)))
+                      lim.subspace, lim.dga)
 
 
 def u_object(fm: FiberedModel, A: QftFunctor, M: str) -> Invariants:
@@ -168,12 +162,11 @@ def counit(fm: FiberedModel, A: QftFunctor, ran: RanUnder, S: str) -> QMatrix:
     name = ran.under.obj_name(S, fm.loc.id_of(M))
     if name not in inv.objects:
         raise KanError(f"{S!r} does not lie over the base object of the limit")
-    alg = A.algebra(S)
     data = {}
     for j, vec in enumerate(inv.subspace.rows):
         part = dg.ambient_parts(inv.ambient_labels, vec).get(name, {})
         data.update(((i, j), v) for i, v in part.items())
-    return QMatrix(alg.dim, inv.dim, data)
+    return QMatrix(A.algebra(S).complex.dim(0), inv.dim, data)
 
 
 def pullback_dimension_check(fm: FiberedModel, A: QftFunctor, M: str,
@@ -186,13 +179,15 @@ def pullback_dimension_check(fm: FiberedModel, A: QftFunctor, M: str,
     fiber = fm.fiber(M)
     if not fiber.objects:
         return None
-    algs = [A.algebra(S) for S in fiber.objects]
-    if any(alg != algs[0] for alg in algs):
+    # algebras compare by value: dimension, product table and unit
+    values = [(alg.complex.dim(0), alg.products, alg.unit)
+              for alg in map(A.algebra, fiber.objects)]
+    if any(value != values[0] for value in values):
         return None
-    if any(A.matrix(g) != QMatrix.identity(algs[0].dim)
-           for g in fiber.morphisms):
+    dim = values[0][0]
+    if any(A.matrix(g) != QMatrix.identity(dim) for g in fiber.morphisms):
         return None
-    expected = len(connected_components(fiber)) * algs[0].dim
+    expected = len(connected_components(fiber)) * dim
     return u.dim == expected
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from . import fincat
 from .finalg import QftFunctor, validate_algebra, validate_qft
 from .fincat import CatFunctor, FinCategory, LocStructure, build_fibered_model
-from .qlinalg import QMatrix, rat
+from .qlinalg import QMatrix, _rationals
 
 
 class ModelError(ValueError):
@@ -117,9 +117,7 @@ def model_from_dict(data: dict) -> Model:
             errors.append(f"$.algebra_maps.{g}: missing")
             continue
         try:
-            matrices[g] = QMatrix.from_rows(
-                [[rat(v) for v in row] for row in spec]
-            )
+            matrices[g] = QMatrix.from_rows(_rationals(spec, 2, "matrix"))
         except (TypeError, ValueError) as exc:
             errors.append(f"$.algebra_maps.{g}: {exc}")
     if errors:

@@ -3,12 +3,11 @@
 Everything downstream (constraint solving, cochain differentials, homotopy
 identities) reduces to rank / kernel / coordinate computations over QQ.
 Matrices are stored sparsely because the cochain complexes of larger fixtures
-are block sparse. Vectors are sparse {index: value} dicts; only
-``QMatrix.apply`` takes and returns dense tuples. A subspace is its canonical
-basis: the reduced row echelon rows as sparse vectors, with their pivot
-columns. ``_echelon`` is the one elimination behind rank, kernel, span and
-inverse; it runs on integers and makes Fractions only of its result, so it is
-exact with no modulus and no fallback. A matrix keeps its kernel and column
+are block sparse. Vectors are sparse {index: value} dicts. A subspace is its
+canonical basis: the reduced row echelon rows as sparse vectors, with their
+pivot columns. ``_echelon`` is the one elimination behind rank, kernel, span
+and inverse; it runs on integers and makes Fractions only of its result, so it
+is exact with no modulus and no fallback. A matrix keeps its kernel and column
 space, so each differential is eliminated at most once.
 """
 
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -35,6 +33,16 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid rational literal {value!r}") from exc
     raise ValueError(f"cannot interpret {value!r} as a rational")
+
+
+def _rationals(value, depth: int, what: str) -> list:
+    """JSON arrays nested depth deep, read entry by entry with rat; a string
+    or an object where an array belongs is refused, not read item by item."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what}: expected a JSON array, got {value!r}")
+    if depth == 1:
+        return [rat(v) for v in value]
+    return [_rationals(v, depth - 1, what) for v in value]
 
 
 class QMatrix:
@@ -147,13 +155,6 @@ class QMatrix:
                     _axpy(out, v, by_row[k])
             acc.update(((i, j), w) for j, w in out.items())
         return QMatrix(self.rows, other.cols, acc)
-
-    def apply(self, vec) -> tuple:
-        """Matrix-vector product on a dense coordinate tuple."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = self.apply_sparse(dict(enumerate(vec)))
-        return tuple(out.get(i, ZERO) for i in range(self.rows))
 
     def apply_sparse(self, vec: dict) -> dict:
         """Matrix-vector product on a sparse {index: value} vector."""

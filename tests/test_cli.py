@@ -238,6 +238,11 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     ("fix-a", ("algebra_maps", "g", 0, 0), True),
     ("fix-a", ("format",), True),
     ("fix-c", ("algebras", "S", "dim"), True),
+    # a string or an object where an array belongs is no array
+    ("fix-a", ("algebras", "x", "unit"), "1001"),
+    ("fix-a", ("algebra_maps", "id_x"), ["1000", "0100", "0010", "0001"]),
+    ("fix-c", ("algebras", "S", "structure_constants"), ["1"]),
+    ("fix-c", ("algebra_maps", "u"), {"1": "1"}),
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_malformed_value_in_a_section_exits_2(tmp_path, capsys, name, path,
                                               value):

@@ -88,7 +88,7 @@ def test_matrix_algebra():
     b = QMatrix.from_rows([[0, 1], [1, 0]])
     assert a * b == QMatrix.from_rows([[2, 1], [4, 3]])
     assert (a + (-a)).is_zero()
-    assert a.apply((F(1), F(1))) == (F(3), F(7))
+    assert a.apply_sparse({0: F(1), 1: F(1)}) == {0: F(3), 1: F(7)}
 
 
 small_rationals = st.fractions(
@@ -265,9 +265,9 @@ def assert_indices_match(m):
         assert m.by_row.get(i, {}) == {j: v for j, v in enumerate(rows[i])
                                        if v}
     for j in range(m.cols):
-        # a sparse and a dense unit vector pick out column j
-        unit = tuple(F(1) if k == j else F(0) for k in range(m.cols))
-        assert m.apply(unit) == tuple(row[j] for row in rows)
+        # a unit vector picks out column j
+        assert m.apply_sparse({j: F(1)}) == {i: row[j] for i, row
+                                             in enumerate(rows) if row[j]}
         assert m.apply_sparse({j: F(1)}) == m.column(j)
 
 
@@ -280,9 +280,11 @@ def test_cached_indices_agree_with_dense_products(data):
                              max_size=a.cols))
     assert_indices_match(a)
     want = dense_product(dense(a), [[v] for v in vec], 1)
-    assert a.apply(tuple(vec)) == tuple(row[0] for row in want)
-    assert a.apply_sparse(dict(enumerate(vec))) == {
-        i: row[0] for i, row in enumerate(want) if row[0]}
+    # with and without the zero coordinates of vec
+    for sparse in (dict(enumerate(vec)),
+                   {j: v for j, v in enumerate(vec) if v}):
+        assert a.apply_sparse(sparse) == {
+            i: row[0] for i, row in enumerate(want) if row[0]}
     # twice: the second product reads the indices that the first cached
     for _ in range(2):
         assert dense(a * b) == dense_product(dense(a), dense(b), b.cols)
@@ -306,5 +308,5 @@ def test_column_is_a_copy():
     m.column(1).clear()
     assert m.column(0) == {0: F(1), 1: F(2)}
     assert m.column(1) == {1: F(3)}
-    assert m.apply((F(1), F(1))) == (F(1), F(5))
+    assert m.apply_sparse({0: F(1), 1: F(1)}) == {0: F(1), 1: F(5)}
     assert m * QMatrix.identity(2) == m

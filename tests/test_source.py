@@ -41,8 +41,9 @@ def test_library_has_no_unused_imports():
 
 
 def inexact_or_foreign(source, name):
-    """Float constants, float() calls and imports from outside the standard
-    library in a module's source."""
+    """Float constants, float() calls, true division (which turns two ints
+    into a float) and imports from outside the standard library in a
+    module's source."""
     found = []
     for node in ast.walk(ast.parse(source)):
         where = f"{name}:{getattr(node, 'lineno', 0)}"
@@ -51,6 +52,9 @@ def inexact_or_foreign(source, name):
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "float"):
             found.append(f"{where} float()")
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.Div)):
+            found.append(f"{where} true division")
         elif isinstance(node, ast.Import):
             found += [f"{where} import {alias.name}" for alias in node.names
                       if alias.name.split(".")[0] not in sys.stdlib_module_names]
@@ -64,8 +68,10 @@ def test_library_is_exact_and_stdlib_only():
     # every identity is checked in Fraction and int arithmetic, and the
     # library runs on a bare Python
     assert inexact_or_foreign("import numpy.linalg\nfrom scipy import sparse\n"
-                              "from . import dg\nx = float(1) + 0.5\n", "m") == [
+                              "from . import dg\nx = float(1) + 0.5\n"
+                              "x /= 2; y = x // 2 / 3\n", "m") == [
         "m:1 import numpy.linalg", "m:2 from scipy import",
+        "m:5 true division", "m:5 true division",
         "m:4 float()", "m:4 float constant 0.5"]
     assert [finding for path in sorted(SOURCE.glob("*.py"))
             for finding in inexact_or_foreign(path.read_text(), path.name)] == []
