@@ -102,7 +102,7 @@ def checks_kan(model: Model, order: str, max_degree: int):
     for M in sorted(model.loc.base.objects):
         try:
             kan.kappa_iso(fm, model.A, M, kan.ran_under(fm, model.A, M),
-                          report.u_objects[M])
+                          kan.u_objects(fm, model.A)[M])
             detail[M] = PASS
         except kan.KanError as exc:
             kappa_ok = False
@@ -241,7 +241,7 @@ def checks_hokan(model: Model, order: str, max_degree: int):
         out.append(_finding("ext-phibar-homotopy", _bool_status(ok),
                             morphisms=detail))
 
-    cospans = model.loc.cospan_pairs()
+    cospans = model.loc.causal_cospans
     if not cospans:
         out.append(_finding("product-reversal-causality", BLOCKED,
                             reason="no causal cospans declared"))

@@ -495,13 +495,19 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
 class LimDga:
     """The limit algebra together with its inclusion.
 
-    ambient_labels lists the (object, index) slots of the product of the
-    algebras; subspace is the limit in those coordinates.
+    cat is the index category of the diagram; ambient_labels lists the
+    (object, index) slots of the product of the algebras, objects in sorted
+    order; subspace is the limit in those coordinates.
     """
 
     dga: Dga
+    cat: FinCategory
     ambient_labels: tuple
     subspace: Subspace
+
+    @property
+    def dim(self) -> int:
+        return self.subspace.dim
 
 
 def ambient_parts(ambient_labels, vec) -> dict:
@@ -561,7 +567,7 @@ def lim_dgalg(diagram: DgaDiagram) -> LimDga:
     unit = limit_coords(
         {obj: diagram.at[obj].unit for obj in offsets}, "unit family")
     cx = Complex(0, {0: tuple(range(subspace.dim))}, {})
-    return LimDga(Dga(cx, {(0, 0): table}, unit), tuple(ambient_labels),
+    return LimDga(Dga(cx, {(0, 0): table}, unit), cat, tuple(ambient_labels),
                   subspace)
 
 

@@ -50,6 +50,9 @@ def validate_algebra(dim, structure_constants, unit) -> Dga:
     return alg
 
 
+_SHAPE_MISMATCH = "matrix shape does not match source/target dimensions"
+
+
 @dataclass
 class AlgMorphism:
     source: Dga
@@ -60,7 +63,7 @@ class AlgMorphism:
         src, tgt, m = self.source, self.target, self.matrix
         dim = src.complex.dim(0)
         if (m.rows, m.cols) != (tgt.complex.dim(0), dim):
-            return ["matrix shape does not match source/target dimensions"]
+            return [_SHAPE_MISMATCH]
         out = []
         if m.apply_sparse(src.unit) != tgt.unit:
             out.append("unit not preserved")
@@ -132,12 +135,17 @@ class QftFunctor:
             dim = self.on_objects[S].complex.dim(0)
             if self.on_morphisms[cat.id_of(S)] != QMatrix.identity(dim):
                 out.append(f"identity of {S!r} is not the identity matrix")
+        shaped = set()
         for g in cat.morphisms:
-            out.extend(
-                f"morphism {g!r}: {v}" for v in self.morphism(g).violations()
-            )
+            found = self.morphism(g).violations()
+            out.extend(f"morphism {g!r}: {v}" for v in found)
+            if _SHAPE_MISMATCH not in found:
+                shaped.add(g)
+        # a composition with a mis-shaped matrix, reported above, has no
+        # product to compare
+        mats = self.on_morphisms
         for (g, f), h in cat.compose.items():
-            if self.on_morphisms[g] * self.on_morphisms[f] != self.on_morphisms[h]:
+            if {g, f, h} <= shaped and mats[g] * mats[f] != mats[h]:
                 out.append(f"functoriality fails on composition ({g!r},{f!r})")
         return out
 

@@ -210,22 +210,26 @@ def validate_functor(source, target, object_map, morphism_map) -> CatFunctor:
 
 @dataclass(frozen=True)
 class LocStructure:
-    """Base category with declared causal cospans and Cauchy morphisms."""
+    """Base category with declared causal cospans and Cauchy morphisms.
+
+    Each causal cospan is a sorted pair of morphism names.
+    """
 
     base: FinCategory
-    causal_cospans: tuple = ()
-    cauchy: frozenset = frozenset()
+    causal_cospans: tuple
+    cauchy: frozenset
 
     def violations(self):
         out = []
         cat = self.base
-        for pair in self.causal_cospans:
-            f1, f2 = tuple(pair)[0], tuple(pair)[-1]
+        for f1, f2 in self.causal_cospans:
             if f1 not in cat.morphisms or f2 not in cat.morphisms:
-                out.append(f"causal cospan {pair!r} references unknown morphism")
+                out.append(
+                    f"causal cospan {[f1, f2]!r} references unknown morphism")
             elif cat.target(f1) != cat.target(f2):
-                out.append(f"causal cospan {pair!r} does not share a target")
-        for f in self.cauchy:
+                out.append(f"causal cospan {[f1, f2]!r} does not share a target")
+        cauchy = sorted(self.cauchy)
+        for f in cauchy:
             if f not in cat.morphisms:
                 out.append(f"cauchy morphism {f!r} unknown")
         if out:
@@ -233,28 +237,33 @@ class LocStructure:
         for obj in cat.objects:
             if cat.id_of(obj) not in self.cauchy:
                 out.append(f"identity of {obj!r} not declared Cauchy")
-        for g in self.cauchy:
-            for f in self.cauchy:
+        for g in cauchy:
+            for f in cauchy:
                 if cat.source(g) == cat.target(f) and cat.comp(g, f) not in self.cauchy:
                     out.append(f"cauchy set not closed under ({g!r},{f!r})")
         return out
 
-    def cospan_pairs(self):
-        out = []
-        for pair in self.causal_cospans:
-            items = sorted(pair)
-            f1, f2 = items[0], items[-1]
-            out.append((f1, f2))
-        return out
+
+def _names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def validate_loc_structure(base, causal_cospans, cauchy) -> LocStructure:
-    loc = LocStructure(
-        base,
-        tuple(frozenset(p) for p in causal_cospans),
-        frozenset(cauchy),
-    )
-    violations = loc.violations()
+    """The base structure as read from JSON: causal_cospans an array of
+    arrays of two morphism names, cauchy an array of morphism names."""
+    if not isinstance(causal_cospans, list):
+        violations = ["causal_cospans is not an array"]
+    else:
+        violations = [
+            f"causal cospan {pair!r} is not an array of two morphism names"
+            for pair in causal_cospans if not (_names(pair) and len(pair) == 2)]
+    if not _names(cauchy):
+        violations.append("cauchy is not an array of morphism names")
+    if not violations:
+        loc = LocStructure(
+            base, tuple(tuple(sorted(pair)) for pair in causal_cospans),
+            frozenset(cauchy))
+        violations = loc.violations()
     if violations:
         raise CategoryError("invalid base structure", violations)
     return loc
@@ -355,8 +364,6 @@ class FiberedModel:
     pi: CatFunctor
     cleavage: dict  # (S_prime, f) -> (pullback_object, lift_morphism)
     order: str = "normal"
-    _fibers: dict = field(default_factory=dict)
-    _unders: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict)
 
     @property
@@ -368,7 +375,8 @@ class FiberedModel:
         return self.pi.target
 
     def fiber(self, M: str) -> FinCategory:
-        if M not in self._fibers:
+        """The groupoid of objects over M and the arrows over its identity."""
+        def build():
             strcat = self.strcat
             objs = sorted(S for S in strcat.objects if self.pi.on_obj(S) == M)
             morphs = [
@@ -382,18 +390,17 @@ class FiberedModel:
                 if key[0] in names and key[1] in names
             }
             identity = {obj: strcat.id_of(obj) for obj in objs}
-            self._fibers[M] = FinCategory(objs, morphs, identity, compose)
-        return self._fibers[M]
+            return FinCategory(objs, morphs, identity, compose)
+        return self.memo(("fiber", M), build)
 
     def under(self, M: str) -> UnderCategory:
         """The category of objects under M."""
-        if M not in self._unders:
-            self._unders[M] = under_category(self.pi, M)
-        return self._unders[M]
+        return self.memo(("under", M), lambda: under_category(self.pi, M))
 
     def memo(self, key, build):
-        """build(), computed once per key for this model: for data that
-        other layers derive from it, such as kan.u_object."""
+        """build(), computed once per key for this model: its fibers and
+        under-categories, and data that other layers derive from it, such as
+        kan.u_objects."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, wraps
 
-from . import dg
+from . import dg, kan
 from .dg import Dga, GradedLinearMap
 from .finalg import QftFunctor
 from .fincat import (
@@ -165,23 +165,24 @@ def _prism(cochains: CochainData, witness, arrow) -> GradedLinearMap:
 
 
 def _kept(build):
-    """A HoKan map builder that builds once per argument and keeps the map
-    in the instance's _maps."""
+    """A HoKan builder that builds once per argument and keeps the value in
+    the instance's _values."""
     @wraps(build)
     def get(self, *args):
         key = (build.__name__, *args)
-        if key not in self._maps:
-            self._maps[key] = build(self, *args)
-        return self._maps[key]
+        if key not in self._values:
+            self._values[key] = build(self, *args)
+        return self._values[key]
     return get
 
 
 class HoKan:
     """All homotopy Kan extension data of one fibered model, memoized.
 
-    The cochain algebras and the maps kappa, zeta, eta_homotopy, rho,
-    beta_homotopy, hou_morphism, horan_morphism and ext_pullback are built
-    once per argument and kept; they are shared, so read only.
+    The cochain algebras, the extension data and the maps kappa, zeta,
+    eta_homotopy, rho, beta_homotopy, hou_morphism, horan_morphism and
+    ext_pullback are built once per argument and kept; they are shared, so
+    read only.
     """
 
     def __init__(self, fm: FiberedModel, loc: LocStructure, A: QftFunctor,
@@ -191,40 +192,23 @@ class HoKan:
         self.A = A
         self.max_degree = check_max_degree(
             default_max_degree() if max_degree is None else max_degree)
-        self._objects = {}
-        self._maps = {}
-        self._ext = {}
-        self._witnesses = {}
+        self._values = {}
 
     # --- objects -----------------------------------------------------------
 
+    @_kept
     def hou_object(self, M: str) -> CochainData:
         """Normalized cochains of the fiber over M."""
-        return self._cochains(("hou", M), self.fm.fiber(M), self.A.algebra,
-                              self.A.matrix)
+        diagram = kan.fiber_diagram(self.fm, self.A, M)
+        return CochainData(dg.holim_dgalg(diagram, self.max_degree),
+                           diagram.cat)
 
+    @_kept
     def horan_object(self, M: str) -> CochainData:
         """Normalized cochains of the category of objects under M."""
-        under = self.fm.under(M)
-        return self._cochains(
-            ("horan", M), under.cat,
-            lambda obj: self.A.algebra(under.obj_info[obj][0]),
-            lambda name: self.A.matrix(under.mor_info[name][0]))
-
-    def _cochains(self, key, cat, alg_of, mat_of) -> CochainData:
-        if key not in self._objects:
-            diagram = dg.DgaDiagram(
-                cat, {obj: alg_of(obj) for obj in cat.objects},
-                {g: mat_of(g) for g in cat.morphisms})
-            self._objects[key] = CochainData(
-                dg.holim_dgalg(diagram, self.max_degree), cat)
-        return self._objects[key]
-
-    def _transport(self, S: str, h: str):
-        """(h*S, A(h_*)): the cleavage pullback of S along h and the matrix
-        that transports its coefficients to S."""
-        pb, lift = self.fm.lift(S, h)
-        return pb, self.A.matrix(lift)
+        diagram = kan.under_diagram(self.fm, self.A, M)
+        return CochainData(dg.holim_dgalg(diagram, self.max_degree),
+                           diagram.cat)
 
     # --- comparison with the under-category --------------------------------
 
@@ -244,7 +228,8 @@ class HoKan:
         under = self.fm.under(M)
         return _induced_map(
             self.hou_object(M), self.horan_object(M),
-            lambda obj: self._transport(*under.obj_info[obj]),
+            lambda obj: kan.cleavage_transport(
+                self.fm, self.A, *under.obj_info[obj]),
             lambda g: under_pullback_arrow(self.fm, under, g))
 
     @_kept
@@ -304,7 +289,7 @@ class HoKan:
         base = self.fm.loc
         return _induced_map(
             self.hou_object(base.source(f)), self.hou_object(base.target(f)),
-            lambda S: self._transport(S, f),
+            lambda S: kan.cleavage_transport(self.fm, self.A, S, f),
             lambda g: pullback_fiber_square(self.fm, f, g))
 
     @_kept
@@ -349,16 +334,13 @@ class HoKan:
 
     # --- extension along Cauchy morphisms ------------------------------------
 
+    @_kept
     def extension(self, f: str) -> ExtensionData:
-        if f not in self._ext:
-            self._ext[f] = extension_data(self.fm, self.loc, f)
-        return self._ext[f]
+        return extension_data(self.fm, self.loc, f)
 
+    @_kept
     def witnesses(self, f: str):
-        if f not in self._witnesses:
-            self._witnesses[f] = lemma_witnesses(
-                self.fm, self.loc, f, self.extension(f))
-        return self._witnesses[f]
+        return lemma_witnesses(self.fm, self.loc, f, self.extension(f))
 
     @_kept
     def ext_pullback(self, f: str) -> GradedLinearMap:

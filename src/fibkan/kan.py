@@ -1,11 +1,12 @@
 """Strict right Kan extension of an algebra-valued functor to the base.
 
 The value at a base object is the invariant subalgebra of the product of
-algebras over the fiber (equivalently, over the under-category): the degree-0
-case of the limit ``dg.lim_dgalg`` of the algebra diagram, carried by an
-explicit subspace with an induced algebra structure. The comparison
-isomorphism with the under-category limit and the counit projections are
-computed as matrices and checked exactly.
+algebras over the fiber (equivalently, over the under-category): the limit
+``dg.lim_dgalg`` of the algebra diagram, an algebra concentrated in degree 0.
+The homotopy extension in ``hokan`` takes the homotopy limit of the same
+diagrams and transports along the same cleavage. The comparison isomorphism
+with the under-category limit and the counit projections are computed as
+matrices and checked exactly.
 """
 
 from __future__ import annotations
@@ -27,39 +28,32 @@ from .fincat import (
     connected_components,
     flabbiness_report,
 )
-from .qlinalg import QMatrix, Subspace, rank
+from .qlinalg import QMatrix, rank
 
 
 class KanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Invariants:
-    """A subalgebra of a product of algebras indexed by named objects."""
-
-    objects: tuple        # carrier objects in ambient block order
-    ambient_labels: tuple  # (object, basis index) per ambient coordinate
-    subspace: Subspace
-    algebra: dg.Dga       # induced structure on the subspace basis
-
-    @property
-    def dim(self) -> int:
-        return self.subspace.dim
+def fiber_diagram(fm: FiberedModel, A: QftFunctor, M: str) -> dg.DgaDiagram:
+    """A restricted to the fiber over M."""
+    fiber = fm.fiber(M)
+    return dg.DgaDiagram(fiber, {S: A.algebra(S) for S in fiber.objects},
+                         {g: A.matrix(g) for g in fiber.morphisms})
 
 
-def _strict_limit(cat, alg_of, mat_of) -> Invariants:
-    """The limit of the algebra diagram on cat, read off in degree 0."""
-    lim = dg.lim_dgalg(dg.DgaDiagram(
-        cat, {obj: alg_of(obj) for obj in cat.objects},
-        {g: mat_of(g) for g in cat.morphisms}))
-    return Invariants(tuple(sorted(cat.objects)), lim.ambient_labels,
-                      lim.subspace, lim.dga)
+def under_diagram(fm: FiberedModel, A: QftFunctor, M: str) -> dg.DgaDiagram:
+    """A pulled back to the category of objects under M."""
+    under = fm.under(M)
+    cat, proj = under.cat, under.proj
+    return dg.DgaDiagram(
+        cat, {obj: A.algebra(proj.on_obj(obj)) for obj in cat.objects},
+        {g: A.matrix(proj.on_mor(g)) for g in cat.morphisms})
 
 
-def u_object(fm: FiberedModel, A: QftFunctor, M: str) -> Invariants:
+def u_object(fm: FiberedModel, A: QftFunctor, M: str) -> dg.LimDga:
     """Invariants of the fiber over M."""
-    return _strict_limit(fm.fiber(M), A.algebra, A.matrix)
+    return dg.lim_dgalg(fiber_diagram(fm, A, M))
 
 
 def u_objects(fm: FiberedModel, A: QftFunctor) -> dict:
@@ -68,37 +62,33 @@ def u_objects(fm: FiberedModel, A: QftFunctor) -> dict:
         M: u_object(fm, A, M) for M in fm.loc.objects})
 
 
-@dataclass(frozen=True)
-class RanUnder:
-    invariants: Invariants
-    under: object  # the UnderCategory the limit was taken over
-
-
-def ran_under(fm: FiberedModel, A: QftFunctor, M: str) -> RanUnder:
+def ran_under(fm: FiberedModel, A: QftFunctor, M: str) -> dg.LimDga:
     """Limit of A over the category of objects under M."""
-    under = fm.under(M)
-    inv = _strict_limit(
-        under.cat,
-        lambda obj: A.algebra(under.obj_info[obj][0]),
-        lambda name: A.matrix(under.mor_info[name][0]),
-    )
-    return RanUnder(inv, under)
+    return dg.lim_dgalg(under_diagram(fm, A, M))
 
 
-def _transport_matrix(src: Invariants, tgt: Invariants, image_of) -> QMatrix:
-    """Matrix in subspace coordinates of an ambient-level assignment.
+def cleavage_transport(fm: FiberedModel, A: QftFunctor, S: str, h: str):
+    """(h*S, A(h_*)): the cleavage pullback of S along h and the matrix that
+    transports its coefficients to S."""
+    pb, lift = fm.lift(S, h)
+    return pb, A.matrix(lift)
 
-    image_of maps the parts {object: {index: value}} of an ambient vector of
-    src to the parts of an ambient vector of tgt lying in its subspace.
-    """
+
+def _transport_matrix(src: dg.LimDga, tgt: dg.LimDga, vertex) -> QMatrix:
+    """Matrix in limit coordinates of the map that reads, at each object t of
+    tgt.cat, the component of src at s through m, where vertex(t) = (s, m)
+    and m is None for the identity."""
     slots = {label: slot for slot, label in enumerate(tgt.ambient_labels)}
+    rules = [(t, *vertex(t)) for t in tgt.cat.objects]
     data = {}
     for j, vec in enumerate(src.subspace.rows):
-        coords = tgt.subspace.coords({
-            slots[(obj, k)]: v
-            for obj, part in image_of(
-                dg.ambient_parts(src.ambient_labels, vec)).items()
-            for k, v in part.items()})
+        parts = dg.ambient_parts(src.ambient_labels, vec)
+        image = {}
+        for t, s, m in rules:
+            part = parts.get(s, {})
+            image.update((slots[(t, k)], v) for k, v in (
+                part if m is None else m.apply_sparse(part)).items())
+        coords = tgt.subspace.coords(image)
         if coords is None:
             raise KanError("image leaves the invariant subspace")
         data.update(((i, j), v) for i, v in coords.items())
@@ -106,71 +96,52 @@ def _transport_matrix(src: Invariants, tgt: Invariants, image_of) -> QMatrix:
 
 
 def u_morphism(fm: FiberedModel, A: QftFunctor, f: str,
-               src: Invariants, tgt: Invariants) -> QMatrix:
+               src: dg.LimDga, tgt: dg.LimDga) -> QMatrix:
     """The induced map on invariants along a base morphism f: M -> M'.
 
     The value at S' over M' transports the component at the pullback of S'
     along the cartesian lift.
     """
-    def image_of(parts):
-        out = {}
-        for S_prime in tgt.objects:
-            pb, lift = fm.lift(S_prime, f)
-            out[S_prime] = A.matrix(lift).apply_sparse(parts.get(pb, {}))
-        return out
-
-    return _transport_matrix(src, tgt, image_of)
+    return _transport_matrix(
+        src, tgt, lambda S: cleavage_transport(fm, A, S, f))
 
 
 def kappa_iso(fm: FiberedModel, A: QftFunctor, M: str,
-              ran: RanUnder, u: Invariants):
+              ran: dg.LimDga, u: dg.LimDga):
     """Mutually inverse comparison matrices between the under-category limit
     and the fiber invariants.
 
     Forward: restrict to the slots whose augmentation is the identity of M.
     Backward: transport every slot from the pullback along its augmentation.
     """
-    under = ran.under
-    base = fm.loc
-    inv = ran.invariants
-
-    def forward(parts):
-        return {S: parts.get(under.obj_name(S, base.id_of(M)), {})
-                for S in u.objects}
-
-    def backward(parts):
-        out = {}
-        for obj in inv.objects:
-            S, h = under.obj_info[obj]
-            pb, lift = fm.lift(S, h)
-            out[obj] = A.matrix(lift).apply_sparse(parts.get(pb, {}))
-        return out
-
-    kappa = _transport_matrix(inv, u, forward)
-    kappa_inv = _transport_matrix(u, inv, backward)
+    under = fm.under(M)
+    id_M = fm.loc.id_of(M)
+    kappa = _transport_matrix(
+        ran, u, lambda S: (under.obj_name(S, id_M), None))
+    kappa_inv = _transport_matrix(
+        u, ran, lambda obj: cleavage_transport(fm, A, *under.obj_info[obj]))
     if kappa * kappa_inv != QMatrix.identity(u.dim):
         raise KanError("comparison maps do not compose to the identity")
-    if kappa_inv * kappa != QMatrix.identity(inv.dim):
+    if kappa_inv * kappa != QMatrix.identity(ran.dim):
         raise KanError("comparison maps do not compose to the identity")
     return kappa, kappa_inv
 
 
-def counit(fm: FiberedModel, A: QftFunctor, ran: RanUnder, S: str) -> QMatrix:
+def counit(fm: FiberedModel, A: QftFunctor, ran: dg.LimDga, S: str) -> QMatrix:
     """Projection of the under-category limit at the slot (S, identity)."""
-    inv = ran.invariants
     M = fm.pi.on_obj(S)
-    name = ran.under.obj_name(S, fm.loc.id_of(M))
-    if name not in inv.objects:
+    name = fm.under(M).obj_name(S, fm.loc.id_of(M))
+    if name not in ran.cat.objects:
         raise KanError(f"{S!r} does not lie over the base object of the limit")
     data = {}
-    for j, vec in enumerate(inv.subspace.rows):
-        part = dg.ambient_parts(inv.ambient_labels, vec).get(name, {})
+    for j, vec in enumerate(ran.subspace.rows):
+        part = dg.ambient_parts(ran.ambient_labels, vec).get(name, {})
         data.update(((i, j), v) for i, v in part.items())
-    return QMatrix(A.algebra(S).complex.dim(0), inv.dim, data)
+    return QMatrix(A.algebra(S).complex.dim(0), ran.dim, data)
 
 
 def pullback_dimension_check(fm: FiberedModel, A: QftFunctor, M: str,
-                             u: Invariants):
+                             u: dg.LimDga):
     """For a fiberwise-constant functor the invariants have dimension
     (number of fiber components) x (dimension of the common algebra).
 
@@ -195,7 +166,7 @@ def pullback_dimension_check(fm: FiberedModel, A: QftFunctor, M: str,
 class KanReport:
     qft_axioms: AxiomReport
     flabbiness: FlabbinessReport
-    u_objects: dict  # base object -> Invariants
+    u_dims: dict  # base object -> dimension of its invariants
     isotony: bool
     isotony_violations: tuple
     causality: bool
@@ -206,17 +177,13 @@ class KanReport:
     isotony_iff_flabby: bool | None
 
     @property
-    def u_dims(self) -> dict:
-        return {M: u.dim for M, u in self.u_objects.items()}
-
-    @property
     def all_pass(self) -> bool:
         return (self.isotony and self.causality and self.timeslice
                 and self.functorial)
 
 
 def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
-                  A: QftFunctor) -> KanReport:
+                         A: QftFunctor) -> KanReport:
     """Check the three axioms for the induced functor on the base category.
 
     Injectivity of the induced maps is equivalent to flabbiness whenever the
@@ -233,19 +200,18 @@ def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
         for f in base.morphisms
     }
 
-    iso_bad = tuple(
-        f for f in sorted(base.morphisms)
-        if rank(u_maps[f]) != u_at[base.source(f)].dim
-    )
+    injective = {f: rank(u_maps[f]) == u_at[base.source(f)].dim
+                 for f in base.morphisms}
+    iso_bad = tuple(f for f in sorted(base.morphisms) if not injective[f])
     ts_bad = tuple(
         f for f in sorted(loc.cauchy)
         if u_at[base.source(f)].dim != u_at[base.target(f)].dim
-        or rank(u_maps[f]) != u_at[base.source(f)].dim
+        or not injective[f]
     )
     causal_bad = []
-    for f1, f2 in loc.cospan_pairs():
-        legs = (AlgMorphism(u_at[base.source(f)].algebra,
-                            u_at[base.target(f)].algebra, u_maps[f])
+    for f1, f2 in loc.causal_cospans:
+        legs = (AlgMorphism(u_at[base.source(f)].dga,
+                            u_at[base.target(f)].dga, u_maps[f])
                 for f in (f1, f2))
         causal_bad.extend(
             (f1, f2, i, j) for i, j in noncommuting_pairs(*legs))
@@ -265,7 +231,7 @@ def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
     return KanReport(
         qft_axioms=qft,
         flabbiness=flab,
-        u_objects=u_at,
+        u_dims={M: u.dim for M, u in u_at.items()},
         isotony=not iso_bad,
         isotony_violations=iso_bad,
         causality=not causal_bad,

@@ -95,7 +95,7 @@ def test_comparison_iso_and_cleavage_independence():
                 u = kan.u_object(fm, m.A, M)
                 kap, kap_inv = kan.kappa_iso(fm, m.A, M, ran, u)
                 assert kap * kap_inv == QMatrix.identity(u.dim)
-                assert kap_inv * kap == QMatrix.identity(ran.invariants.dim)
+                assert kap_inv * kap == QMatrix.identity(ran.dim)
         for M in m.loc.base.objects:
             assert kan.u_object(m.fibered("normal"), m.A, M).subspace \
                 == kan.u_object(m.fibered("reversed"), m.A, M).subspace

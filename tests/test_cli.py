@@ -1,7 +1,11 @@
 import ast
+import collections
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -88,26 +92,33 @@ def test_verify_builds_each_fiber_invariant_once(capsys, monkeypatch):
         return real(fm, A, M)
 
     monkeypatch.setattr(kan, "u_object", counting)
-    # the axiom and flabbiness reports are each built once per model, under
-    # every name a module binds them to
-    from fibkan import finalg, fincat
+    # the axiom and flabbiness reports are each built once per model, the
+    # under-categories once per base object, and the extension data and
+    # triangle witnesses once per Cauchy arrow, under every name a module
+    # binds them to
+    from fibkan import finalg, fincat, hokan
     reports = []
     for name, owner in (("check_axioms_on_str", finalg),
-                        ("classify_flabbiness", fincat)):
+                        ("classify_flabbiness", fincat),
+                        ("under_category", fincat),
+                        ("extension_data", fincat),
+                        ("lemma_witnesses", fincat)):
         real_report = getattr(owner, name)
 
         def counting_report(*args, name=name, real_report=real_report):
             reports.append(name)
             return real_report(*args)
 
-        for module in (cli, kan, finalg, fincat):
+        for module in (cli, kan, finalg, fincat, hokan):
             if getattr(module, name, None) is real_report:
                 monkeypatch.setattr(module, name, counting_report)
     code, out = run(capsys, "verify", "--fixture", "fix-e", "--max-degree", "2")
     assert code == 0
     assert statuses(out)["h0-comparison"] == "pass"
     assert sorted(built) == ["M0", "M1", "M2", "M3"]
-    assert sorted(reports) == ["check_axioms_on_str", "classify_flabbiness"]
+    assert collections.Counter(reports) == {
+        "check_axioms_on_str": 1, "classify_flabbiness": 1,
+        "under_category": 4, "extension_data": 6, "lemma_witnesses": 6}
 
 
 def test_hokan_witnesses_pass(capsys):
@@ -171,6 +182,33 @@ def test_verify_reports_are_byte_identical(capsys):
     _, first = run(capsys, "verify", "--fixture", "fix-d")
     _, second = run(capsys, "verify", "--fixture", "fix-d")
     assert first == second
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # sets of names iterate in an order that PYTHONHASHSEED picks, so a
+    # report must come out the same from processes with different seeds
+    doc = load_bundled("fix-b")
+    doc["loc"]["causal_cospans"] = [["c1", "c2", "id_M1"]]
+    model = tmp_path / "three-legs.json"
+    model.write_text(json.dumps(doc))
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    commands = (("validate", str(model)), ("kan", "--fixture", "fix-b"))
+    procs = {
+        (command, seed): subprocess.Popen(
+            [sys.executable, "-m", "fibkan.cli", *command],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)})
+        for command in commands for seed in ("0", "3")}
+    runs = {key: (proc.communicate()[0], proc.returncode)
+            for key, proc in procs.items()}
+    for command in commands:
+        assert runs[(command, "0")] == runs[(command, "3")], command
+    (invalid, invalid_code), (_, kan_code) = (
+        runs[(command, "0")] for command in commands)
+    assert (invalid_code, kan_code) == (2, 0)
+    assert json.loads(invalid)["errors"] == [
+        "$.loc: causal cospan ['c1', 'c2', 'id_M1'] is not an array of two "
+        "morphism names"]
 
 
 def test_seed_order_flag(capsys):

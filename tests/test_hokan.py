@@ -230,7 +230,7 @@ def test_ext_pullback_homotopies():
     assert bad == []
 
 
-def test_ext_pullback_homotopies_nontrivial_witnesses():
+def test_ext_pullback_homotopies_nontrivial_witnesses(monkeypatch):
     # pair a normal-order cleavage with the reversed-order extension choice:
     # the triangle witnesses become the nontrivial fiber automorphism, which
     # separates the correct summation range of the second homotopy
@@ -238,7 +238,7 @@ def test_ext_pullback_homotopies_nontrivial_witnesses():
 
     m, hk = context("fix-d")
     ext_rev = extension_data(m.fibered("reversed"), m.loc, "f")
-    hk._ext["f"] = ext_rev
+    monkeypatch.setattr(hk, "extension", {"f": ext_rev}.__getitem__)
     into, outof = lemma_witnesses(hk.fm, m.loc, "f", ext_rev)
     assert into == {"N": "id_N.g"}
     assert outof == {"Np": "id_Np.g"}

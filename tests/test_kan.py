@@ -24,12 +24,12 @@ def test_u_object_z2_invariants():
     u = u_object(m.fibered(), m.A, "pt")
     # invariants of conjugation by diag(1,-1) inside M2: the diagonal
     assert u.dim == 2
-    assert u.algebra.violations() == []
+    assert u.dga.violations() == []
     # induced algebra is commutative
     for i in range(2):
         for j in range(2):
-            assert u.algebra.mul_basis(0, i, 0, j) \
-                == u.algebra.mul_basis(0, j, 0, i)
+            assert u.dga.mul_basis(0, i, 0, j) \
+                == u.dga.mul_basis(0, j, 0, i)
 
 
 def test_u_object_discrete_fiber():
@@ -74,7 +74,7 @@ def test_ran_under_matches_u_dimension():
         for M in m.loc.base.objects:
             ran = ran_under(fm, m.A, M)
             u = u_object(fm, m.A, M)
-            assert ran.invariants.dim == u.dim, (name, M)
+            assert ran.dim == u.dim, (name, M)
 
 
 def test_kappa_iso_all_fixtures_and_orders():

@@ -96,6 +96,58 @@ def test_model_non_functorial_matrices():
         model_from_dict(data)
 
 
+def test_misshaped_map_keeps_every_other_finding():
+    # a composition with a mis-shaped matrix is skipped, not multiplied, so
+    # the shape finding and the findings on the other maps all stay
+    data = load_bundled("fix-a")
+    data["algebra_maps"]["g"] = [["1", "0"], ["0", "1"]]
+    data["algebra_maps"]["id_x"] = [
+        ["2" if i == j else "0" for j in range(4)] for i in range(4)]
+    with pytest.raises(ModelError) as err:
+        model_from_dict(data)
+    pairs = ("0,0", "0,1", "1,2", "1,3", "2,0", "2,1", "3,2", "3,3")
+    assert err.value.errors == ["$.algebra_maps: " + "; ".join([
+        "identity of 'x' is not the identity matrix",
+        "morphism 'g': matrix shape does not match source/target dimensions",
+        "morphism 'id_x': unit not preserved",
+        *(f"morphism 'id_x': multiplicativity fails on basis pair ({p})"
+          for p in pairs),
+        "functoriality fails on composition ('id_x','id_x')"])]
+
+
+@pytest.mark.parametrize("key, value, errors", [
+    ("causal_cospans", [["c1", "c2", "id_M1"]],
+     ["causal cospan ['c1', 'c2', 'id_M1'] is not an array of two morphism "
+      "names"]),
+    ("causal_cospans", [["c1"]],
+     ["causal cospan ['c1'] is not an array of two morphism names"]),
+    ("causal_cospans", ["c1c2"],
+     ["causal cospan 'c1c2' is not an array of two morphism names"]),
+    ("causal_cospans", "c1c2", ["causal_cospans is not an array"]),
+    ("cauchy", "id_M", ["cauchy is not an array of morphism names"]),
+    ("causal_cospans", [["nope", "c1"]],
+     ["causal cospan ['c1', 'nope'] references unknown morphism"]),
+    ("cauchy", ["zz", "id_M", "aa", "id_M1", "id_M2", "mm"],
+     [f"cauchy morphism {f!r} unknown" for f in ("aa", "mm", "zz")]),
+])
+def test_loc_structure_is_read_in_a_fixed_order(key, value, errors):
+    # a cospan is an array of exactly two names and the Cauchy set an array
+    # of names; a string is not read character by character, and messages
+    # name a cospan by its sorted list, in an order no hash seed changes
+    data = load_bundled("fix-b")
+    data["loc"][key] = value
+    with pytest.raises(ModelError) as err:
+        model_from_dict(data)
+    assert err.value.errors == [f"$.loc: {e}" for e in errors]
+
+
+def test_cospan_may_repeat_a_leg():
+    data = load_bundled("fix-b")
+    data["loc"]["causal_cospans"] = [["c2", "c1"], ["c1", "c1"]]
+    assert model_from_dict(data).loc.causal_cospans == (
+        ("c1", "c2"), ("c1", "c1"))
+
+
 def test_model_without_cartesian_lift():
     # a second arrow T -> Sp over f leaves f with no cartesian lift into Sp
     data = load_bundled("fix-c")
