@@ -44,17 +44,20 @@ def _viol_status(ok):
 # --- per-command check runners ----------------------------------------------
 
 
-def checks_axioms(model: Model, order: str, max_degree: int):
-    fm = model.fibered(order)
-    report = axiom_report(fm, model.loc, model.A)
+def _axiom_findings(prefix, report):
     return [
-        _finding("qft-isotony", _viol_status(report.isotony),
+        _finding(f"{prefix}-isotony", _viol_status(report.isotony),
                  violations=list(report.isotony_violations)),
-        _finding("qft-causality", _viol_status(report.causality),
+        _finding(f"{prefix}-causality", _viol_status(report.causality),
                  violations=[list(v) for v in report.causality_violations]),
-        _finding("qft-timeslice", _viol_status(report.timeslice),
+        _finding(f"{prefix}-timeslice", _viol_status(report.timeslice),
                  violations=list(report.timeslice_violations)),
     ]
+
+
+def checks_axioms(model: Model, order: str, max_degree: int):
+    return _axiom_findings(
+        "qft", axiom_report(model.fibered(order), model.loc, model.A))
 
 
 def checks_classify(model: Model, order: str, max_degree: int):
@@ -77,15 +80,8 @@ def checks_classify(model: Model, order: str, max_degree: int):
 
 def checks_kan(model: Model, order: str, max_degree: int):
     fm = model.fibered(order)
-    out = []
     report = kan.check_induced_axioms(fm, model.loc, model.A)
-    out.append(_finding("kan-isotony", _viol_status(report.isotony),
-                        violations=list(report.isotony_violations)))
-    out.append(_finding("kan-causality", _viol_status(report.causality),
-                        violations=[list(v) for v in
-                                    report.causality_violations]))
-    out.append(_finding("kan-timeslice", _viol_status(report.timeslice),
-                        violations=list(report.timeslice_violations)))
+    out = _axiom_findings("kan", report.axioms)
     out.append(_finding("kan-functorial", _bool_status(report.functorial)))
     out.append(_finding(
         "kan-dimensions", PASS,

@@ -172,32 +172,33 @@ class AxiomReport:
         return self.isotony and self.causality and self.timeslice
 
 
+def check_axioms(A: QftFunctor, cospans, cauchy) -> AxiomReport:
+    """The three axioms of A on its own category: isotony on every arrow,
+    causality on the given ordered pairs of arrows with one target, and
+    time-slice on the given arrows."""
+    arrows = sorted(A.strcat.morphisms)
+    iso_bad = tuple(g for g in arrows if not is_mono(A.morphism(g)))
+    causal_bad = tuple(
+        (g1, g2, i, j) for g1, g2 in cospans
+        for i, j in noncommuting_pairs(A.morphism(g1), A.morphism(g2)))
+    ts_bad = tuple(g for g in sorted(cauchy) if not is_iso(A.morphism(g)))
+    return AxiomReport(not iso_bad, iso_bad, not causal_bad, causal_bad,
+                       not ts_bad, ts_bad)
+
+
 def check_axioms_on_str(fm: FiberedModel, loc: LocStructure,
                         A: QftFunctor) -> AxiomReport:
-    strcat = fm.strcat
-    iso_bad = tuple(
-        g for g in sorted(strcat.morphisms) if not is_mono(A.morphism(g))
-    )
-    causal_bad = []
+    """The axioms of A on Str: causality on both orientations of every pair
+    of arrows with one target over a declared cospan, time-slice on the
+    arrows over Cauchy morphisms."""
+    strcat, pi = fm.strcat, fm.pi
+    arrows = sorted(strcat.morphisms)
     declared = {frozenset(p) for p in loc.causal_cospans}
-    for g1 in sorted(strcat.morphisms):
-        for g2 in sorted(strcat.morphisms):
-            if strcat.target(g1) != strcat.target(g2):
-                continue
-            if frozenset((fm.pi.on_mor(g1), fm.pi.on_mor(g2))) not in declared:
-                continue
-            causal_bad.extend(
-                (g1, g2, i, j)
-                for i, j in noncommuting_pairs(A.morphism(g1), A.morphism(g2)))
-    ts_bad = tuple(
-        g for g in sorted(strcat.morphisms)
-        if fm.pi.on_mor(g) in loc.cauchy and not is_iso(A.morphism(g))
-    )
-    return AxiomReport(
-        not iso_bad, iso_bad,
-        not causal_bad, tuple(causal_bad),
-        not ts_bad, ts_bad,
-    )
+    pairs = [(g1, g2) for g1 in arrows for g2 in arrows
+             if strcat.target(g1) == strcat.target(g2)
+             and frozenset((pi.on_mor(g1), pi.on_mor(g2))) in declared]
+    return check_axioms(
+        A, pairs, [g for g in arrows if pi.on_mor(g) in loc.cauchy])
 
 
 def axiom_report(fm: FiberedModel, loc: LocStructure,

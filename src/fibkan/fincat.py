@@ -281,19 +281,25 @@ class UnderCategory:
     obj_info: dict    # name -> (S, h)
     mor_info: dict    # name -> (g, h_at_source)
 
-    def obj_name(self, S, h):
+    @staticmethod
+    def obj_name(S, h):
         return f"({S},{h})"
+
+    @staticmethod
+    def mor_name(g, h):
+        return f"({g},{h})"
 
 
 def under_category(pi: CatFunctor, M: str) -> UnderCategory:
     loc, strcat = pi.target, pi.source
     if M not in loc.objects:
         raise CategoryError(f"unknown base object {M!r}")
+    obj_name, mor_name = UnderCategory.obj_name, UnderCategory.mor_name
     obj_info = {}
     for S in strcat.objects:
         for h in loc.morphisms:
             if loc.source(h) == M and loc.target(h) == pi.on_obj(S):
-                obj_info[f"({S},{h})"] = (S, h)
+                obj_info[obj_name(S, h)] = (S, h)
     mor_info = {}
     morphisms = []
     identity = {}
@@ -303,8 +309,8 @@ def under_category(pi: CatFunctor, M: str) -> UnderCategory:
                 continue
             h_target = loc.comp(pi.on_mor(g), h)
             src = name
-            tgt = f"({m.target},{h_target})"
-            mname = f"({g},{h})"
+            tgt = obj_name(m.target, h_target)
+            mname = mor_name(g, h)
             mor_info[mname] = (g, h)
             morphisms.append(Morphism(mname, src, tgt))
             if g == strcat.id_of(S):
@@ -317,7 +323,7 @@ def under_category(pi: CatFunctor, M: str) -> UnderCategory:
                 continue
             g2, _ = mor_info[m2.name]
             g1, h1 = mor_info[m1.name]
-            compose[(m2.name, m1.name)] = f"({strcat.comp(g2, g1)},{h1})"
+            compose[(m2.name, m1.name)] = mor_name(strcat.comp(g2, g1), h1)
     cat = FinCategory(sorted(obj_info), [by_name[k] for k in sorted(by_name)],
                       identity, compose)
     proj = CatFunctor(cat, strcat,

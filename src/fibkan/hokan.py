@@ -220,7 +220,7 @@ class HoKan:
         return _induced_map(
             self.horan_object(M), self.hou_object(M),
             lambda S: (under.obj_name(S, id_M), None),
-            lambda g: f"({g},{id_M})")
+            lambda g: under.mor_name(g, id_M))
 
     @_kept
     def zeta(self, M: str) -> GradedLinearMap:
@@ -239,8 +239,10 @@ class HoKan:
         id_M = self.fm.loc.id_of(M)
         return _prism(
             self.horan_object(M),
-            lambda obj: f"({self.fm.lift(*under.obj_info[obj])[1]},{id_M})",
-            lambda g: f"({under_pullback_arrow(self.fm, under, g)},{id_M})")
+            lambda obj: under.mor_name(
+                self.fm.lift(*under.obj_info[obj])[1], id_M),
+            lambda g: under.mor_name(
+                under_pullback_arrow(self.fm, under, g), id_M))
 
     # --- product reversal ---------------------------------------------------
 
@@ -304,7 +306,7 @@ class HoKan:
 
         def arrow(name):
             g, h = under_t.mor_info[name]
-            return f"({g},{base.comp(h, f)})"
+            return under_t.mor_name(g, base.comp(h, f))
 
         return _induced_map(
             self.horan_object(base.source(f)),

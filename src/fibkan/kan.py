@@ -6,7 +6,9 @@ algebras over the fiber (equivalently, over the under-category): the limit
 The homotopy extension in ``hokan`` takes the homotopy limit of the same
 diagrams and transports along the same cleavage. The comparison isomorphism
 with the under-category limit and the counit projections are computed as
-matrices and checked exactly.
+matrices and checked exactly. With the induced maps on invariants, the
+extension is a ``QftFunctor`` on the base (``induced_qft``), so
+``finalg.check_axioms`` checks its axioms as it checks the input functor's.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dg
-from .finalg import (
-    AlgMorphism,
-    AxiomReport,
-    QftFunctor,
-    axiom_report,
-    noncommuting_pairs,
-)
+from .finalg import AxiomReport, QftFunctor, axiom_report, check_axioms
 from .fincat import (
     FiberedModel,
     FlabbinessReport,
@@ -28,7 +24,7 @@ from .fincat import (
     connected_components,
     flabbiness_report,
 )
-from .qlinalg import QMatrix, rank
+from .qlinalg import QMatrix
 
 
 class KanError(ValueError):
@@ -162,82 +158,49 @@ def pullback_dimension_check(fm: FiberedModel, A: QftFunctor, M: str,
     return u.dim == expected
 
 
+def induced_qft(fm: FiberedModel, A: QftFunctor) -> QftFunctor:
+    """The strict extension as a functor on the base: the fiber invariants
+    at every object and the induced map along every morphism."""
+    base = fm.loc
+    u_at = u_objects(fm, A)
+    return QftFunctor(base, {M: u.dga for M, u in u_at.items()}, {
+        f: u_morphism(fm, A, f, u_at[base.source(f)], u_at[base.target(f)])
+        for f in base.morphisms})
+
+
 @dataclass(frozen=True)
 class KanReport:
     qft_axioms: AxiomReport
     flabbiness: FlabbinessReport
     u_dims: dict  # base object -> dimension of its invariants
-    isotony: bool
-    isotony_violations: tuple
-    causality: bool
-    causality_violations: tuple
-    timeslice: bool
-    timeslice_violations: tuple
+    axioms: AxiomReport  # of the induced functor on the base
     functorial: bool
     isotony_iff_flabby: bool | None
 
     @property
     def all_pass(self) -> bool:
-        return (self.isotony and self.causality and self.timeslice
-                and self.functorial)
+        return self.axioms.all_pass and self.functorial
 
 
 def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
                          A: QftFunctor) -> KanReport:
-    """Check the three axioms for the induced functor on the base category.
+    """Check the induced functor on the base category: its three axioms, by
+    the routine that checks the input functor, and its functor laws.
 
     Injectivity of the induced maps is equivalent to flabbiness whenever the
     input functor satisfies its own three axioms; the report records both
     sides and their agreement.
     """
-    base = fm.loc
     qft = axiom_report(fm, loc, A)
     flab = flabbiness_report(fm, loc)
-
-    u_at = u_objects(fm, A)
-    u_maps = {
-        f: u_morphism(fm, A, f, u_at[base.source(f)], u_at[base.target(f)])
-        for f in base.morphisms
-    }
-
-    injective = {f: rank(u_maps[f]) == u_at[base.source(f)].dim
-                 for f in base.morphisms}
-    iso_bad = tuple(f for f in sorted(base.morphisms) if not injective[f])
-    ts_bad = tuple(
-        f for f in sorted(loc.cauchy)
-        if u_at[base.source(f)].dim != u_at[base.target(f)].dim
-        or not injective[f]
-    )
-    causal_bad = []
-    for f1, f2 in loc.causal_cospans:
-        legs = (AlgMorphism(u_at[base.source(f)].dga,
-                            u_at[base.target(f)].dga, u_maps[f])
-                for f in (f1, f2))
-        causal_bad.extend(
-            (f1, f2, i, j) for i, j in noncommuting_pairs(*legs))
-
-    functorial = all(
-        u_maps[base.id_of(M)] == QMatrix.identity(u_at[M].dim)
-        for M in base.objects
-    ) and all(
-        u_maps[g] * u_maps[f] == u_maps[h]
-        for (g, f), h in base.compose.items()
-    )
-
-    iff = None
-    if qft.all_pass:
-        iff = (not iso_bad) == flab.flabby
-
+    U = induced_qft(fm, A)
+    axioms = check_axioms(U, loc.causal_cospans, loc.cauchy)
     return KanReport(
         qft_axioms=qft,
         flabbiness=flab,
-        u_dims={M: u.dim for M, u in u_at.items()},
-        isotony=not iso_bad,
-        isotony_violations=iso_bad,
-        causality=not causal_bad,
-        causality_violations=tuple(causal_bad),
-        timeslice=not ts_bad,
-        timeslice_violations=ts_bad,
-        functorial=functorial,
-        isotony_iff_flabby=iff,
+        u_dims={M: u.dim for M, u in u_objects(fm, A).items()},
+        axioms=axioms,
+        functorial=not U.violations(),
+        isotony_iff_flabby=(axioms.isotony == flab.flabby
+                            if qft.all_pass else None),
     )

@@ -40,6 +40,9 @@ def _category_from_dict(data, path):
         morphisms = [
             (m["name"], m["source"], m["target"]) for m in data["morphisms"]
         ]
+        for name in (*data["objects"], *(x for m in morphisms for x in m)):
+            if not isinstance(name, str):
+                raise TypeError(f"name {name!r} is not a string")
         compose = {(g, f): h for g, f, h in data["compose"]}
         cat = FinCategory(data["objects"], morphisms, data["identity"], compose)
         violations = cat.violations()

@@ -251,8 +251,9 @@ def _echelon(rows, columns):
 
 
 def rank(m: QMatrix) -> int:
-    _, pivots = _echelon(m.by_row.values(), range(m.cols))
-    return len(pivots)
+    """cols - nullity, read from the kernel the matrix keeps, so a matrix
+    asked for its rank again, or for its kernel, is not eliminated again."""
+    return m.cols - kernel_basis(m).dim
 
 
 @dataclass(frozen=True)

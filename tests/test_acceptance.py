@@ -109,14 +109,16 @@ def test_induced_isotony_iff_flabby():
         fm = m.fibered("normal")
         report = kan.check_induced_axioms(fm, m.loc, m.A)
         assert report.isotony_iff_flabby is True, name
-        assert report.isotony == classify_flabbiness(fm, m.loc).flabby, name
+        assert report.axioms.isotony \
+            == classify_flabbiness(fm, m.loc).flabby, name
     m, _ = context("fix-bprime")
     report = kan.check_induced_axioms(m.fibered("normal"), m.loc, m.A)
     assert report.isotony_iff_flabby is None
     # the non-flabby model is the one that loses isotony
     m, _ = context("fix-c")
     report = kan.check_induced_axioms(m.fibered("normal"), m.loc, m.A)
-    assert report.isotony is False and "f" in report.isotony_violations
+    assert report.axioms.isotony is False
+    assert "f" in report.axioms.isotony_violations
 
 
 def test_comparison_retraction_and_homotopy_inverse():

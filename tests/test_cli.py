@@ -92,13 +92,15 @@ def test_verify_builds_each_fiber_invariant_once(capsys, monkeypatch):
         return real(fm, A, M)
 
     monkeypatch.setattr(kan, "u_object", counting)
-    # the axiom and flabbiness reports are each built once per model, the
+    # the axiom and flabbiness reports are each built once per model, one
+    # axiom checker serves the input functor and the induced one, the
     # under-categories once per base object, and the extension data and
     # triangle witnesses once per Cauchy arrow, under every name a module
     # binds them to
     from fibkan import finalg, fincat, hokan
     reports = []
     for name, owner in (("check_axioms_on_str", finalg),
+                        ("check_axioms", finalg),
                         ("classify_flabbiness", fincat),
                         ("under_category", fincat),
                         ("extension_data", fincat),
@@ -117,7 +119,7 @@ def test_verify_builds_each_fiber_invariant_once(capsys, monkeypatch):
     assert statuses(out)["h0-comparison"] == "pass"
     assert sorted(built) == ["M0", "M1", "M2", "M3"]
     assert collections.Counter(reports) == {
-        "check_axioms_on_str": 1, "classify_flabbiness": 1,
+        "check_axioms_on_str": 1, "check_axioms": 2, "classify_flabbiness": 1,
         "under_category": 4, "extension_data": 6, "lemma_witnesses": 6}
 
 
@@ -263,6 +265,20 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     assert any("x" in e for e in json.loads(out)["errors"])
 
 
+def number_named(doc):
+    """doc with the base morphism f renamed to the JSON number 5."""
+    loc = doc["loc"]
+    for m in loc["morphisms"]:
+        if m["name"] == "f":
+            m["name"] = 5
+    loc["compose"] = [[5 if x == "f" else x for x in entry]
+                      for entry in loc["compose"]]
+    doc["projection"]["morphisms"] = {
+        g: 5 if h == "f" else h
+        for g, h in doc["projection"]["morphisms"].items()}
+    return doc
+
+
 @pytest.mark.parametrize("name, path, value", [
     ("fix-a", ("algebras", "x"), [1]),
     ("fix-a", ("algebras", "x", "structure_constants"), 3),
@@ -281,6 +297,8 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     ("fix-a", ("algebra_maps", "id_x"), ["1000", "0100", "0010", "0001"]),
     ("fix-c", ("algebras", "S", "structure_constants"), ["1"]),
     ("fix-c", ("algebra_maps", "u"), {"1": "1"}),
+    # a name is a JSON string, never a number
+    ("fix-c", ("loc",), number_named(load_bundled("fix-c"))["loc"]),
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_malformed_value_in_a_section_exits_2(tmp_path, capsys, name, path,
                                               value):
@@ -295,6 +313,17 @@ def test_malformed_value_in_a_section_exits_2(tmp_path, capsys, name, path,
     assert code == 2
     errors = json.loads(out)["errors"]
     assert errors and all(e.startswith(f"$.{path[0]}") for e in errors)
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "axioms", "classify", "kan", "hokan", "verify"])
+def test_number_named_morphism_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "number.json"
+    path.write_text(json.dumps(number_named(load_bundled("fix-c"))))
+    code, out = run(capsys, command, str(path), "--max-degree", "2")
+    assert code == 2
+    assert json.loads(out)["errors"] == [
+        "$.loc: malformed category data (name 5 is not a string)"]
 
 
 def non_groupoid_model():

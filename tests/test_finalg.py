@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fibkan import qlinalg
 from fibkan.dg import Complex, Dga
 from fibkan.finalg import (
     AlgebraError,
@@ -101,6 +102,25 @@ def test_is_mono_detects_kernel():
     assert not is_iso(mor)
     collapse = AlgMorphism(two, one, QMatrix.from_rows([[rat(1), rat(0)]]))
     assert not is_mono(collapse)
+
+
+def test_mono_then_iso_on_one_matrix_eliminates_once(monkeypatch):
+    # rank reads the kernel the matrix keeps, so a Cauchy arrow checked for
+    # isotony and then time-slice is eliminated once
+    alg = m2()
+    mor = AlgMorphism(alg, alg, QMatrix.from_rows(
+        [[rat(int(i == j) * (-1) ** (i in (1, 2))) for j in range(4)]
+         for i in range(4)]))
+    calls = []
+    echelon = qlinalg._echelon
+
+    def counted(rows, columns):
+        calls.append(columns)
+        return echelon(rows, columns)
+
+    monkeypatch.setattr(qlinalg, "_echelon", counted)
+    assert is_mono(mor) and is_iso(mor)
+    assert len(calls) == 1
 
 
 def test_axioms_pass_on_valid_models():

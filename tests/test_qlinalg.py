@@ -115,6 +115,9 @@ def matrices(draw):
 @given(matrices())
 def test_rank_nullity(m):
     assert rank(m) + kernel_basis(m).dim == m.cols
+    # rank reads the kept kernel; a left-to-right elimination counts pivots
+    _, pivots = qlinalg._echelon(m.by_row.values(), range(m.cols))
+    assert rank(m) == len(pivots)
 
 
 @settings(max_examples=60, deadline=None)
