@@ -107,15 +107,15 @@ def checks_kan(model: Model, order: str, max_degree: int):
     return out
 
 
-def _per_key(keys, check):
-    """(all pass, detail) over keys, where check(key) lists what fails."""
+def _per_key(name, kind, keys, check):
+    """The finding name with its outcome at each key under kind, where
+    check(key) lists what fails there."""
     detail = {}
-    ok = True
     for key in keys:
         bad = check(key)
         detail[key] = PASS if not bad else f"failing degrees {bad}"
-        ok = ok and not bad
-    return ok, detail
+    ok = all(v == PASS for v in detail.values())
+    return _finding(name, _bool_status(ok), **{kind: detail})
 
 
 def checks_hokan(model: Model, order: str, max_degree: int):
@@ -139,47 +139,30 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     out.append(_finding("dga-structure", _bool_status(ok),
                         violation_counts=structural))
 
-    def maps_equal(f, g, up_to):
-        return [n for n in range(up_to + 1) if f.matrix(n) != g.matrix(n)]
+    def identity(M):
+        return dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex)
 
-    ok, detail = _per_key(objects, lambda M: maps_equal(
-        hk.kappa(M).after(hk.zeta(M)),
-        dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex), top))
-    out.append(_finding("kappa-zeta-identity", _bool_status(ok),
-                        objects=detail))
-
-    ok, detail = _per_key(objects, lambda M: dg.check_homotopy_identity(
-        hk.zeta(M).after(hk.kappa(M)),
-        dg.GradedLinearMap.identity(hk.horan_object(M).dga.complex),
-        hk.eta_homotopy(M), top - 1))
-    out.append(_finding("eta-homotopy", _bool_status(ok), objects=detail))
-
-    ok, detail = _per_key(objects, lambda M: [] if dg.is_weak_equivalence(
-        hk.kappa(M), top - 1) else ["not a weak equivalence"])
-    out.append(_finding("kappa-weak-equivalence", _bool_status(ok),
-                        objects=detail))
-
-    ok, detail = _per_key(objects, lambda M: maps_equal(
-        hk.rho(M).after(hk.rho(M)),
-        dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex), top))
-    out.append(_finding("rho-involution", _bool_status(ok), objects=detail))
-
-    ok, detail = _per_key(objects, lambda M: dg.check_homotopy_identity(
-        hk.rho(M),
-        dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex),
-        hk.beta_homotopy(M), top - 1))
-    out.append(_finding("beta-homotopy", _bool_status(ok), objects=detail))
-
-    ok, detail = _per_key(objects, lambda M: maps_equal(
-        hk.hou_morphism(base.id_of(M)),
-        dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex), top))
-    out.append(_finding("hou-identity", _bool_status(ok), objects=detail))
-
-    def h0_check(M):
-        return [] if hk.h0_subspace(M) == kan.u_objects(fm, model.A)[M].subspace \
-            else ["degree-0 cocycles differ from the invariants"]
-    ok, detail = _per_key(objects, h0_check)
-    out.append(_finding("h0-comparison", _bool_status(ok), objects=detail))
+    per_object = {
+        "kappa-zeta-identity": lambda M: dg.failing_degrees(
+            hk.kappa(M).after(hk.zeta(M)), identity(M), top),
+        "eta-homotopy": lambda M: dg.check_homotopy_identity(
+            hk.zeta(M).after(hk.kappa(M)),
+            dg.GradedLinearMap.identity(hk.horan_object(M).dga.complex),
+            hk.eta_homotopy(M), top - 1),
+        "kappa-weak-equivalence": lambda M: [] if dg.is_weak_equivalence(
+            hk.kappa(M), top - 1) else ["not a weak equivalence"],
+        "rho-involution": lambda M: dg.failing_degrees(
+            hk.rho(M).after(hk.rho(M)), identity(M), top),
+        "beta-homotopy": lambda M: dg.check_homotopy_identity(
+            hk.rho(M), identity(M), hk.beta_homotopy(M), top - 1),
+        "hou-identity": lambda M: dg.failing_degrees(
+            hk.hou_morphism(base.id_of(M)), identity(M), top),
+        "h0-comparison": lambda M: [] if hk.h0_subspace(M)
+        == kan.u_objects(fm, model.A)[M].subspace
+        else ["degree-0 cocycles differ from the invariants"],
+    }
+    out.extend(_per_key(name, "objects", objects, check)
+               for name, check in per_object.items())
 
     arrows = sorted(g for g in base.morphisms if not base.is_identity(g))
     pairs = {f"{g} after {f}": (g, f) for g in arrows for f in arrows
@@ -192,8 +175,7 @@ def checks_hokan(model: Model, order: str, max_degree: int):
         return dg.check_homotopy_identity(
             lhs, dg.GradedLinearMap.zero(lhs.source, lhs.target),
             hk.gamma2(g, f), top - 1)
-    ok, detail = _per_key(pairs, gamma2_check)
-    out.append(_finding("gamma2-homotopy", _bool_status(ok), pairs=detail))
+    out.append(_per_key("gamma2-homotopy", "pairs", pairs, gamma2_check))
 
     triples = {
         f"{h} after {g} after {f}": (h, g, f)
@@ -208,34 +190,27 @@ def checks_hokan(model: Model, order: str, max_degree: int):
                - hk.gamma2(base.comp(h, g), f)
                - hk.gamma2(h, g).after(hk.hou_morphism(f)))
         return check_square_homotopy(lhs, hk.gamma3(h, g, f), top - 2)
-    ok, detail = _per_key(triples, gamma3_check)
-    out.append(_finding("gamma3-coherence", _bool_status(ok), triples=detail))
+    out.append(_per_key("gamma3-coherence", "triples", triples, gamma3_check))
 
     cauchy = sorted(f for f in model.loc.cauchy if not base.is_identity(f))
-    if not flab.strongly_cauchy_flabby:
-        reason = "model is not strongly Cauchy flabby"
-        out.append(_finding("ext-phi-homotopy", BLOCKED, reason=reason))
-        out.append(_finding("ext-phibar-homotopy", BLOCKED, reason=reason))
-    elif not cauchy:
-        reason = "no non-identity Cauchy morphisms"
-        out.append(_finding("ext-phi-homotopy", BLOCKED, reason=reason))
-        out.append(_finding("ext-phibar-homotopy", BLOCKED, reason=reason))
+    if not flab.strongly_cauchy_flabby or not cauchy:
+        reason = ("no non-identity Cauchy morphisms"
+                  if flab.strongly_cauchy_flabby
+                  else "model is not strongly Cauchy flabby")
+        out.extend(_finding(name, BLOCKED, reason=reason)
+                   for name in ("ext-phi-homotopy", "ext-phibar-homotopy"))
     else:
         ext_hou = {f: (hk.ext_pullback(f), hk.hou_morphism(f)) for f in cauchy}
-
-        def identity(M):
-            return dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex)
-
-        ok, detail = _per_key(cauchy, lambda f: dg.check_homotopy_identity(
-            ext_hou[f][0].after(ext_hou[f][1]), identity(base.source(f)),
-            hk.phi_homotopy(f), top - 1))
-        out.append(_finding("ext-phi-homotopy", _bool_status(ok),
-                            morphisms=detail))
-        ok, detail = _per_key(cauchy, lambda f: dg.check_homotopy_identity(
-            ext_hou[f][1].after(ext_hou[f][0]), identity(base.target(f)),
-            hk.phibar_homotopy(f), top - 1))
-        out.append(_finding("ext-phibar-homotopy", _bool_status(ok),
-                            morphisms=detail))
+        out.append(_per_key(
+            "ext-phi-homotopy", "morphisms", cauchy,
+            lambda f: dg.check_homotopy_identity(
+                ext_hou[f][0].after(ext_hou[f][1]), identity(base.source(f)),
+                hk.phi_homotopy(f), top - 1)))
+        out.append(_per_key(
+            "ext-phibar-homotopy", "morphisms", cauchy,
+            lambda f: dg.check_homotopy_identity(
+                ext_hou[f][1].after(ext_hou[f][0]), identity(base.target(f)),
+                hk.phibar_homotopy(f), top - 1)))
 
     cospans = model.loc.causal_cospans
     if not cospans:

@@ -46,9 +46,6 @@ class Complex:
     def dim(self, n: int) -> int:
         return len(self.labels.get(n, ()))
 
-    def index(self, n: int, label) -> int:
-        return self.pos[n][label]
-
     def d(self, n: int) -> QMatrix:
         m = self.differentials.get(n)
         if m is None:
@@ -138,19 +135,31 @@ class GradedLinearMap:
         return True
 
 
+def failing_degrees(lhs: GradedLinearMap, rhs: GradedLinearMap, up_to: int):
+    """Degrees n <= up_to where lhs and rhs differ; empty means equal."""
+    return [n for n in range(up_to + 1) if lhs.matrix(n) != rhs.matrix(n)]
+
+
 def check_homotopy_identity(lhs: GradedLinearMap, rhs: GradedLinearMap,
                             homotopy: GradedLinearMap, up_to: int):
-    """Degrees n <= up_to where lhs - rhs != d*H + H*d; empty means verified."""
-    if lhs.shift != 0 or rhs.shift != 0 or homotopy.shift != -1:
-        raise ComplexError("homotopy identity expects two shift-0 maps and a shift -1 map")
+    """Degrees n <= up_to where lhs - rhs != d*H - (-1)^s H*d for a homotopy
+    H of shift s between two maps of shift s + 1; empty means verified.
+
+    The term d*H enters where n + s >= 0.
+    """
+    s = homotopy.shift
+    if lhs.shift != s + 1 or rhs.shift != s + 1:
+        raise ComplexError(f"homotopy identity expects two shift {s + 1}"
+                           f" maps and a shift {s} map")
     src, tgt = lhs.source, lhs.target
     bad = []
     for n in range(up_to + 1):
-        want = lhs.matrix(n) - rhs.matrix(n)
         got = homotopy.matrix(n + 1) * src.d(n)
-        if n > 0:
-            got = got + tgt.d(n - 1) * homotopy.matrix(n)
-        if want != got:
+        if s % 2 == 0:
+            got = -got
+        if n + s >= 0:
+            got = got + tgt.d(n + s) * homotopy.matrix(n)
+        if lhs.matrix(n) - rhs.matrix(n) != got:
             bad.append(n)
     return bad
 
@@ -442,11 +451,7 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
                     data[(row, cols[(tail, j)])] = v
                 for t, s in faces:
                     key = (row, cols[(t, k)])
-                    w = data.get(key, 0) + s
-                    if w:
-                        data[key] = w
-                    else:
-                        data.pop(key, None)
+                    data[key] = data.get(key, 0) + s
         cx.differentials[n] = QMatrix(cx.dim(n + 1), cx.dim(n), data)
 
     # the slots (index, anchor, k) of each degree by the object of their
@@ -538,11 +543,7 @@ def lim_dgalg(diagram: DgaDiagram) -> LimDga:
             data[(row + i, src + j)] = v
         for i in range(mat.rows):
             key = (row + i, tgt + i)
-            w = data.get(key, 0) - ONE
-            if w:
-                data[key] = w
-            else:
-                data.pop(key, None)
+            data[key] = data.get(key, 0) - ONE
         row += mat.rows
     subspace = kernel_basis(QMatrix(row, len(ambient_labels), data))
 
@@ -638,33 +639,28 @@ def tensor_map(f: GradedLinearMap, g: GradedLinearMap,
     return GradedLinearMap(source, target, f.shift + g.shift, maps)
 
 
-def mu_map(dga: Dga, tensor: TensorComplex) -> GradedLinearMap:
-    """The multiplication of a dg-algebra as a map from its tensor square."""
+def _product_map(dga: Dga, tensor: TensorComplex, product) -> GradedLinearMap:
+    """The map from a tensor square that sends the slot (p1, i, j) of degree
+    p to product(p1, i, p - p1, j)."""
     cx = dga.complex
     maps = {}
-    for p in range(tensor.max_degree + 1):
-        if p > cx.max_degree:
-            break
+    for p in range(min(tensor.max_degree, cx.max_degree) + 1):
         data = {}
         for col, (p1, i, j) in enumerate(tensor.labels[p]):
-            for k, v in dga.mul_basis(p1, i, p - p1, j).items():
+            for k, v in product(p1, i, p - p1, j).items():
                 data[(k, col)] = v
         maps[p] = QMatrix(cx.dim(p), tensor.dim(p), data)
     return GradedLinearMap(tensor, cx, 0, maps)
 
 
+def mu_map(dga: Dga, tensor: TensorComplex) -> GradedLinearMap:
+    """The multiplication of a dg-algebra as a map from its tensor square."""
+    return _product_map(dga, tensor, dga.mul_basis)
+
+
 def muop_map(dga: Dga, tensor: TensorComplex) -> GradedLinearMap:
     """The opposite multiplication with the Koszul sign (-1)^{p1 * p2}."""
-    cx = dga.complex
-    maps = {}
-    for p in range(tensor.max_degree + 1):
-        if p > cx.max_degree:
-            break
-        data = {}
-        for col, (p1, i, j) in enumerate(tensor.labels[p]):
-            p2 = p - p1
-            sign = ONE if (p1 * p2) % 2 == 0 else -ONE
-            for k, v in dga.mul_basis(p2, j, p1, i).items():
-                data[(k, col)] = sign * v
-        maps[p] = QMatrix(cx.dim(p), tensor.dim(p), data)
-    return GradedLinearMap(tensor, cx, 0, maps)
+    def product(p1, i, p2, j):
+        vec = dga.mul_basis(p2, j, p1, i)
+        return {k: -v for k, v in vec.items()} if p1 * p2 % 2 else vec
+    return _product_map(dga, tensor, product)

@@ -465,33 +465,18 @@ def build_fibered_model(pi: CatFunctor, order: str = "normal") -> FiberedModel:
 # --- pullbacks of arrows -------------------------------------------------
 
 
-def pullback_fiber_square(fm: FiberedModel, f: str, g_prime: str) -> str:
-    """Fiber morphism g over M with lift(target) after g = g_prime after lift(source).
+def pullback_fiber_square(fm: FiberedModel, f: str, g: str) -> str:
+    """The fiber arrow over source(f) closing the cleavage square of g.
 
-    g_prime is a fiber morphism over M' and f: M -> M'; the result is the
-    unique arrow f*S1' -> f*S0' making the cleavage square commute.
+    g: S1 -> S0 is an arrow of Str with pi(S1) = target(f); the result is the
+    unique arrow f*S1 -> (pi(g) after f)*S0 with lift(S0, pi(g) after f)
+    after it equal to g after lift(S1, f).
     """
-    strcat = fm.strcat
-    M = fm.loc.source(f)
-    S0, S1 = strcat.target(g_prime), strcat.source(g_prime)
-    _, lift0 = fm.lift(S0, f)
-    _, lift1 = fm.lift(S1, f)
-    return fm.solve_cartesian(lift0, strcat.comp(g_prime, lift1), fm.loc.id_of(M))
-
-
-def under_pullback_arrow(fm: FiberedModel, under: UnderCategory,
-                         name: str) -> str:
-    """The fiber arrow attached to an under-category arrow.
-
-    The arrow g: (S1, h1) -> (S0, h0) is replaced by the unique fiber arrow
-    h1*S1 -> h0*S0 closing the cleavage square.
-    """
-    strcat = fm.strcat
-    g, h1 = under.mor_info[name]
-    _, lift0 = fm.lift(*under.obj_info[under.cat.target(name)])
-    _, lift1 = fm.lift(strcat.source(g), h1)
+    strcat, base = fm.strcat, fm.loc
+    _, lift0 = fm.lift(strcat.target(g), base.comp(fm.pi.on_mor(g), f))
+    _, lift1 = fm.lift(strcat.source(g), f)
     return fm.solve_cartesian(lift0, strcat.comp(g, lift1),
-                              fm.loc.id_of(fm.loc.source(h1)))
+                              base.id_of(base.source(f)))
 
 
 # --- flabbiness ----------------------------------------------------------
@@ -513,6 +498,14 @@ def _extensions(fm: FiberedModel, S: str, f: str):
         g for g, m in strcat.morphisms.items()
         if m.source == S and fm.pi.on_mor(g) == f
     )
+
+
+def _closings(fm: FiberedModel, g: str, y: str):
+    """The arrows x of the fiber over pi(target(y)) with x after g = y."""
+    strcat = fm.strcat
+    fiber = fm.fiber(fm.pi.on_obj(strcat.target(y)))
+    return [x for x in fiber.hom(strcat.target(g), strcat.target(y))
+            if strcat.comp(x, g) == y]
 
 
 def classify_flabbiness(fm: FiberedModel, loc: LocStructure) -> FlabbinessReport:
@@ -538,14 +531,9 @@ def classify_flabbiness(fm: FiberedModel, loc: LocStructure) -> FlabbinessReport
             if not exts:
                 cauchy_ok, cauchy_ce = False, (S, f)
                 continue
-            M_prime = base.target(f)
-            fiber = fm.fiber(M_prime)
             for g in exts:
                 for g_tilde in exts:
-                    closing = [
-                        gp for gp in fiber.hom(strcat.target(g), strcat.target(g_tilde))
-                        if strcat.comp(gp, g) == g_tilde
-                    ]
+                    closing = _closings(fm, g, g_tilde)
                     if not closing:
                         cauchy_ok, cauchy_ce = False, (S, f, g, g_tilde)
                     elif len(closing) > 1:
@@ -587,23 +575,18 @@ def extension_data(fm: FiberedModel, loc: LocStructure, f: str) -> ExtensionData
             raise FiberedModelError(f"no extension of {S!r} along {f!r}")
         f_sharp = pick(exts)
         obj_map[S] = (strcat.target(f_sharp), f_sharp)
-    fiber_prime = fm.fiber(M_prime)
     mor_map = {}
     for g in fm.fiber(M).morphisms:
-        S, S_tilde = strcat.source(g), strcat.target(g)
-        ext_S, sharp_S = obj_map[S]
-        ext_St, sharp_St = obj_map[S_tilde]
-        candidates = [
-            gp for gp in fiber_prime.hom(ext_S, ext_St)
-            if strcat.comp(gp, sharp_S) == strcat.comp(sharp_St, g)
-        ]
+        _, sharp_S = obj_map[strcat.source(g)]
+        _, sharp_St = obj_map[strcat.target(g)]
+        candidates = _closings(fm, sharp_S, strcat.comp(sharp_St, g))
         if len(candidates) != 1:
             raise FiberedModelError(
                 f"extension of {g!r} along {f!r} is not unique ({len(candidates)} found)"
             )
         mor_map[g] = candidates[0]
     # functoriality
-    fiber = fm.fiber(M)
+    fiber, fiber_prime = fm.fiber(M), fm.fiber(M_prime)
     for S in fiber.objects:
         if mor_map[fiber.id_of(S)] != fiber_prime.id_of(obj_map[S][0]):
             raise FiberedModelError(
@@ -623,7 +606,7 @@ def lemma_witnesses(fm: FiberedModel, loc: LocStructure, f: str,
     f_* after it equal to f_sharp; outof[S'] is the fiber arrow
     S' -> ext_f f*S' with it after f_* equal to f_sharp at f*S'.
     """
-    strcat, base = fm.strcat, fm.loc
+    base = fm.loc
     M, M_prime = base.source(f), base.target(f)
     into = {}
     for S in fm.fiber(M).objects:
@@ -631,14 +614,9 @@ def lemma_witnesses(fm: FiberedModel, loc: LocStructure, f: str,
         _, lift = fm.lift(ext_S, f)
         into[S] = fm.solve_cartesian(lift, f_sharp, base.id_of(M))
     outof = {}
-    fiber_prime = fm.fiber(M_prime)
-    for S_prime in fiber_prime.objects:
+    for S_prime in fm.fiber(M_prime).objects:
         pb, lift = fm.lift(S_prime, f)
-        ext_pb, f_sharp = ext.obj_map[pb]
-        candidates = [
-            gp for gp in fiber_prime.hom(S_prime, ext_pb)
-            if strcat.comp(gp, lift) == f_sharp
-        ]
+        candidates = _closings(fm, lift, ext.obj_map[pb][1])
         if len(candidates) != 1:
             raise FiberedModelError(
                 f"triangle witness at {S_prime!r} not unique ({len(candidates)} found)"

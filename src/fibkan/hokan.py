@@ -26,7 +26,6 @@ from .fincat import (
     extension_data,
     lemma_witnesses,
     pullback_fiber_square,
-    under_pullback_arrow,
 )
 from .qlinalg import ONE, QMatrix, Subspace, invert, kernel_basis
 
@@ -88,11 +87,7 @@ def _rule_map(source: Dga, target: Dga, shift: int, rule) -> GradedLinearMap:
                                for (i, j), v in matrix.data.items())
                 for i, j, v in entries:
                     key = (pos_out[(anchor, i)], pos_in[(anchor_in, j)])
-                    w = data.get(key, 0) + v
-                    if w:
-                        data[key] = w
-                    else:
-                        data.pop(key, None)
+                    data[key] = data.get(key, 0) + v
         maps[n_in] = QMatrix(cx_t.dim(n_out), cx_s.dim(n_in), data)
     return GradedLinearMap(cx_s, cx_t, shift, maps)
 
@@ -186,12 +181,11 @@ class HoKan:
     """
 
     def __init__(self, fm: FiberedModel, loc: LocStructure, A: QftFunctor,
-                 max_degree: int | None = None):
+                 max_degree: int):
         self.fm = fm
         self.loc = loc
         self.A = A
-        self.max_degree = check_max_degree(
-            default_max_degree() if max_degree is None else max_degree)
+        self.max_degree = check_max_degree(max_degree)
         self._values = {}
 
     # --- objects -----------------------------------------------------------
@@ -222,6 +216,12 @@ class HoKan:
             lambda S: (under.obj_name(S, id_M), None),
             lambda g: under.mor_name(g, id_M))
 
+    def _under_square(self, under, name: str) -> str:
+        """The fiber arrow closing the cleavage square of an under-category
+        arrow (g, h)."""
+        g, h = under.mor_info[name]
+        return pullback_fiber_square(self.fm, h, g)
+
     @_kept
     def zeta(self, M: str) -> GradedLinearMap:
         """Extension of a fiber cochain by cleavage transport."""
@@ -230,7 +230,7 @@ class HoKan:
             self.hou_object(M), self.horan_object(M),
             lambda obj: kan.cleavage_transport(
                 self.fm, self.A, *under.obj_info[obj]),
-            lambda g: under_pullback_arrow(self.fm, under, g))
+            lambda g: self._under_square(under, g))
 
     @_kept
     def eta_homotopy(self, M: str) -> GradedLinearMap:
@@ -241,8 +241,7 @@ class HoKan:
             self.horan_object(M),
             lambda obj: under.mor_name(
                 self.fm.lift(*under.obj_info[obj])[1], id_M),
-            lambda g: under.mor_name(
-                under_pullback_arrow(self.fm, under, g), id_M))
+            lambda g: under.mor_name(self._under_square(under, g), id_M))
 
     # --- product reversal ---------------------------------------------------
 
@@ -423,11 +422,7 @@ class HoKan:
         rho_rho = dg.tensor_map(rho, rho, t_tgt, t_tgt)
         lhs = rho.after(dg.mu_map(tgt, t_tgt)).after(big_l)
         rhs = dg.muop_map(tgt, t_tgt).after(rho_rho).after(big_l)
-        bad = []
-        for n in range(up_to + 1):
-            if lhs.matrix(n) != rhs.matrix(n):
-                bad.append(n)
-        return bad
+        return dg.failing_degrees(lhs, rhs, up_to)
 
     def lambda_causality(self, f1: str, f2: str, up_to: int):
         """Degrees where the commutator homotopy identity fails."""
@@ -447,13 +442,5 @@ def check_square_homotopy(lhs: GradedLinearMap, h: GradedLinearMap,
     of a shift -1 map."""
     if lhs.shift != -1 or h.shift != -2:
         raise HoKanError("expected a shift -1 map and a shift -2 homotopy")
-    src, tgt = lhs.source, lhs.target
-    bad = []
-    for n in range(up_to + 1):
-        want = lhs.matrix(n)
-        got = -(h.matrix(n + 1) * src.d(n))
-        if n >= 2:
-            got = got + tgt.d(n - 2) * h.matrix(n)
-        if want != got:
-            bad.append(n)
-    return bad
+    return dg.check_homotopy_identity(
+        lhs, GradedLinearMap.zero(lhs.source, lhs.target, -1), h, up_to)

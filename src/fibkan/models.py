@@ -35,16 +35,26 @@ class Model:
         return self._fibered[order]
 
 
+def _shaped(value, kind, what):
+    """value, which must be a JSON array (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        raise TypeError(
+            f"{what} is not a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 def _category_from_dict(data, path):
     try:
-        morphisms = [
-            (m["name"], m["source"], m["target"]) for m in data["morphisms"]
-        ]
-        for name in (*data["objects"], *(x for m in morphisms for x in m)):
+        morphisms = [(m["name"], m["source"], m["target"])
+                     for m in _shaped(data["morphisms"], list, "morphisms")]
+        objects = _shaped(data["objects"], list, "objects")
+        for name in (*objects, *(x for m in morphisms for x in m)):
             if not isinstance(name, str):
                 raise TypeError(f"name {name!r} is not a string")
-        compose = {(g, f): h for g, f, h in data["compose"]}
-        cat = FinCategory(data["objects"], morphisms, data["identity"], compose)
+        compose = {(g, f): h
+                   for g, f, h in _shaped(data["compose"], list, "compose")}
+        cat = FinCategory(objects, morphisms,
+                          _shaped(data["identity"], dict, "identity"), compose)
         violations = cat.violations()
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError([f"{path}: malformed category data ({exc})"])
@@ -89,8 +99,9 @@ def model_from_dict(data: dict) -> Model:
                      locdata.get("causal_cospans", []), locdata.get("cauchy", []))
 
     proj = _section(data, "projection")
-    pi = _validated("$.projection", fincat.validate_functor, strcat, base,
-                    proj.get("objects", {}), proj.get("morphisms", {}))
+    pi = _validated("$.projection", lambda: fincat.validate_functor(
+        strcat, base, _shaped(proj.get("objects", {}), dict, "objects"),
+        _shaped(proj.get("morphisms", {}), dict, "morphisms")))
     # whether cartesian lifts exist does not depend on the order they are
     # picked in, so one cleavage validates the projection
     try:

@@ -279,6 +279,20 @@ def number_named(doc):
     return doc
 
 
+def pairs(name, *path):
+    """A JSON object of a bundled fixture as an array of [key, value]."""
+    node = load_bundled(name)
+    for key in path:
+        node = node[key]
+    return [list(item) for item in node.items()]
+
+
+def renamed(name, old, new):
+    """A bundled fixture with every string old written new."""
+    return json.loads(
+        json.dumps(load_bundled(name)).replace(f'"{old}"', f'"{new}"'))
+
+
 @pytest.mark.parametrize("name, path, value", [
     ("fix-a", ("algebras", "x"), [1]),
     ("fix-a", ("algebras", "x", "structure_constants"), 3),
@@ -299,10 +313,21 @@ def number_named(doc):
     ("fix-c", ("algebra_maps", "u"), {"1": "1"}),
     # a name is a JSON string, never a number
     ("fix-c", ("loc",), number_named(load_bundled("fix-c"))["loc"]),
+    # an array of pairs where an object belongs is no object, and a string
+    # of one-letter names is no array
+    ("fix-b", ("loc", "identity"), pairs("fix-b", "loc", "identity")),
+    ("fix-b", ("str", "identity"), pairs("fix-b", "str", "identity")),
+    ("fix-b", ("projection", "objects"),
+     pairs("fix-b", "projection", "objects")),
+    ("fix-b", ("projection", "morphisms"),
+     pairs("fix-b", "projection", "morphisms")),
+    (renamed("fix-a", "pt", "p"), ("loc", "objects"), "p"),
+    ("fix-a", ("str", "objects"), "x"),
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_malformed_value_in_a_section_exits_2(tmp_path, capsys, name, path,
                                               value):
-    doc = load_bundled(name)
+    # name is a bundled fixture, or a model document itself
+    doc = load_bundled(name) if isinstance(name, str) else name
     node = doc
     for key in path[:-1]:
         node = node[key]

@@ -92,6 +92,30 @@ def test_check_homotopy_identity_contractible_part():
     assert check_homotopy_identity(ident, p, bad, 2) != []
 
 
+def test_check_homotopy_identity_at_shift_minus_two():
+    # H of shift -2 has one block H2: degree 2 -> degree 0, and a shift -1
+    # map equal to d*H - H*d reads -H2*d1 in degree 1 and d0*H2 in degree 2
+    cx = two_step_complex()
+    h = GradedLinearMap(cx, cx, -2, {2: QMatrix.from_rows([[1], [2]])})
+    lhs = GradedLinearMap(cx, cx, -1, {
+        1: QMatrix.from_rows([[0, -1], [0, -2]]),
+        2: QMatrix.from_rows([[1], [0]]),
+    })
+    zero = GradedLinearMap.zero(cx, cx, -1)
+    assert check_homotopy_identity(lhs, zero, h, 2) == []
+    assert check_homotopy_identity(zero, -lhs, h, 2) == []
+    # the sign of H*d flips with the parity of the shift
+    assert check_homotopy_identity(-lhs, zero, h, 2) == [1, 2]
+    without_dh = GradedLinearMap(cx, cx, -1, {1: lhs.matrix(1)})
+    assert check_homotopy_identity(without_dh, zero, h, 2) == [2]
+    # the two maps must have the shift one above the homotopy's
+    ident = GradedLinearMap.identity(cx)
+    with pytest.raises(dg.ComplexError):
+        check_homotopy_identity(ident, ident, h, 2)
+    with pytest.raises(dg.ComplexError):
+        check_homotopy_identity(lhs, ident, h, 2)
+
+
 def test_weak_equivalence_projection_and_mismatched_cohomology():
     cx = two_step_complex()
     p = projection_onto_cohomology(cx)

@@ -18,7 +18,7 @@ from fibkan.fincat import (
     validate_functor,
     validate_loc_structure,
 )
-from fibkan.fixtures import load_bundled
+from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.models import model_from_dict
 
 
@@ -192,6 +192,33 @@ def test_pullback_tuple_z2():
     # the fiber automorphism over Np pulls back to the one over N
     assert pullback_fiber_square(fm, "f", "id_Np.g") == "id_N.g"
     assert pullback_fiber_square(fm, "f", "id_Np.e") == "id_N.e"
+
+
+def under_pullback_arrow_oracle(fm, under, name):
+    """The fiber arrow h1*S1 -> h0*S0 closing the cleavage square of the
+    under-category arrow g: (S1, h1) -> (S0, h0), solved from its two ends."""
+    strcat = fm.strcat
+    g, h1 = under.mor_info[name]
+    _, lift0 = fm.lift(*under.obj_info[under.cat.target(name)])
+    _, lift1 = fm.lift(strcat.source(g), h1)
+    return fm.solve_cartesian(lift0, strcat.comp(g, lift1),
+                              fm.loc.id_of(fm.loc.source(h1)))
+
+
+def test_pullback_fiber_square_closes_every_under_arrow():
+    off_fiber = 0
+    for name in fixture_names():
+        for order in ("normal", "reversed"):
+            fm = model(name).fibered(order)
+            for M in fm.loc.objects:
+                under = fm.under(M)
+                for arrow, (g, h) in under.mor_info.items():
+                    assert pullback_fiber_square(fm, h, g) == \
+                        under_pullback_arrow_oracle(fm, under, arrow), \
+                        (name, order, arrow)
+                    off_fiber += not fm.loc.is_identity(fm.pi.on_mor(g))
+    # the squares include arrows that leave their fiber
+    assert off_fiber
 
 
 def test_classify_flabbiness_z2():

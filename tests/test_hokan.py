@@ -216,6 +216,53 @@ def test_gamma3_coherence():
     assert bad == []
 
 
+def square_homotopy_oracle(lhs, h, up_to):
+    """Degrees n <= up_to where lhs != d*h - h*d, written out for a shift -2
+    homotopy h of a shift -1 map."""
+    src, tgt = lhs.source, lhs.target
+    bad = []
+    for n in range(up_to + 1):
+        got = -(h.matrix(n + 1) * src.d(n))
+        if n >= 2:
+            got = got + tgt.d(n - 2) * h.matrix(n)
+        if lhs.matrix(n) != got:
+            bad.append(n)
+    return bad
+
+
+def test_shift_minus_two_homotopy_check_matches_the_oracle():
+    _, hk = context("fix-e")
+    base, g2, u = hk.fm.loc, hk.gamma2, hk.hou_morphism
+    arrows = sorted(f for f in base.morphisms if not base.is_identity(f))
+    triples = [(h, g, f) for h in arrows for g in arrows for f in arrows
+               if base.source(h) == base.target(g)
+               and base.source(g) == base.target(f)]
+    assert triples
+    for h, g, f in triples:
+        lhs = (g2(h, base.comp(g, f)) + u(h).after(g2(g, f))
+               - g2(base.comp(h, g), f) - g2(h, g).after(u(f)))
+        zero = GradedLinearMap.zero(lhs.source, lhs.target, -1)
+        gamma3 = hk.gamma3(h, g, f)
+        # the homotopy itself, then each entry of it moved in turn, in the
+        # degrees the check reads
+        homotopies = [gamma3]
+        for n in range(N):
+            m = gamma3.matrix(n)
+            for key in ((i, j) for i in range(m.rows) for j in range(m.cols)):
+                data = dict(m.data)
+                data[key] = data.get(key, 0) + 1
+                homotopies.append(GradedLinearMap(
+                    gamma3.source, gamma3.target, -2,
+                    {**gamma3.maps, n: QMatrix(m.rows, m.cols, data)}))
+        found = [square_homotopy_oracle(lhs, hom, N - 2)
+                 for hom in homotopies]
+        # both terms of the identity are reached: failures at n - 1 through
+        # h*d and at n through d*h
+        assert found[0] == [] and {1, 2} <= set().union(*found)
+        for hom, want in zip(homotopies, found):
+            assert check_homotopy_identity(lhs, zero, hom, N - 2) == want
+
+
 def test_ext_pullback_homotopies():
     _, hk = context("fix-d")
     ext_star = hk.ext_pullback("f")
