@@ -11,16 +11,11 @@ cohomology through the requested degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 
 from .fincat import FinCategory, nerve
-from .qlinalg import (
-    ONE,
-    QMatrix,
-    Subspace,
-    kernel_basis,
-    _axpy,
-)
+from .qlinalg import QMatrix, Subspace, kernel_basis, _axpy, _check_exact
 
 
 class ComplexError(ValueError):
@@ -221,8 +216,8 @@ class Dga:
     """A dg-algebra on a truncated complex.
 
     products[(n1, n2)] maps basis index pairs (i, j) to the sparse product
-    vector in degree n1 + n2; missing keys mean the product is zero. unit is
-    a sparse degree-0 vector.
+    vector in degree n1 + n2 (int or Fraction entries); missing keys mean
+    the product is zero. unit is a sparse degree-0 vector.
     """
 
     def __init__(self, complex_: Complex, products, unit):
@@ -232,6 +227,10 @@ class Dga:
             for key, table in products.items()
         }
         self.unit = dict(unit)
+        _check_exact(chain.from_iterable(
+            vec.values() for table in self.products.values()
+            for vec in table.values()), "product entry")
+        _check_exact(self.unit.values(), "unit entry")
 
     def table(self, n1: int, n2: int) -> dict:
         return self.products.get((n1, n2), {})
@@ -443,8 +442,8 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
                 comp = cat.comp(u[i - 1], u[i])
                 if not cat.is_identity(comp):
                     faces.append((u[:i - 1] + (comp,) + u[i + 1:],
-                                  -ONE if i % 2 else ONE))
-            faces.append((u[:n] if n else obj, -ONE if (n + 1) % 2 else ONE))
+                                  -1 if i % 2 else 1))
+            faces.append((u[:n] if n else obj, -1 if (n + 1) % 2 else 1))
             for k in range(dims[obj]):
                 row = rows[(u, k)]
                 for j, v in first.by_row.get(k, {}).items():
@@ -475,12 +474,12 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
                     tail, move = u1, None
                 alg = diagram.at[obj]
                 partners = slots[n2].get(tail, ())
-                moved = {k2: {k2: ONE} if move is None else move.column(k2)
+                moved = {k2: {k2: 1} if move is None else move.column(k2)
                          for k2 in {k2 for _, _, k2 in partners}}
                 for k1 in range(dims[obj]):
                     j1 = in_pos[(u1, k1)]
                     # a product depends on k2, not on the partner's anchor
-                    prods = {k2: alg.mul(0, {k1: ONE}, 0, vec)
+                    prods = {k2: alg.mul(0, {k1: 1}, 0, vec)
                              for k2, vec in moved.items()}
                     for j2, u2, k2 in partners:
                         prod = prods[k2]
@@ -543,7 +542,7 @@ def lim_dgalg(diagram: DgaDiagram) -> LimDga:
             data[(row + i, src + j)] = v
         for i in range(mat.rows):
             key = (row + i, tgt + i)
-            data[key] = data.get(key, 0) - ONE
+            data[key] = data.get(key, 0) - 1
         row += mat.rows
     subspace = kernel_basis(QMatrix(row, len(ambient_labels), data))
 
@@ -610,7 +609,7 @@ class TensorComplex(Complex):
                 p2 = p - p1
                 for k, v in left.d(p1).column(i).items():
                     data[(self.pos[p + 1][(p1 + 1, k, j)], col)] = v
-                s = ONE if p1 % 2 == 0 else -ONE
+                s = 1 if p1 % 2 == 0 else -1
                 for k, v in right.d(p2).column(j).items():
                     key = (self.pos[p + 1][(p1, i, k)], col)
                     data[key] = data.get(key, 0) + s * v
@@ -629,7 +628,7 @@ def tensor_map(f: GradedLinearMap, g: GradedLinearMap,
         data = {}
         for col, (p1, i, j) in enumerate(source.labels[p]):
             p2 = p - p1
-            sign = ONE if (g.shift * p1) % 2 == 0 else -ONE
+            sign = 1 if (g.shift * p1) % 2 == 0 else -1
             # distinct (a, b) are distinct target slots: nothing accumulates
             for a, va in f.matrix(p1).by_col.get(i, {}).items():
                 for b, vb in g.matrix(p2).by_col.get(j, {}).items():

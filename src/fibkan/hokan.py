@@ -27,7 +27,7 @@ from .fincat import (
     lemma_witnesses,
     pullback_fiber_square,
 )
-from .qlinalg import ONE, QMatrix, Subspace, invert, kernel_basis
+from .qlinalg import QMatrix, Subspace, invert, kernel_basis
 
 DEFAULT_MAX_DEGREE = 4
 
@@ -57,7 +57,7 @@ def check_max_degree(max_degree: int) -> int:
 
 
 def _sign(k: int):
-    return ONE if k % 2 == 0 else -ONE
+    return 1 if k % 2 == 0 else -1
 
 
 def _rule_map(source: Dga, target: Dga, shift: int, rule) -> GradedLinearMap:
@@ -124,11 +124,11 @@ def _induced_map(source: CochainData, target: CochainData, vertex,
 
     def rule(n, anchor):
         if n == 0:
-            yield ONE, *vertex(anchor)
+            yield 1, *vertex(anchor)
             return
         image = tuple(arrow(g) for g in anchor)
         if None not in image:
-            yield ONE, image, vertex(cat.target(anchor[0]))[1]
+            yield 1, image, vertex(cat.target(anchor[0]))[1]
 
     return _rule_map(source.dga, target.dga, 0, rule)
 
@@ -253,7 +253,7 @@ class HoKan:
 
         def rule(n, anchor):
             if n == 0:
-                yield ONE, anchor, None
+                yield 1, anchor, None
                 return
             rev = tuple(fiber.inverse(g) for g in reversed(anchor))
             chain = fiber.comp_chain(anchor)

@@ -3,12 +3,14 @@
 Everything downstream (constraint solving, cochain differentials, homotopy
 identities) reduces to rank / kernel / coordinate computations over QQ.
 Matrices are stored sparsely because the cochain complexes of larger fixtures
-are block sparse. Vectors are sparse {index: value} dicts. A subspace is its
-canonical basis: the reduced row echelon rows as sparse vectors, with their
-pivot columns. ``_echelon`` is the one elimination behind rank, kernel, span
-and inverse; it runs on integers and makes Fractions only of its result, so it
-is exact with no modulus and no fallback. A matrix keeps its kernel and column
-space, so each differential is eliminated at most once.
+are block sparse. Vectors are sparse {index: value} dicts. rat and _echelon
+give an int for an integral value and a Fraction otherwise, so a whole-number
+model runs in int arithmetic throughout. A subspace is its canonical basis:
+the reduced row echelon rows as sparse vectors, with their pivot columns.
+``_echelon`` is the one elimination behind rank, kernel, span and inverse; it
+runs on integers and divides only its result, so it is exact with no modulus
+and no fallback. A matrix keeps its kernel and column space, so each
+differential is eliminated at most once.
 """
 
 from __future__ import annotations
@@ -17,22 +19,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-ONE = Fraction(1)
 
-
-def rat(value) -> Fraction:
-    """Parse a rational from "p/q" or "p" strings (also accepts int/Fraction,
-    but not bool: a JSON true is no number)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+def rat(value):
+    """An int, a Fraction or a "p/q" or "p" string as an int when integral,
+    else as a Fraction; a bool is refused (a JSON true is no number)."""
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid rational literal {value!r}") from exc
-    raise ValueError(f"cannot interpret {value!r} as a rational")
+    elif type(value) not in (int, Fraction):
+        raise ValueError(f"cannot interpret {value!r} as a rational")
+    return value.numerator if value.denominator == 1 else value
+
+
+def _check_exact(values, what: str) -> None:
+    """Raise TypeError if any of the values is not an int or a Fraction."""
+    inexact = set(map(type, values)) - {int, Fraction}
+    if inexact:
+        raise TypeError(f"inexact {what} of type {inexact.pop().__name__}")
 
 
 def _rationals(value, depth: int, what: str) -> list:
@@ -46,7 +51,7 @@ def _rationals(value, depth: int, what: str) -> list:
 
 
 class QMatrix:
-    """A rows x cols matrix of Fractions, stored as {(i, j): nonzero value}.
+    """A rows x cols matrix of ints and Fractions, as {(i, j): nonzero value}.
 
     A matrix is never changed after construction, so its row and column
     indices, its kernel and its column space are built on first use and kept.
@@ -66,6 +71,7 @@ class QMatrix:
                     if not (0 <= i < rows and 0 <= j < cols):
                         raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
                     self.data[(i, j)] = v
+            _check_exact(self.data.values(), "matrix entry")
 
     @classmethod
     def from_rows(cls, entries) -> "QMatrix":
@@ -75,15 +81,12 @@ class QMatrix:
         for i, row in enumerate(entries):
             if len(row) != cols:
                 raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                v = rat(v)
-                if v:
-                    data[(i, j)] = v
+            data.update(((i, j), rat(v)) for j, v in enumerate(row))
         return cls(rows, cols, data)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
@@ -137,7 +140,7 @@ class QMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
         data = dict(self.data)
-        _axpy(data, ONE, other.data)
+        _axpy(data, 1, other.data)
         return QMatrix(self.rows, self.cols, data)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
@@ -195,8 +198,9 @@ def _echelon(rows, columns):
     Exact on integers (fraction-free, Bareiss, Math. Comp. 22, 1968): rows are
     scaled to integers once, a step sets row := (p/g)*row - (a/g)*pivot_row
     with g = gcd(a, p) and divides out the row's content, and only the pivot
-    rows become Fractions. A column -> rows index limits a step to the rows
-    meeting its column; the shortest is the pivot (Markowitz, 1957).
+    rows are divided by their pivot (an int where it divides). A column ->
+    rows index limits a step to the rows meeting its column; the shortest is
+    the pivot (Markowitz, 1957).
     """
     live = {}
     index = {}
@@ -246,7 +250,8 @@ def _echelon(rows, columns):
         found.append((c, prow))
         if not unused:
             break
-    return ([{k: Fraction(v, row[c]) for k, v in row.items()}
+    return ([{k: v // p if v % p == 0 else Fraction(v, p)
+              for p in (row[c],) for k, v in row.items()}
              for c, row in found], [c for c, _ in found])
 
 
@@ -279,15 +284,14 @@ class Subspace:
             for j, v in vec.items():
                 if not 0 <= j < ambient_dim:
                     raise ValueError(f"column {j} outside 0..{ambient_dim - 1}")
-                if v:
-                    row[j] = rat(v)
+                row[j] = rat(v)
             rows.append(row)
         reduced, pivots = _echelon(rows, range(ambient_dim))
         return cls(ambient_dim, tuple(reduced), tuple(pivots))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple({j: ONE} for j in range(ambient_dim)),
+        return cls(ambient_dim, tuple({j: 1} for j in range(ambient_dim)),
                    tuple(range(ambient_dim)))
 
     @property
@@ -321,7 +325,7 @@ def kernel_basis(m: QMatrix) -> Subspace:
         reduced, pivots = _echelon(m.by_row.values(),
                                    range(m.cols - 1, -1, -1))
         pivot_set = set(pivots)
-        kernel = {j: {j: ONE} for j in range(m.cols) if j not in pivot_set}
+        kernel = {j: {j: 1} for j in range(m.cols) if j not in pivot_set}
         for row, c in zip(reduced, pivots):
             for j, v in row.items():
                 if j != c:
@@ -335,7 +339,7 @@ def invert(m: QMatrix):
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    rows = [{**m.by_row.get(i, {}), n + i: ONE} for i in range(n)]
+    rows = [{**m.by_row.get(i, {}), n + i: 1} for i in range(n)]
     reduced, pivots = _echelon(rows, range(2 * n))
     if pivots[:n] != list(range(n)):
         return None

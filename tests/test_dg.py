@@ -23,7 +23,7 @@ from fibkan.dg import (
 )
 from fibkan.fixtures import load_bundled
 from fibkan.models import model_from_dict
-from fibkan.qlinalg import ONE, QMatrix, _axpy, kernel_basis, rank, rat
+from fibkan.qlinalg import QMatrix, _axpy, kernel_basis, rank, rat
 
 N = 4
 
@@ -184,6 +184,17 @@ def test_dga_violations_catch_broken_unit():
         "left unit law fails in degree 0 at index 3",
         "right unit law fails in degree 0 at index 3",
     ]
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, True])
+def test_dga_refuses_floats_and_bools(value):
+    m = model_from_dict(load_bundled("fix-a"))
+    alg = m.A.algebra("x")
+    products = {(0, 0): {**alg.products[(0, 0)], (1, 2): {0: value}}}
+    with pytest.raises(TypeError):
+        Dga(alg.complex, products, alg.unit)
+    with pytest.raises(TypeError):
+        Dga(alg.complex, alg.products, {**alg.unit, 1: value})
 
 
 def unit_table(dim):
@@ -406,7 +417,7 @@ def oracle_violations(dga):
     for n in range(top + 1):
         left, right = dga.table(0, n), dga.table(n, 0)
         for i in range(cx.dim(n)):
-            e = {i: ONE}
+            e = {i: 1}
             if _combine((left.get((u, i)), c)
                         for u, c in dga.unit.items()) != e:
                 out.append(f"left unit law fails in degree {n} at index {i}")
@@ -466,15 +477,16 @@ def rescaled(dga, scale):
     cx = dga.complex
     s = {n: [rat(scale(n, i)) for i in range(cx.dim(n))]
          for n in range(cx.max_degree + 1)}
-    d = {n: QMatrix(m.rows, m.cols, {(r, c): v * s[n][c] / s[n + 1][r]
-                                     for (r, c), v in m.data.items()})
+    d = {n: QMatrix(m.rows, m.cols, {
+            (r, c): Fraction(v * s[n][c]) / s[n + 1][r]
+            for (r, c), v in m.data.items()})
          for n, m in cx.differentials.items()}
     products = {
-        (n1, n2): {(i, j): {m: v * s[n1][i] * s[n2][j] / s[n1 + n2][m]
-                            for m, v in vec.items()}
-                   for (i, j), vec in table.items()}
+        (n1, n2): {(i, j): {
+            m: Fraction(v * s[n1][i] * s[n2][j]) / s[n1 + n2][m]
+            for m, v in vec.items()} for (i, j), vec in table.items()}
         for (n1, n2), table in dga.products.items()}
-    unit = {i: v / s[0][i] for i, v in dga.unit.items()}
+    unit = {i: Fraction(v) / s[0][i] for i, v in dga.unit.items()}
     return Dga(Complex(cx.max_degree, cx.labels, d), products, unit)
 
 

@@ -16,7 +16,7 @@ from fibkan.finalg import (
 )
 from fibkan.fixtures import load_bundled
 from fibkan.models import model_from_dict
-from fibkan.qlinalg import ONE, QMatrix, _axpy, rat
+from fibkan.qlinalg import QMatrix, _axpy, rat
 
 
 def model(name):
@@ -29,7 +29,7 @@ def m2():
 
 def commutator(alg, x, y):
     out = dict(alg.mul(0, x, 0, y))
-    _axpy(out, -ONE, alg.mul(0, y, 0, x))
+    _axpy(out, -1, alg.mul(0, y, 0, x))
     return out
 
 
@@ -42,7 +42,7 @@ def test_matrix_algebra_validates():
 
 def test_matrix_algebra_products():
     alg = m2()
-    e11, e12, e21, e22 = ({i: ONE} for i in range(4))
+    e11, e12, e21, e22 = ({i: 1} for i in range(4))
     assert alg.mul(0, e11, 0, e12) == e12
     assert alg.mul(0, e12, 0, e11) == {}
     assert alg.mul(0, e12, 0, e21) == e11

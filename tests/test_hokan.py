@@ -1,6 +1,9 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_source import load_bench_module
 
 from fibkan import cli, qlinalg
@@ -341,6 +344,13 @@ def test_h0_matches_invariants():
             assert hk.h0_subspace(M) == u_object(hk.fm, m.A, M).subspace
 
 
+def as_fractions(entries):
+    """Sorted (key, Fraction) pairs: the digests were recorded when every
+    scalar was a Fraction, and hash a value's repr, so an int entry is
+    hashed as the Fraction it equals."""
+    return sorted((k, Fraction(v)) for k, v in entries.items())
+
+
 def dga_digest(dga):
     """sha256 prefix of the labels, differentials, product tables and unit."""
     cx = dga.complex
@@ -350,12 +360,12 @@ def dga_digest(dga):
         if n < cx.max_degree:
             d = cx.d(n)
             h.update(repr(("d", n, d.rows, d.cols,
-                           sorted(d.data.items()))).encode())
+                           as_fractions(d.data))).encode())
     for key in sorted(dga.products):
         h.update(repr(("mul", key, sorted(
-            (pair, sorted(vec.items()))
+            (pair, as_fractions(vec))
             for pair, vec in dga.products[key].items()))).encode())
-    h.update(repr(("unit", sorted(dga.unit.items()))).encode())
+    h.update(repr(("unit", as_fractions(dga.unit))).encode())
     return h.hexdigest()[:16]
 
 
@@ -397,7 +407,7 @@ def maps_digest(keyed_maps):
         for n in sorted(f.maps):
             m = f.maps[n]
             h.update(repr((key, f.shift, n, m.rows, m.cols,
-                           sorted(m.data.items()))).encode())
+                           as_fractions(m.data))).encode())
     return h.hexdigest()[:16]
 
 
@@ -463,6 +473,61 @@ def test_comparison_maps_match_recorded_digests():
             family: maps_digest([(key, build(key)) for key in keys])
             for family, (build, keys) in families.items() if keys}
     assert got == MAP_DIGESTS
+
+
+def scalars(hk):
+    """Every entry of the cochain algebras of each base object (their
+    differentials, kernel rows, product tables and units), of its comparison
+    maps and homotopies, and of the maps induced by each base arrow."""
+    base = hk.loc.base
+    for M in sorted(base.objects):
+        for cochains in (hk.hou_object(M), hk.horan_object(M)):
+            dga = cochains.dga
+            cx = dga.complex
+            for n in range(cx.max_degree):
+                yield from cx.d(n).data.values()
+                for row in qlinalg.kernel_basis(cx.d(n)).rows:
+                    yield from row.values()
+            for table in dga.products.values():
+                for vec in table.values():
+                    yield from vec.values()
+            yield from dga.unit.values()
+        for build in (hk.kappa, hk.zeta, hk.eta_homotopy, hk.rho,
+                      hk.beta_homotopy):
+            for m in build(M).maps.values():
+                yield from m.data.values()
+    for f in sorted(base.morphisms):
+        for build in (hk.hou_morphism, hk.horan_morphism):
+            for m in build(f).maps.values():
+                yield from m.data.values()
+
+
+CHAIN = load_bench_module("chainmodel")
+seeds = st.none() | st.integers(0, 9)
+# (model, the scalar types allowed in it, truncation degree): a chain is
+# whole-number throughout, a fixture may hold fractions
+models = st.one_of(
+    st.tuples(st.sampled_from(fixture_names()).map(load_bundled),
+              st.just({int, Fraction}), st.integers(1, 3)),
+    st.tuples(st.builds(CHAIN.chain_dict, st.integers(1, 3),
+                        st.sampled_from(["Z2", "Z3"]), seeds),
+              st.just({int}), st.integers(1, 3)),
+    st.tuples(st.builds(CHAIN.chain_dict, st.integers(1, 2), st.just("S3"),
+                        seeds),
+              st.just({int}), st.integers(1, 2)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(models, st.sampled_from(["normal", "reversed"]))
+def test_scalars_are_exact_and_whole_number_models_stay_int(model, order):
+    # an int for every integral scalar is what keeps whole-number models in
+    # int arithmetic: a Fraction in place of an int fails on the chains, and
+    # a float or a bool fails on every model
+    doc, allowed, max_degree = model
+    m = model_from_dict(doc)
+    hk = HoKan(m.fibered(order), m.loc, m.A, max_degree)
+    kinds = {type(v) for v in scalars(hk)}
+    assert kinds <= allowed, kinds
 
 
 def test_maschke_oracle_on_every_fixture():

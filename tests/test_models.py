@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -223,7 +227,8 @@ def test_mutated_fixture_is_a_model_or_a_model_error(data):
     # bare exception: the model parses, or every message names its place;
     # a model that parses goes through axioms, classify and kan, each of
     # which returns findings and no fail, which only an implementation bug
-    # gives
+    # gives, and through every CLI command, each of which ends with an exit
+    # code and no traceback
     name = data.draw(st.sampled_from(fixture_names()))
     doc = load_bundled(name)
     path = data.draw(st.sampled_from(FIXTURE_PATHS[name]))
@@ -244,3 +249,12 @@ def test_mutated_fixture_is_a_model_or_a_model_error(data):
         findings = checks(model, "normal", 2)
         assert findings
         assert all(f["status"] != cli.FAIL for f in findings), findings
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "axioms", "classify", "kan", "hokan",
+                        "verify"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run([command, str(path), "--max-degree", "2"])
+            assert code in (0, 1, 2), (command, code)

@@ -30,6 +30,33 @@ def test_rat_roundtrip():
         rat("x")
     with pytest.raises(ValueError):
         rat(True)  # a bool is an int to Python, but no JSON number
+    with pytest.raises(ValueError):
+        rat(0.5)
+
+
+def test_integral_scalars_are_ints():
+    # an integral value is an int whichever way it comes in, so whole-number
+    # models run in int arithmetic; only a non-integral value is a Fraction
+    for value in (3, "3", "6/2", Fraction(6, 2), "-0"):
+        assert type(rat(value)) is int
+    assert type(rat("3/4")) is Fraction
+    m = QMatrix.from_rows([[2, 1], [4, 2]])
+    assert {type(v) for v in m.data.values()} == {int}
+    assert {type(v) for row in kernel_basis(m).rows for v in row.values()} \
+        == {int}
+    inverse = invert(QMatrix.from_rows([[2, 0], [0, 1]]))
+    assert inverse.data == {(0, 0): Fraction(1, 2), (1, 1): 1}
+    assert type(inverse.data[(1, 1)]) is int
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, -1.5])
+def test_matrix_refuses_floats_and_bools(value):
+    # int / int is a float, so an inexact entry is refused where it enters
+    with pytest.raises(TypeError):
+        QMatrix(1, 1, {(0, 0): value})
+    with pytest.raises(ValueError):
+        QMatrix.from_rows([[1, 0], [value, 1]])  # rat refuses it first
+    assert QMatrix(1, 1, {(0, 0): 0.0}).is_zero()  # a zero is dropped
 
 
 def test_rank_trivial_cases():

@@ -42,8 +42,10 @@ def test_library_has_no_unused_imports():
 
 def inexact_or_foreign(source, name):
     """Float constants, float() calls, true division (which turns two ints
-    into a float) and imports from outside the standard library in a
-    module's source."""
+    into a float), imports from outside the standard library, and outside
+    qlinalg.py any mention of Fraction, in a module's source: an integral
+    scalar is an int, and only qlinalg.rat and qlinalg._echelon make the
+    Fractions that a non-integral one needs."""
     found = []
     for node in ast.walk(ast.parse(source)):
         where = f"{name}:{getattr(node, 'lineno', 0)}"
@@ -61,11 +63,15 @@ def inexact_or_foreign(source, name):
         elif (isinstance(node, ast.ImportFrom) and node.level == 0
               and node.module.split(".")[0] not in sys.stdlib_module_names):
             found.append(f"{where} from {node.module} import")
+        if name != "qlinalg.py" and {"Fraction", "fractions"} & {
+                getattr(node, key, None) for key in ("id", "attr", "name",
+                                                     "module")}:
+            found.append(f"{where} Fraction outside qlinalg")
     return found
 
 
 def test_library_is_exact_and_stdlib_only():
-    # every identity is checked in Fraction and int arithmetic, and the
+    # every identity is checked in int and Fraction arithmetic, and the
     # library runs on a bare Python
     assert inexact_or_foreign("import numpy.linalg\nfrom scipy import sparse\n"
                               "from . import dg\nx = float(1) + 0.5\n"
@@ -73,6 +79,11 @@ def test_library_is_exact_and_stdlib_only():
         "m:1 import numpy.linalg", "m:2 from scipy import",
         "m:5 true division", "m:5 true division",
         "m:4 float()", "m:4 float constant 0.5"]
+    fractions = ("from fractions import Fraction\nimport fractions\n"
+                 "z = Fraction(1, 2) + fractions.Fraction(1)\n")
+    assert inexact_or_foreign(fractions, "qlinalg.py") == []
+    assert inexact_or_foreign(fractions, "dg.py") == [
+        f"dg.py:{line} Fraction outside qlinalg" for line in (1, 1, 2, 3, 3, 3)]
     assert [finding for path in sorted(SOURCE.glob("*.py"))
             for finding in inexact_or_foreign(path.read_text(), path.name)] == []
 
