@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 
 from . import dg, hokan, kan
 from .finalg import axiom_report
@@ -61,21 +62,33 @@ def checks_axioms(model: Model, order: str, max_degree: int):
 
 
 def checks_classify(model: Model, order: str, max_degree: int):
-    fm = model.fibered(order)
-    report = flabbiness_report(fm, model.loc)
-
-    def ce(value):
-        return list(value) if value else None
-
+    report = flabbiness_report(model.fibered(order), model.loc)
     return [
-        _finding("flabby", _viol_status(report.flabby),
-                 counterexample=ce(report.flabby_counterexample)),
-        _finding("cauchy-flabby", _viol_status(report.cauchy_flabby),
-                 counterexample=ce(report.cauchy_counterexample)),
-        _finding("strongly-cauchy-flabby",
-                 _viol_status(report.strongly_cauchy_flabby),
-                 counterexample=ce(report.strong_counterexample)),
+        _finding(name, _viol_status(ok),
+                 counterexample=list(example) if example else None)
+        for name, ok, example in (
+            ("flabby", report.flabby, report.flabby_counterexample),
+            ("cauchy-flabby", report.cauchy_flabby,
+             report.cauchy_counterexample),
+            ("strongly-cauchy-flabby", report.strongly_cauchy_flabby,
+             report.strong_counterexample))
     ]
+
+
+def _per_key(name, kind, keys, check, failed=FAIL):
+    """The finding name with its outcome under kind at each key.
+
+    check(key) gives what fails at the key: a list of failing degrees, or a
+    message that stands as the outcome there. An empty list or None means
+    the key passes. The finding reads failed if any key does not pass.
+    """
+    detail = {}
+    for key in keys:
+        bad = check(key)
+        detail[key] = (PASS if not bad else bad if isinstance(bad, str)
+                       else f"failing degrees {bad}")
+    ok = all(v == PASS for v in detail.values())
+    return _finding(name, PASS if ok else failed, **{kind: detail})
 
 
 def checks_kan(model: Model, order: str, max_degree: int):
@@ -83,39 +96,35 @@ def checks_kan(model: Model, order: str, max_degree: int):
     report = kan.check_induced_axioms(fm, model.loc, model.A)
     out = _axiom_findings("kan", report.axioms)
     out.append(_finding("kan-functorial", _bool_status(report.functorial)))
-    out.append(_finding(
-        "kan-dimensions", PASS,
-        u_dims={M: report.u_dims[M] for M in sorted(report.u_dims)}))
+    out.append(_finding("kan-dimensions", PASS, u_dims=report.u_dims))
     if report.isotony_iff_flabby is None:
         out.append(_finding("isotony-iff-flabby", BLOCKED,
                             reason="input functor violates its own axioms"))
     else:
         out.append(_finding("isotony-iff-flabby",
                             _bool_status(report.isotony_iff_flabby)))
+
     # comparison isomorphism with the under-category limit, both seeds
-    kappa_ok = True
-    detail = {}
-    for M in sorted(model.loc.base.objects):
+    def kappa_failure(M):
         try:
             kan.kappa_iso(fm, model.A, M, kan.ran_under(fm, model.A, M),
                           kan.u_objects(fm, model.A)[M])
-            detail[M] = PASS
         except kan.KanError as exc:
-            kappa_ok = False
-            detail[M] = str(exc)
-    out.append(_finding("kappa-iso", _bool_status(kappa_ok), objects=detail))
+            return str(exc)
+
+    out.append(_per_key("kappa-iso", "objects",
+                        sorted(model.loc.base.objects), kappa_failure))
     return out
 
 
-def _per_key(name, kind, keys, check):
-    """The finding name with its outcome at each key under kind, where
-    check(key) lists what fails there."""
-    detail = {}
-    for key in keys:
-        bad = check(key)
-        detail[key] = PASS if not bad else f"failing degrees {bad}"
-    ok = all(v == PASS for v in detail.values())
-    return _finding(name, _bool_status(ok), **{kind: detail})
+def _composable(base, length):
+    """{"h after g after f": (h, g, f)} over the composable chains of
+    `length` non-identity arrows of base, outermost first."""
+    arrows = sorted(g for g in base.morphisms if not base.is_identity(g))
+    return {" after ".join(chain): chain
+            for chain in product(arrows, repeat=length)
+            if all(base.source(outer) == base.target(inner)
+                   for outer, inner in zip(chain, chain[1:]))}
 
 
 def checks_hokan(model: Model, order: str, max_degree: int):
@@ -129,12 +138,9 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     flab = flabbiness_report(fm, model.loc)
 
     # structural suite on every constructed dg-algebra
-    structural = {}
-    for M in objects:
-        structural[M] = {
-            "fiber": len(hk.hou_object(M).dga.violations()),
-            "under": len(hk.horan_object(M).dga.violations()),
-        }
+    structural = {M: {"fiber": len(hk.hou_object(M).dga.violations()),
+                      "under": len(hk.horan_object(M).dga.violations())}
+                  for M in objects}
     ok = all(v["fiber"] == 0 and v["under"] == 0 for v in structural.values())
     out.append(_finding("dga-structure", _bool_status(ok),
                         violation_counts=structural))
@@ -164,9 +170,7 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     out.extend(_per_key(name, "objects", objects, check)
                for name, check in per_object.items())
 
-    arrows = sorted(g for g in base.morphisms if not base.is_identity(g))
-    pairs = {f"{g} after {f}": (g, f) for g in arrows for f in arrows
-             if base.source(g) == base.target(f)}
+    pairs = _composable(base, 2)
 
     def gamma2_check(key):
         g, f = pairs[key]
@@ -177,11 +181,7 @@ def checks_hokan(model: Model, order: str, max_degree: int):
             hk.gamma2(g, f), top - 1)
     out.append(_per_key("gamma2-homotopy", "pairs", pairs, gamma2_check))
 
-    triples = {
-        f"{h} after {g} after {f}": (h, g, f)
-        for h in arrows for g in arrows for f in arrows
-        if base.source(h) == base.target(g) and base.source(g) == base.target(f)
-    }
+    triples = _composable(base, 3)
 
     def gamma3_check(key):
         h, g, f = triples[key]
@@ -200,48 +200,34 @@ def checks_hokan(model: Model, order: str, max_degree: int):
         out.extend(_finding(name, BLOCKED, reason=reason)
                    for name in ("ext-phi-homotopy", "ext-phibar-homotopy"))
     else:
-        ext_hou = {f: (hk.ext_pullback(f), hk.hou_morphism(f)) for f in cauchy}
         out.append(_per_key(
             "ext-phi-homotopy", "morphisms", cauchy,
             lambda f: dg.check_homotopy_identity(
-                ext_hou[f][0].after(ext_hou[f][1]), identity(base.source(f)),
-                hk.phi_homotopy(f), top - 1)))
+                hk.ext_pullback(f).after(hk.hou_morphism(f)),
+                identity(base.source(f)), hk.phi_homotopy(f), top - 1)))
         out.append(_per_key(
             "ext-phibar-homotopy", "morphisms", cauchy,
             lambda f: dg.check_homotopy_identity(
-                ext_hou[f][1].after(ext_hou[f][0]), identity(base.target(f)),
-                hk.phibar_homotopy(f), top - 1)))
+                hk.hou_morphism(f).after(hk.ext_pullback(f)),
+                identity(base.target(f)), hk.phibar_homotopy(f), top - 1)))
 
-    cospans = model.loc.causal_cospans
+    cospans = {f"({f1},{f2})": (f1, f2) for f1, f2 in model.loc.causal_cospans}
     if not cospans:
-        out.append(_finding("product-reversal-causality", BLOCKED,
-                            reason="no causal cospans declared"))
-        out.append(_finding("lambda-homotopy", BLOCKED,
-                            reason="no causal cospans declared"))
-    else:
-        rev_detail, lam_detail = {}, {}
-        rev_ok = True
-        lam_ok = True
-        lam_blocked = False
-        for f1, f2 in cospans:
-            key = f"({f1},{f2})"
-            bad = hk.product_reversal_identity(f1, f2, top)
-            rev_detail[key] = PASS if not bad else f"failing degrees {bad}"
-            rev_ok = rev_ok and not bad
-            if bad:
-                lam_detail[key] = "blocked: product reversal fails"
-                lam_blocked = True
-                continue
-            bad = hk.lambda_causality(f1, f2, top - 1)
-            lam_detail[key] = PASS if not bad else f"failing degrees {bad}"
-            lam_ok = lam_ok and not bad
-        out.append(_finding("product-reversal-causality",
-                            _viol_status(rev_ok), cospans=rev_detail))
-        if lam_blocked:
-            out.append(_finding("lambda-homotopy", BLOCKED, cospans=lam_detail))
-        else:
-            out.append(_finding("lambda-homotopy", _bool_status(lam_ok),
-                                cospans=lam_detail))
+        out.extend(_finding(name, BLOCKED, reason="no causal cospans declared")
+                   for name in ("product-reversal-causality",
+                                "lambda-homotopy"))
+        return out
+    reversal = {key: hk.product_reversal_identity(*legs, top)
+                for key, legs in cospans.items()}
+    out.append(_per_key("product-reversal-causality", "cospans", cospans,
+                        reversal.get, VIOLATION))
+    # the commutator homotopy is built on the product reversal
+    blocked = {key for key, bad in reversal.items() if bad}
+    out.append(_per_key(
+        "lambda-homotopy", "cospans", cospans,
+        lambda key: "blocked: product reversal fails" if key in blocked
+        else hk.lambda_causality(*cospans[key], top - 1),
+        BLOCKED if blocked else FAIL))
     return out
 
 
@@ -312,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("model", nargs="?", help="path to a model JSON file")
         p.add_argument("--fixture", choices=fixture_names(),
                        help="use a bundled example model")
-        p.add_argument("--max-degree", type=int, default=None,
-                       help="truncation degree, at least 1 "
-                            "(default: FIBKAN_MAX_DEGREE or 4)")
+        p.add_argument("--max-degree", type=int, default=4,
+                       help="truncation degree, at least 1 (default: 4)")
         p.add_argument("--format", choices=("json", "md"), default="json")
         p.add_argument("--expect", nargs="*", default=[],
                        metavar="CHECK",
@@ -333,9 +318,7 @@ def run(argv=None) -> int:
               file=sys.stderr)
         return 2
     try:
-        max_degree = hokan.check_max_degree(
-            hokan.default_max_degree() if args.max_degree is None
-            else args.max_degree)
+        max_degree = hokan.check_max_degree(args.max_degree)
     except hokan.HoKanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ cohomology through the requested degree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import lcm
@@ -157,6 +158,44 @@ def check_homotopy_identity(lhs: GradedLinearMap, rhs: GradedLinearMap,
         if lhs.matrix(n) - rhs.matrix(n) != got:
             bad.append(n)
     return bad
+
+
+def _sign(k: int):
+    return 1 if k % 2 == 0 else -1
+
+
+def _rule_map(source: Complex, target: Complex, shift: int,
+              rule) -> GradedLinearMap:
+    """The graded map of shift `shift` that a slot rule gives.
+
+    Both complexes have slots (anchor, k). rule(n, anchor) yields (sign,
+    anchor_in, matrix) triples for an anchor of target degree n: the slot
+    (anchor, i) reads sign * matrix[i, j] times the source slot (anchor_in,
+    j) of degree n - shift, and a matrix None stands for the identity on the
+    block of anchor_in. What several triples give to one entry adds up.
+    """
+    maps = {}
+    for n_out in range(target.max_degree + 1):
+        n_in = n_out - shift
+        if not (0 <= n_in <= source.max_degree):
+            continue
+        data = {}
+        pos_out = target.pos[n_out]
+        pos_in = source.pos[n_in]
+        block_size = Counter(anchor for anchor, _ in source.labels[n_in])
+        for anchor in dict.fromkeys(a for a, _ in target.labels[n_out]):
+            for sign, anchor_in, matrix in rule(n_out, anchor):
+                if matrix is None:
+                    size = block_size[anchor_in]
+                    entries = ((k, k, sign) for k in range(size))
+                else:
+                    entries = ((i, j, sign * v)
+                               for (i, j), v in matrix.data.items())
+                for i, j, v in entries:
+                    key = (pos_out[(anchor, i)], pos_in[(anchor_in, j)])
+                    data[key] = data.get(key, 0) + v
+        maps[n_in] = QMatrix(target.dim(n_out), source.dim(n_in), data)
+    return GradedLinearMap(source, target, shift, maps)
 
 
 # --- cohomology ------------------------------------------------------------
@@ -429,29 +468,18 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
               for n, nerve_n in anchors.items()}
     cx = Complex(max_degree, labels, {})
 
-    for n in range(max_degree):
-        data = {}
-        rows, cols = cx.pos[n + 1], cx.pos[n]
-        for u, obj in anchors[n + 1]:
-            # the first face applies the algebra map of the leading arrow,
-            # the inner faces compose adjacent arrows, the last face drops
-            # the trailing arrow
-            first, tail = diagram.maps[u[0]], u[1:] if n else cat.source(u[0])
-            faces = []
-            for i in range(1, n + 1):
-                comp = cat.comp(u[i - 1], u[i])
-                if not cat.is_identity(comp):
-                    faces.append((u[:i - 1] + (comp,) + u[i + 1:],
-                                  -1 if i % 2 else 1))
-            faces.append((u[:n] if n else obj, -1 if (n + 1) % 2 else 1))
-            for k in range(dims[obj]):
-                row = rows[(u, k)]
-                for j, v in first.by_row.get(k, {}).items():
-                    data[(row, cols[(tail, j)])] = v
-                for t, s in faces:
-                    key = (row, cols[(t, k)])
-                    data[key] = data.get(key, 0) + s
-        cx.differentials[n] = QMatrix(cx.dim(n + 1), cx.dim(n), data)
+    def faces(n, u):
+        # the first face applies the algebra map of the leading arrow, the
+        # inner faces compose adjacent arrows, the last face drops the
+        # trailing arrow
+        yield 1, u[1:] if n > 1 else cat.source(u[0]), diagram.maps[u[0]]
+        for i in range(1, n):
+            comp = cat.comp(u[i - 1], u[i])
+            if not cat.is_identity(comp):
+                yield _sign(i), u[:i - 1] + (comp,) + u[i + 1:], None
+        yield _sign(n), u[:-1] if n > 1 else cat.target(u[0]), None
+
+    cx.differentials = _rule_map(cx, cx, 1, faces).maps
 
     # the slots (index, anchor, k) of each degree by the object of their
     # anchor, in index order: a slot multiplies only the slots anchored at

@@ -10,8 +10,6 @@ and the homotopy trivializing commutators across causal cospans.
 
 from __future__ import annotations
 
-import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, wraps
 
@@ -27,25 +25,11 @@ from .fincat import (
     lemma_witnesses,
     pullback_fiber_square,
 )
-from .qlinalg import QMatrix, Subspace, invert, kernel_basis
-
-DEFAULT_MAX_DEGREE = 4
+from .qlinalg import Subspace, invert, kernel_basis
 
 
 class HoKanError(ValueError):
     pass
-
-
-def default_max_degree() -> int:
-    """FIBKAN_MAX_DEGREE, or DEFAULT_MAX_DEGREE when it is unset."""
-    value = os.environ.get("FIBKAN_MAX_DEGREE")
-    if value is None:
-        return DEFAULT_MAX_DEGREE
-    try:
-        return int(value)
-    except ValueError:
-        raise HoKanError(
-            f"FIBKAN_MAX_DEGREE must be an integer, got {value!r}") from None
 
 
 def check_max_degree(max_degree: int) -> int:
@@ -54,42 +38,6 @@ def check_max_degree(max_degree: int) -> int:
     if max_degree < 1:
         raise HoKanError(f"max degree must be at least 1, got {max_degree}")
     return max_degree
-
-
-def _sign(k: int):
-    return 1 if k % 2 == 0 else -1
-
-
-def _rule_map(source: Dga, target: Dga, shift: int, rule) -> GradedLinearMap:
-    """Build a graded map from a slotwise rule.
-
-    rule(n_out, anchor_out) yields (sign, anchor_in, matrix) triples, where
-    matrix transports internal indices (None for the identity) and anchor_in
-    lives in degree n_out - shift of the source.
-    """
-    cx_s, cx_t = source.complex, target.complex
-    maps = {}
-    for n_out in range(cx_t.max_degree + 1):
-        n_in = n_out - shift
-        if not (0 <= n_in <= cx_s.max_degree):
-            continue
-        data = {}
-        pos_out = cx_t.pos[n_out]
-        pos_in = cx_s.pos[n_in]
-        block_size = Counter(anchor for anchor, _ in cx_s.labels[n_in])
-        for anchor in dict.fromkeys(a for a, _ in cx_t.labels[n_out]):
-            for sign, anchor_in, matrix in rule(n_out, anchor):
-                if matrix is None:
-                    size = block_size[anchor_in]
-                    entries = ((k, k, sign) for k in range(size))
-                else:
-                    entries = ((i, j, sign * v)
-                               for (i, j), v in matrix.data.items())
-                for i, j, v in entries:
-                    key = (pos_out[(anchor, i)], pos_in[(anchor_in, j)])
-                    data[key] = data.get(key, 0) + v
-        maps[n_in] = QMatrix(cx_t.dim(n_out), cx_s.dim(n_in), data)
-    return GradedLinearMap(cx_s, cx_t, shift, maps)
 
 
 @dataclass
@@ -130,7 +78,7 @@ def _induced_map(source: CochainData, target: CochainData, vertex,
         if None not in image:
             yield 1, image, vertex(cat.target(anchor[0]))[1]
 
-    return _rule_map(source.dga, target.dga, 0, rule)
+    return dg._rule_map(source.dga.complex, target.dga.complex, 0, rule)
 
 
 def _prism(cochains: CochainData, witness, arrow) -> GradedLinearMap:
@@ -154,9 +102,9 @@ def _prism(cochains: CochainData, witness, arrow) -> GradedLinearMap:
         for i, v in enumerate(vertices):
             entry = anchor[:i] + (witness(v),) + image[i:]
             if None not in entry:
-                yield _sign(i), entry, None
+                yield dg._sign(i), entry, None
 
-    return _rule_map(cochains.dga, cochains.dga, -1, rule)
+    return dg._rule_map(cochains.dga.complex, cochains.dga.complex, -1, rule)
 
 
 def _kept(build):
@@ -257,9 +205,9 @@ class HoKan:
                 return
             rev = tuple(fiber.inverse(g) for g in reversed(anchor))
             chain = fiber.comp_chain(anchor)
-            yield _sign(n * (n + 1) // 2), rev, self.A.matrix(chain)
+            yield dg._sign(n * (n + 1) // 2), rev, self.A.matrix(chain)
 
-        return _rule_map(hou.dga, hou.dga, 0, rule)
+        return dg._rule_map(hou.dga.complex, hou.dga.complex, 0, rule)
 
     @_kept
     def beta_homotopy(self, M: str) -> GradedLinearMap:
@@ -278,9 +226,9 @@ class HoKan:
                 entry = anchor[:i - 1] + (comp,) + tuple(
                     fiber.inverse(g) for g in reversed(segment))
                 k = n - i
-                yield _sign(n + k * (k + 1) // 2), entry, None
+                yield dg._sign(n + k * (k + 1) // 2), entry, None
 
-        return _rule_map(hou.dga, hou.dga, -1, rule)
+        return dg._rule_map(hou.dga.complex, hou.dga.complex, -1, rule)
 
     # --- induced morphisms ---------------------------------------------------
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from . import fincat
 from .finalg import QftFunctor, validate_algebra, validate_qft
 from .fincat import CatFunctor, FinCategory, LocStructure, build_fibered_model
-from .qlinalg import QMatrix, _rationals
+from .qlinalg import QMatrix
 
 
 class ModelError(ValueError):
@@ -20,7 +20,6 @@ class ModelError(ValueError):
 @dataclass
 class Model:
     name: str
-    description: str
     loc: LocStructure
     strcat: FinCategory
     pi: CatFunctor
@@ -89,7 +88,6 @@ def model_from_dict(data: dict) -> Model:
         raise ModelError(["$.format: expected 1"])
     meta = _section(data, "metadata")
     name = meta.get("name", "unnamed")
-    description = meta.get("description", "")
 
     locdata = _section(data, "loc")
     base = _category_from_dict(locdata, "$.loc")
@@ -131,7 +129,7 @@ def model_from_dict(data: dict) -> Model:
             errors.append(f"$.algebra_maps.{g}: missing")
             continue
         try:
-            matrices[g] = QMatrix.from_rows(_rationals(spec, 2, "matrix"))
+            matrices[g] = QMatrix.from_rows(spec)
         except (TypeError, ValueError) as exc:
             errors.append(f"$.algebra_maps.{g}: {exc}")
     if errors:
@@ -140,8 +138,7 @@ def model_from_dict(data: dict) -> Model:
         A = validate_qft(strcat, algebras, matrices)
     except ValueError as exc:
         raise ModelError([f"$.algebra_maps: {exc}"])
-    return Model(name, description, loc, strcat, pi, A,
-                 _fibered={"normal": fibered})
+    return Model(name, loc, strcat, pi, A, _fibered={"normal": fibered})
 
 
 def parse_model(path) -> Model:

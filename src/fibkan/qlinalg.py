@@ -75,14 +75,14 @@ class QMatrix:
 
     @classmethod
     def from_rows(cls, entries) -> "QMatrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        data = {}
-        for i, row in enumerate(entries):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            data.update(((i, j), rat(v)) for j, v in enumerate(row))
-        return cls(rows, cols, data)
+        """The matrix of a JSON array of rows, each entry read with rat."""
+        entries = _rationals(entries, 2, "matrix")
+        cols = len(entries[0]) if entries else 0
+        if any(len(row) != cols for row in entries):
+            raise ValueError("ragged rows")
+        return cls(len(entries), cols, {
+            (i, j): v for i, row in enumerate(entries)
+            for j, v in enumerate(row)})
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":

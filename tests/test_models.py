@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibkan import cli
+from fibkan import cli, qlinalg
 from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.models import Model, ModelError, model_from_dict, parse_model
 
@@ -48,6 +48,23 @@ def test_parse_model_bad_json(tmp_path):
     with pytest.raises(ModelError) as err:
         parse_model(path)
     assert err.value.errors[0].startswith("$:")
+
+
+def test_each_scalar_entry_is_read_once(monkeypatch):
+    # structure constants, units and map matrices all go through rat, once
+    # per entry
+    calls = []
+    rat = qlinalg.rat
+    monkeypatch.setattr(qlinalg, "rat", lambda v: calls.append(v) or rat(v))
+    data = load_bundled("fix-d")
+    model_from_dict(data)
+    entries = sum(
+        len(alg["unit"]) + sum(len(row) for sc in alg["structure_constants"]
+                               for row in sc)
+        for alg in data["algebras"].values())
+    entries += sum(len(row) for spec in data["algebra_maps"].values()
+                   for row in spec)
+    assert len(calls) == entries
 
 
 def test_model_requires_format():
