@@ -168,11 +168,12 @@ def _rule_map(source: Complex, target: Complex, shift: int,
               rule) -> GradedLinearMap:
     """The graded map of shift `shift` that a slot rule gives.
 
-    Both complexes have slots (anchor, k). rule(n, anchor) yields (sign,
+    Both complexes have slots (anchor, k). rule(n, anchor) yields (coef,
     anchor_in, matrix) triples for an anchor of target degree n: the slot
-    (anchor, i) reads sign * matrix[i, j] times the source slot (anchor_in,
+    (anchor, i) reads coef * matrix[i, j] times the source slot (anchor_in,
     j) of degree n - shift, and a matrix None stands for the identity on the
-    block of anchor_in. What several triples give to one entry adds up.
+    block of anchor_in. The coefficient is any scalar, a sign or a matrix
+    entry. What several triples give to one entry adds up.
     """
     maps = {}
     for n_out in range(target.max_degree + 1):
@@ -184,12 +185,12 @@ def _rule_map(source: Complex, target: Complex, shift: int,
         pos_in = source.pos[n_in]
         block_size = Counter(anchor for anchor, _ in source.labels[n_in])
         for anchor in dict.fromkeys(a for a, _ in target.labels[n_out]):
-            for sign, anchor_in, matrix in rule(n_out, anchor):
+            for coef, anchor_in, matrix in rule(n_out, anchor):
                 if matrix is None:
                     size = block_size[anchor_in]
-                    entries = ((k, k, sign) for k in range(size))
+                    entries = ((k, k, coef) for k in range(size))
                 else:
-                    entries = ((i, j, sign * v)
+                    entries = ((i, j, coef * v)
                                for (i, j), v in matrix.data.items())
                 for i, j, v in entries:
                     key = (pos_out[(anchor, i)], pos_in[(anchor_in, j)])
@@ -614,78 +615,56 @@ def canonical_e(lim: LimDga, holim: Dga) -> GradedLinearMap:
 # --- tensor products --------------------------------------------------------
 
 
-class TensorComplex(Complex):
-    """Tensor product of two complexes; labels are (left degree, i, j)."""
-
-    def __init__(self, left: Complex, right: Complex, max_degree: int):
-        self.left = left
-        self.right = right
-        labels = {}
-        for p in range(max_degree + 1):
-            lbls = []
-            for p1 in range(p + 1):
-                p2 = p - p1
-                for i in range(left.dim(p1)):
-                    for j in range(right.dim(p2)):
-                        lbls.append((p1, i, j))
-            labels[p] = tuple(lbls)
-        super().__init__(max_degree, labels, {})
-        differentials = {}
-        for p in range(max_degree):
-            data = {}
-            for col, (p1, i, j) in enumerate(self.labels[p]):
-                p2 = p - p1
-                for k, v in left.d(p1).column(i).items():
-                    data[(self.pos[p + 1][(p1 + 1, k, j)], col)] = v
-                s = 1 if p1 % 2 == 0 else -1
-                for k, v in right.d(p2).column(j).items():
-                    key = (self.pos[p + 1][(p1, i, k)], col)
-                    data[key] = data.get(key, 0) + s * v
-            differentials[p] = QMatrix(self.dim(p + 1), self.dim(p), data)
-        self.differentials = differentials
+def tensor_complex(left: Complex, right: Complex, max_degree: int) -> Complex:
+    """Tensor product of two complexes, with slots ((p1, i), j) for the basis
+    index i of degree p1 on the left and j on the right."""
+    labels = {p: tuple(((p1, i), j) for p1 in range(p + 1)
+                       for i in range(left.dim(p1))
+                       for j in range(right.dim(p - p1)))
+              for p in range(max_degree + 1)}
+    cx = Complex(max_degree, labels, {})
+    d_left, d_right = (GradedLinearMap(c, c, 1, c.differentials)
+                       for c in (left, right))
+    cx.differentials = (
+        tensor_map(d_left, GradedLinearMap.identity(right), cx, cx)
+        + tensor_map(GradedLinearMap.identity(left), d_right, cx, cx)).maps
+    return cx
 
 
 def tensor_map(f: GradedLinearMap, g: GradedLinearMap,
-               source: TensorComplex, target: TensorComplex) -> GradedLinearMap:
-    """f tensor g with the Koszul sign (-1)^{|g| * (left degree)}."""
-    maps = {}
-    for p in range(source.max_degree + 1):
-        q = p + f.shift + g.shift
-        if not (0 <= q <= target.max_degree):
-            continue
-        data = {}
-        for col, (p1, i, j) in enumerate(source.labels[p]):
-            p2 = p - p1
-            sign = 1 if (g.shift * p1) % 2 == 0 else -1
-            # distinct (a, b) are distinct target slots: nothing accumulates
-            for a, va in f.matrix(p1).by_col.get(i, {}).items():
-                for b, vb in g.matrix(p2).by_col.get(j, {}).items():
-                    key = (target.pos[q][(p1 + f.shift, a, b)], col)
-                    data[key] = sign * va * vb
-        maps[p] = QMatrix(target.dim(q), source.dim(p), data)
-    return GradedLinearMap(source, target, f.shift + g.shift, maps)
+               source: Complex, target: Complex) -> GradedLinearMap:
+    """f tensor g with the Koszul sign (-1)^{|g| * p1}, p1 the left degree
+    of the source slot."""
+    def rule(q, anchor):
+        q1, a = anchor
+        p1 = q1 - f.shift
+        sign, right = _sign(g.shift * p1), g.matrix(q - q1 - g.shift)
+        for i, v in f.matrix(p1).by_row.get(a, {}).items():
+            yield sign * v, (p1, i), right
+
+    return _rule_map(source, target, f.shift + g.shift, rule)
 
 
-def _product_map(dga: Dga, tensor: TensorComplex, product) -> GradedLinearMap:
-    """The map from a tensor square that sends the slot (p1, i, j) of degree
-    p to product(p1, i, p - p1, j)."""
+def _product_map(dga: Dga, tensor: Complex, product) -> GradedLinearMap:
+    """The map from a tensor square that sends the slot ((p1, i), j) of
+    degree p to product(p1, i, p - p1, j)."""
     cx = dga.complex
     maps = {}
     for p in range(min(tensor.max_degree, cx.max_degree) + 1):
         data = {}
-        for col, (p1, i, j) in enumerate(tensor.labels[p]):
+        for col, ((p1, i), j) in enumerate(tensor.labels[p]):
             for k, v in product(p1, i, p - p1, j).items():
                 data[(k, col)] = v
         maps[p] = QMatrix(cx.dim(p), tensor.dim(p), data)
     return GradedLinearMap(tensor, cx, 0, maps)
 
 
-def mu_map(dga: Dga, tensor: TensorComplex) -> GradedLinearMap:
+def mu_map(dga: Dga, tensor: Complex) -> GradedLinearMap:
     """The multiplication of a dg-algebra as a map from its tensor square."""
     return _product_map(dga, tensor, dga.mul_basis)
 
 
-def muop_map(dga: Dga, tensor: TensorComplex) -> GradedLinearMap:
+def muop_map(dga: Dga, tensor: Complex) -> GradedLinearMap:
     """The opposite multiplication with the Koszul sign (-1)^{p1 * p2}."""
     def product(p1, i, p2, j):
         vec = dga.mul_basis(p2, j, p1, i)

@@ -277,7 +277,6 @@ class UnderCategory:
     """M down pi: objects (S, h: M -> pi(S)), morphisms (g, h) over Str."""
 
     cat: FinCategory
-    proj: CatFunctor  # to Str
     obj_info: dict    # name -> (S, h)
     mor_info: dict    # name -> (g, h_at_source)
 
@@ -326,10 +325,7 @@ def under_category(pi: CatFunctor, M: str) -> UnderCategory:
             compose[(m2.name, m1.name)] = mor_name(strcat.comp(g2, g1), h1)
     cat = FinCategory(sorted(obj_info), [by_name[k] for k in sorted(by_name)],
                       identity, compose)
-    proj = CatFunctor(cat, strcat,
-                      {name: S for name, (S, _) in obj_info.items()},
-                      {name: g for name, (g, _) in mor_info.items()})
-    return UnderCategory(cat, proj, obj_info, mor_info)
+    return UnderCategory(cat, obj_info, mor_info)
 
 
 # --- fibered models ------------------------------------------------------
@@ -555,7 +551,6 @@ def flabbiness_report(fm: FiberedModel, loc: LocStructure) -> FlabbinessReport:
 
 @dataclass(frozen=True)
 class ExtensionData:
-    f: str
     obj_map: dict   # S -> (ext_f S, f_sharp)
     mor_map: dict   # fiber g over source(f) -> ext_f g
 
@@ -595,11 +590,10 @@ def extension_data(fm: FiberedModel, loc: LocStructure, f: str) -> ExtensionData
         if fiber_prime.comp(mor_map[g1], mor_map[g2]) != mor_map[g12]:
             raise FiberedModelError(
                 f"extension along {f!r} does not preserve {g1!r} after {g2!r}")
-    return ExtensionData(f, obj_map, mor_map)
+    return ExtensionData(obj_map, mor_map)
 
 
-def lemma_witnesses(fm: FiberedModel, loc: LocStructure, f: str,
-                    ext: ExtensionData):
+def lemma_witnesses(fm: FiberedModel, f: str, ext: ExtensionData):
     """Unique closing arrows for the two extension triangles along f.
 
     Returns (into, outof): into[S] is the fiber arrow S -> f*ext_f S with

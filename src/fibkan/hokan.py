@@ -122,10 +122,10 @@ def _kept(build):
 class HoKan:
     """All homotopy Kan extension data of one fibered model, memoized.
 
-    The cochain algebras, the extension data and the maps kappa, zeta,
+    The cochain algebras, the extension data, the maps kappa, zeta,
     eta_homotopy, rho, beta_homotopy, hou_morphism, horan_morphism and
-    ext_pullback are built once per argument and kept; they are shared, so
-    read only.
+    ext_pullback, and the tensor data of a cospan are built once per argument
+    and kept; they are shared, so read only.
     """
 
     def __init__(self, fm: FiberedModel, loc: LocStructure, A: QftFunctor,
@@ -289,7 +289,7 @@ class HoKan:
 
     @_kept
     def witnesses(self, f: str):
-        return lemma_witnesses(self.fm, self.loc, f, self.extension(f))
+        return lemma_witnesses(self.fm, f, self.extension(f))
 
     @_kept
     def ext_pullback(self, f: str) -> GradedLinearMap:
@@ -329,53 +329,47 @@ class HoKan:
 
     # --- causality -----------------------------------------------------------
 
-    def _cospan_tensor(self, f1: str, f2: str):
-        """(M, hou(M), its tensor square, L) for a cospan f1, f2 into M, where
-        L transports a tensor class along the two legs."""
+    @_kept
+    def cospan(self, f1: str, f2: str):
+        """(M, T, L, mu, muop) for a cospan f1, f2 into M: T is the tensor
+        square of hou(M), L transports a tensor class along the two legs and
+        mu/muop are the two multiplications from T."""
         base = self.fm.loc
         M = base.target(f1)
         if base.target(f2) != M:
             raise HoKanError("cospan legs must share a target")
-        src1 = self.hou_object(base.source(f1)).dga
-        src2 = self.hou_object(base.source(f2)).dga
+        src1, src2 = (self.hou_object(base.source(f)).dga.complex
+                      for f in (f1, f2))
         tgt = self.hou_object(M).dga
-        t_src = dg.TensorComplex(src1.complex, src2.complex, self.max_degree)
-        t_tgt = dg.TensorComplex(tgt.complex, tgt.complex, self.max_degree)
+        t_src = dg.tensor_complex(src1, src2, self.max_degree)
+        t_tgt = dg.tensor_complex(tgt.complex, tgt.complex, self.max_degree)
         big_l = dg.tensor_map(self.hou_morphism(f1), self.hou_morphism(f2),
                               t_src, t_tgt)
-        return M, tgt, t_tgt, big_l
+        return M, t_tgt, big_l, dg.mu_map(tgt, t_tgt), dg.muop_map(tgt, t_tgt)
 
-    def causal_tensor_data(self, f1: str, f2: str):
-        """The tensor-product cochain maps entering the commutator homotopy.
-
-        Returns (L, mu, muop, lam) where L transports a tensor class along
-        the two cospan legs, mu/muop are the two multiplications after L,
-        and lam is the commutator-trivializing homotopy.
-        """
-        M, tgt, t_tgt, big_l = self._cospan_tensor(f1, f2)
-        mu = dg.mu_map(tgt, t_tgt)
-        muop = dg.muop_map(tgt, t_tgt)
-        rho = self.rho(M)
-        beta = self.beta_homotopy(M)
-        ident = GradedLinearMap.identity(tgt.complex)
+    def lambda_homotopy(self, f1: str, f2: str) -> GradedLinearMap:
+        """Homotopy between mu after L and muop after L."""
+        M, t_tgt, big_l, mu, muop = self.cospan(f1, f2)
+        rho, beta = self.rho(M), self.beta_homotopy(M)
+        ident = GradedLinearMap.identity(self.hou_object(M).dga.complex)
         rho_beta = dg.tensor_map(rho, beta, t_tgt, t_tgt)
         beta_id = dg.tensor_map(beta, ident, t_tgt, t_tgt)
-        lam = (muop.after(rho_beta + beta_id) - beta.after(mu)).after(big_l)
-        return big_l, mu.after(big_l), muop.after(big_l), lam
+        return (muop.after(rho_beta + beta_id) - beta.after(mu)).after(big_l)
 
     def product_reversal_identity(self, f1: str, f2: str, up_to: int):
         """Degrees where reversal fails to intertwine the two products."""
-        M, tgt, t_tgt, big_l = self._cospan_tensor(f1, f2)
+        M, t_tgt, big_l, mu, muop = self.cospan(f1, f2)
         rho = self.rho(M)
         rho_rho = dg.tensor_map(rho, rho, t_tgt, t_tgt)
-        lhs = rho.after(dg.mu_map(tgt, t_tgt)).after(big_l)
-        rhs = dg.muop_map(tgt, t_tgt).after(rho_rho).after(big_l)
-        return dg.failing_degrees(lhs, rhs, up_to)
+        return dg.failing_degrees(rho.after(mu).after(big_l),
+                                  muop.after(rho_rho).after(big_l), up_to)
 
     def lambda_causality(self, f1: str, f2: str, up_to: int):
         """Degrees where the commutator homotopy identity fails."""
-        _, mu_l, muop_l, lam = self.causal_tensor_data(f1, f2)
-        return dg.check_homotopy_identity(mu_l, muop_l, lam, up_to)
+        _, _, big_l, mu, muop = self.cospan(f1, f2)
+        return dg.check_homotopy_identity(
+            mu.after(big_l), muop.after(big_l), self.lambda_homotopy(f1, f2),
+            up_to)
 
     # --- cohomology comparisons ----------------------------------------------
 

@@ -41,10 +41,10 @@ def fiber_diagram(fm: FiberedModel, A: QftFunctor, M: str) -> dg.DgaDiagram:
 def under_diagram(fm: FiberedModel, A: QftFunctor, M: str) -> dg.DgaDiagram:
     """A pulled back to the category of objects under M."""
     under = fm.under(M)
-    cat, proj = under.cat, under.proj
     return dg.DgaDiagram(
-        cat, {obj: A.algebra(proj.on_obj(obj)) for obj in cat.objects},
-        {g: A.matrix(proj.on_mor(g)) for g in cat.morphisms})
+        under.cat,
+        {name: A.algebra(S) for name, (S, _) in under.obj_info.items()},
+        {name: A.matrix(g) for name, (g, _) in under.mor_info.items()})
 
 
 def u_object(fm: FiberedModel, A: QftFunctor, M: str) -> dg.LimDga:

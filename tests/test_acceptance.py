@@ -231,8 +231,8 @@ def test_cohomology_strictness_and_commutators():
     # the two products agree on cohomology when their difference maps every
     # cocycle to a coboundary
     _, hk = context("fix-b")
-    _, mu_l, muop_l, _ = hk.causal_tensor_data("c1", "c2")
-    diff = mu_l - muop_l
+    _, _, big_l, mu, muop = hk.cospan("c1", "c2")
+    diff = (mu - muop).after(big_l)
     for n in range(N):
         bnd = dg.coboundary_space(diff.target, n)
         for z in dg.cocycle_space(diff.source, n).rows:

@@ -12,7 +12,8 @@ import pytest
 from fibkan import cli, dg, kan
 from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.hokan import HoKan
-from fibkan.qlinalg import QMatrix
+from fibkan.models import model_from_dict
+from fibkan.qlinalg import QMatrix, Subspace
 
 # the model properties each bundled fixture violates on purpose
 EXPECT = {
@@ -123,6 +124,21 @@ def test_verify_builds_each_fiber_invariant_once(capsys, monkeypatch):
     assert collections.Counter(reports) == {
         "check_axioms_on_str": 1, "check_axioms": 2, "classify_flabbiness": 1,
         "under_category": 4, "extension_data": 6, "lemma_witnesses": 6}
+
+
+def test_verify_builds_each_cospan_tensor_data_once(capsys, monkeypatch):
+    # the product reversal and the commutator homotopy share the tensor
+    # squares and the two multiplications of fix-b's one cospan
+    built = []
+    for name in ("tensor_complex", "mu_map", "muop_map"):
+        def counting(*args, name=name, real=getattr(dg, name)):
+            built.append(name)
+            return real(*args)
+        monkeypatch.setattr(dg, name, counting)
+    code, _ = run(capsys, "verify", "--fixture", "fix-b", "--max-degree", "2")
+    assert code == 0
+    assert collections.Counter(built) == {
+        "tensor_complex": 2, "mu_map": 1, "muop_map": 1}
 
 
 def test_hokan_witnesses_pass(capsys):
@@ -246,6 +262,57 @@ def test_failing_checks_are_reported_at_their_key(capsys, monkeypatch):
             "f23 after f12": "failing degrees [0, 1]"}}}
     assert [name for name, c in checks.items() if c["status"] == "fail"] \
         == ["kappa-iso", "gamma2-homotopy"]
+
+
+def test_gamma2_check_reaches_nonzero_homotopies(capsys, monkeypatch):
+    # under the reversed seed order the composition homotopies of fix-e are
+    # nonzero at every composable pair, so the finding checks real
+    # homotopies there: a zero one fails in every degree it checks
+    m = model_from_dict(load_bundled("fix-e"))
+    hk = HoKan(m.fibered("reversed"), m.loc, m.A, 4)
+    pairs = cli._composable(m.loc.base, 2)
+    assert len(pairs) == 4
+    for g, f in pairs.values():
+        assert any(not h.is_zero() for h in hk.gamma2(g, f).maps.values())
+    argv = ("hokan", "--fixture", "fix-e", "--seed-order", "reversed")
+
+    def gamma2_finding():
+        _, out = run(capsys, *argv)
+        return next(c for c in json.loads(out)["checks"]
+                    if c["name"] == "gamma2-homotopy")
+
+    assert gamma2_finding() == {
+        "name": "gamma2-homotopy", "status": "pass",
+        "details": {"pairs": {key: "pass" for key in pairs}}}
+    gamma2 = HoKan.gamma2
+
+    def zero_gamma2(self, g, f):
+        h = gamma2(self, g, f)
+        return dg.GradedLinearMap.zero(h.source, h.target, h.shift)
+
+    monkeypatch.setattr(HoKan, "gamma2", zero_gamma2)
+    assert gamma2_finding() == {
+        "name": "gamma2-homotopy", "status": "fail",
+        "details": {"pairs": {key: "failing degrees [0, 1, 2, 3]"
+                              for key in pairs}}}
+
+
+def test_failure_messages_stand_as_the_outcome(capsys, monkeypatch):
+    # no fixture fails these two checks: a failure reads as its message, not
+    # as a list of failing degrees
+    monkeypatch.setattr(dg, "is_weak_equivalence", lambda f, up_to: False)
+    monkeypatch.setattr(HoKan, "h0_subspace",
+                        lambda self, M: Subspace(0, (), ()))
+    code, out = run(capsys, "verify", "--fixture", "fix-a",
+                    "--max-degree", "2")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["kappa-weak-equivalence"] == {
+        "name": "kappa-weak-equivalence", "status": "fail",
+        "details": {"objects": {"pt": "not a weak equivalence"}}}
+    assert checks["h0-comparison"] == {
+        "name": "h0-comparison", "status": "fail", "details": {"objects": {
+            "pt": "degree-0 cocycles differ from the invariants"}}}
 
 
 def test_verify_reports_are_byte_identical(capsys):

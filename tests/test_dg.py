@@ -10,7 +10,6 @@ from fibkan.dg import (
     Complex,
     Dga,
     GradedLinearMap,
-    TensorComplex,
     canonical_e,
     check_homotopy_identity,
     cohomology_dim,
@@ -19,6 +18,7 @@ from fibkan.dg import (
     lim_dgalg,
     mu_map,
     muop_map,
+    tensor_complex,
     tensor_map,
 )
 from fibkan.fixtures import load_bundled
@@ -331,7 +331,7 @@ def test_canonical_e_weak_equivalence():
 
 def test_tensor_complex_structure():
     cx = two_step_complex()
-    t = TensorComplex(cx, cx, 4)
+    t = tensor_complex(cx, cx, 4)
     assert t.violations() == []
     assert t.dim(0) == 4
     assert t.dim(1) == 8  # 2*2 twice
@@ -343,7 +343,7 @@ def test_tensor_complex_structure():
 
 def test_tensor_map_koszul_sign():
     cx = two_step_complex()
-    t = TensorComplex(cx, cx, 4)
+    t = tensor_complex(cx, cx, 4)
     ident = GradedLinearMap.identity(cx)
     # a degree -1 map paired with the identity picks up no sign on the left
     h = GradedLinearMap(cx, cx, -1, {
@@ -353,16 +353,111 @@ def test_tensor_map_koszul_sign():
     left = tensor_map(h, ident, t, t)
     right = tensor_map(ident, h, t, t)
     # (h ox id)(c ox c) has no sign; (id ox h)(c ox c) gains (-1)^{|c|}
-    col = t.pos[2][(1, 0, 0)]  # c ox c
+    col = t.pos[2][((1, 0), 0)]  # c ox c
     lcol = left.matrix(2).column(col)
     rcol = right.matrix(2).column(col)
-    assert lcol == {t.pos[1][(0, 0, 0)]: rat(1)}  # a ox c
-    assert rcol == {t.pos[1][(1, 0, 0)]: rat(-1)}  # -(c ox a)
+    assert lcol == {t.pos[1][((0, 0), 0)]: rat(1)}  # a ox c
+    assert rcol == {t.pos[1][((1, 0), 0)]: rat(-1)}  # -(c ox a)
+
+
+def oracle_slots(left, right, max_degree):
+    """The tensor slots ((p1, i), j) of each degree, listed by hand."""
+    labels = {}
+    for p in range(max_degree + 1):
+        lbls = []
+        for p1 in range(p + 1):
+            p2 = p - p1
+            for i in range(left.dim(p1)):
+                for j in range(right.dim(p2)):
+                    lbls.append(((p1, i), j))
+        labels[p] = tuple(lbls)
+    return labels
+
+
+def oracle_tensor_d(left, right, max_degree):
+    """The differential d(x ox y) = dx ox y + (-1)^{|x|} x ox dy, written
+    slot by slot without the slot-rule builder."""
+    labels = oracle_slots(left, right, max_degree)
+    pos = {p: {lbl: k for k, lbl in enumerate(lbls)}
+           for p, lbls in labels.items()}
+    differentials = {}
+    for p in range(max_degree):
+        data = {}
+        for col, ((p1, i), j) in enumerate(labels[p]):
+            p2 = p - p1
+            for k, v in left.d(p1).column(i).items():
+                data[(pos[p + 1][((p1 + 1, k), j)], col)] = v
+            s = 1 if p1 % 2 == 0 else -1
+            for k, v in right.d(p2).column(j).items():
+                key = (pos[p + 1][((p1, i), k)], col)
+                data[key] = data.get(key, 0) + s * v
+        differentials[p] = QMatrix(len(labels[p + 1]), len(labels[p]), data)
+    return differentials
+
+
+def oracle_tensor_map(f, g, source, target):
+    """The matrices of f ox g with the Koszul sign (-1)^{|g| * p1}, written
+    slot by slot without the slot-rule builder."""
+    maps = {}
+    for p in range(source.max_degree + 1):
+        q = p + f.shift + g.shift
+        if not (0 <= q <= target.max_degree):
+            continue
+        data = {}
+        for col, ((p1, i), j) in enumerate(source.labels[p]):
+            p2 = p - p1
+            sign = 1 if (g.shift * p1) % 2 == 0 else -1
+            # distinct (a, b) are distinct target slots: nothing accumulates
+            for a, va in f.matrix(p1).by_col.get(i, {}).items():
+                for b, vb in g.matrix(p2).by_col.get(j, {}).items():
+                    key = (target.pos[q][((p1 + f.shift, a), b)], col)
+                    data[key] = sign * va * vb
+        maps[p] = QMatrix(target.dim(q), source.dim(p), data)
+    return maps
+
+
+def random_matrix(data, rows, cols):
+    entries = st.integers(-2, 2)
+    return QMatrix(rows, cols, {(i, j): data.draw(entries)
+                                for i in range(rows) for j in range(cols)})
+
+
+def random_complex(data, top):
+    """Degrees 0..top of dimension 0 to 2 with random differentials, which
+    need not square to zero: the oracles compare matrices only."""
+    dims = [data.draw(st.integers(0, 2)) for _ in range(top + 1)]
+    return Complex(top, {n: tuple(range(k)) for n, k in enumerate(dims)},
+                   {n: random_matrix(data, dims[n + 1], dims[n])
+                    for n in range(top)})
+
+
+def random_map(data, source, target, shift):
+    return GradedLinearMap(source, target, shift, {
+        n: random_matrix(data, target.dim(n + shift), source.dim(n))
+        for n in range(source.max_degree + 1)
+        if 0 <= n + shift <= target.max_degree})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_layer_matches_the_slot_by_slot_oracles(data):
+    top = data.draw(st.integers(0, 3))
+    tensor_top = data.draw(st.integers(0, 3))
+    l1, r1, l2, r2 = (random_complex(data, top) for _ in range(4))
+    t1, t2 = (tensor_complex(l, r, tensor_top) for l, r in ((l1, r1), (l2, r2)))
+    assert t1.labels == oracle_slots(l1, r1, tensor_top)
+    assert {n: t1.d(n) for n in range(tensor_top)} \
+        == oracle_tensor_d(l1, r1, tensor_top)
+    f = random_map(data, l1, l2, data.draw(st.sampled_from([-1, 0, 1])))
+    g = random_map(data, r1, r2, data.draw(st.sampled_from([-1, 0, 1])))
+    got = tensor_map(f, g, t1, t2)
+    assert got.shift == f.shift + g.shift
+    assert got.maps == oracle_tensor_map(f, g, t1, t2)
 
 
 def test_mu_map_is_cochain_map():
     holim = holim_dgalg(z2_diagram(), N)
-    t = TensorComplex(holim.complex, holim.complex, N)
+    t = tensor_complex(holim.complex, holim.complex, N)
     mu = mu_map(holim, t)
     muop = muop_map(holim, t)
     assert mu.is_cochain_map()

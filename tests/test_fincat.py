@@ -265,7 +265,7 @@ def test_lemma_witnesses_z2():
     m = model("fix-d")
     fm = m.fibered()
     ext = extension_data(fm, m.loc, "f")
-    into, outof = lemma_witnesses(fm, m.loc, "f", ext)
+    into, outof = lemma_witnesses(fm, "f", ext)
     assert into == {"N": "id_N.e"}
     assert outof == {"Np": "id_Np.e"}
 
@@ -274,7 +274,7 @@ def test_lemma_witnesses_identity_morphism():
     m = model("fix-d")
     fm = m.fibered()
     ext = extension_data(fm, m.loc, "id_Np")
-    into, outof = lemma_witnesses(fm, m.loc, "id_Np", ext)
+    into, outof = lemma_witnesses(fm, "id_Np", ext)
     assert into == {"Np": "id_Np.e"}
 
 

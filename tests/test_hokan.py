@@ -289,7 +289,7 @@ def test_ext_pullback_homotopies_nontrivial_witnesses(monkeypatch):
     m, hk = context("fix-d")
     ext_rev = extension_data(m.fibered("reversed"), m.loc, "f")
     monkeypatch.setattr(hk, "extension", {"f": ext_rev}.__getitem__)
-    into, outof = lemma_witnesses(hk.fm, m.loc, "f", ext_rev)
+    into, outof = lemma_witnesses(hk.fm, "f", ext_rev)
     assert into == {"N": "id_N.g"}
     assert outof == {"Np": "id_Np.g"}
     ext_star = hk.ext_pullback("f")

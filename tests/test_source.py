@@ -88,6 +88,44 @@ def test_library_is_exact_and_stdlib_only():
             for finding in inexact_or_foreign(path.read_text(), path.name)] == []
 
 
+def unread_parameters(source, name):
+    """Parameters of a function or lambda that its body never reads, other
+    than self, cls and _-prefixed names. The cli.py runners checks_* are
+    exempt: cli.COMMANDS calls every runner as (model, order, max_degree)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        label = getattr(node, "name", "lambda")
+        if name == "cli.py" and label.startswith("checks_"):
+            continue
+        args = node.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg, args.kwarg)
+                  if arg and arg.arg not in ("self", "cls")
+                  and not arg.arg.startswith("_")]
+        body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        found += [f"{name}:{node.lineno} {label} {param}"
+                  for param in params if param not in read]
+    return found
+
+
+def test_library_functions_read_their_parameters():
+    # a parameter that nothing reads is dead weight every caller still passes
+    source = ("def f(a, b, _c, *args, **kw):\n    return a, kw\n"
+              "class K:\n    def m(self, x):\n        return lambda y, z: y\n"
+              "def checks_x(model, order, max_degree):\n    return model\n")
+    assert unread_parameters(source, "m") == [
+        "m:1 f b", "m:1 f args", "m:6 checks_x order",
+        "m:6 checks_x max_degree", "m:4 m x", "m:5 lambda z"]
+    assert unread_parameters(source, "cli.py") == [
+        "cli.py:1 f b", "cli.py:1 f args", "cli.py:4 m x", "cli.py:5 lambda z"]
+    assert [finding for path in sorted(SOURCE.glob("*.py"))
+            for finding in unread_parameters(path.read_text(), path.name)] == []
+
+
 def load_bench_module(name):
     """A bench module executed from its source, without writing bytecode."""
     path = BENCH / f"{name}.py"
