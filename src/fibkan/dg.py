@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import chain
 from math import lcm
 
@@ -257,20 +258,31 @@ class Dga:
 
     products[(n1, n2)] maps basis index pairs (i, j) to the sparse product
     vector in degree n1 + n2 (int or Fraction entries); missing keys mean
-    the product is zero. unit is a sparse degree-0 vector.
+    the product is zero. unit is a sparse degree-0 vector. Tables are copied
+    and checked at construction or, if products is a function that builds
+    them, when built on first read, once.
     """
 
     def __init__(self, complex_: Complex, products, unit):
         self.complex = complex_
-        self.products = {
-            key: {pair: dict(vec) for pair, vec in table.items() if vec}
-            for key, table in products.items()
-        }
+        self._tables = products
+        if not callable(products):
+            self.products
         self.unit = dict(unit)
-        _check_exact(chain.from_iterable(
-            vec.values() for table in self.products.values()
-            for vec in table.values()), "product entry")
         _check_exact(self.unit.values(), "unit entry")
+
+    @cached_property
+    def products(self) -> dict:
+        tables = self._tables() if callable(self._tables) else self._tables
+        products = {
+            key: {pair: dict(vec) for pair, vec in table.items() if vec}
+            for key, table in tables.items()
+        }
+        _check_exact(chain.from_iterable(
+            vec.values() for table in products.values()
+            for vec in table.values()), "product entry")
+        del self._tables
+        return products
 
     def table(self, n1: int, n2: int) -> dict:
         return self.products.get((n1, n2), {})
@@ -459,7 +471,8 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
     algebra at the target of its first arrow. The differential is the
     alternating sum of the faces. The product of two slots concatenates their
     tuples, transports the second factor along the composite of the first
-    factor's arrows and multiplies in the algebra there.
+    factor's arrows and multiplies in the algebra there. Its tables are
+    built on first read, one transported product per composite arrow.
     """
     cat = diagram.cat
     dims = {obj: dga.complex.dim(0) for obj, dga in diagram.at.items()}
@@ -482,6 +495,14 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
 
     cx.differentials = _rule_map(cx, cx, 1, faces).maps
 
+    unit = {cx.pos[0][(obj, i)]: v
+            for obj in cat.objects for i, v in diagram.at[obj].unit.items()}
+    return Dga(cx, partial(_cup_products, diagram, cx, anchors, dims), unit)
+
+
+def _cup_products(diagram: DgaDiagram, cx: Complex, anchors, dims) -> dict:
+    """The product tables of holim_dgalg's cochains, from its locals."""
+    cat = diagram.cat
     # the slots (index, anchor, k) of each degree by the object of their
     # anchor, in index order: a slot multiplies only the slots anchored at
     # the object where its own tuple ends
@@ -490,38 +511,39 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
         for u, obj in nerve_n:
             slots[n].setdefault(obj, []).extend(
                 (cx.pos[n][(u, k)], u, k) for k in range(dims[obj]))
-    products = {}
-    for n1 in range(max_degree + 1):
-        for n2 in range(max_degree + 1 - n1):
-            table = {}
-            in_pos, out_pos = cx.pos[n1], cx.pos[n1 + n2]
-            for u1, obj in anchors[n1]:
-                if n1:
-                    tail = cat.source(u1[-1])
-                    move = diagram.maps[cat.comp_chain(u1)]
-                else:
-                    tail, move = u1, None
+    top = cx.max_degree
+    products = {(n1, n2): {} for n1 in range(top + 1)
+                for n2 in range(top + 1 - n1)}
+    # prods[k1][k2] by (0, object) or (1, composite arrow) of a first factor
+    transported = {}
+    for n1, nerve_n in anchors.items():
+        in_pos = cx.pos[n1]
+        for u1, obj in nerve_n:
+            if n1:
+                tail, key = cat.source(u1[-1]), (1, cat.comp_chain(u1))
+            else:
+                tail, key = u1, (0, u1)
+            prods = transported.get(key)
+            if prods is None:
+                moved = [diagram.maps[key[1]].column(k2) if n1 else {k2: 1}
+                         for k2 in range(dims[tail])]
                 alg = diagram.at[obj]
-                partners = slots[n2].get(tail, ())
-                moved = {k2: {k2: 1} if move is None else move.column(k2)
-                         for k2 in {k2 for _, _, k2 in partners}}
-                for k1 in range(dims[obj]):
+                prods = transported[key] = [
+                    [alg.mul(0, {k1: 1}, 0, vec) for vec in moved]
+                    for k1 in range(dims[obj])]
+            for n2 in range(top + 1 - n1):
+                table, out_pos = products[(n1, n2)], cx.pos[n1 + n2]
+                for k1, row in enumerate(prods):
                     j1 = in_pos[(u1, k1)]
-                    # a product depends on k2, not on the partner's anchor
-                    prods = {k2: alg.mul(0, {k1: 1}, 0, vec)
-                             for k2, vec in moved.items()}
-                    for j2, u2, k2 in partners:
-                        prod = prods[k2]
+                    for j2, u2, k2 in slots[n2].get(tail, ()):
+                        prod = row[k2]
                         if prod:
                             # a degree-0 anchor is an object, the unit of
                             # concatenation
                             u = u2 if not n1 else u1 if not n2 else u1 + u2
                             table[(j1, j2)] = {
                                 out_pos[(u, k)]: v for k, v in prod.items()}
-            products[(n1, n2)] = table
-    unit = {cx.pos[0][(obj, i)]: v
-            for obj in cat.objects for i, v in diagram.at[obj].unit.items()}
-    return Dga(cx, products, unit)
+    return products
 
 
 @dataclass

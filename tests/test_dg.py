@@ -197,6 +197,28 @@ def test_dga_refuses_floats_and_bools(value):
         Dga(alg.complex, alg.products, {**alg.unit, 1: value})
 
 
+@pytest.mark.parametrize("value", [0.5, 2.0, True])
+def test_built_tables_are_checked_when_built(value):
+    # tables given by a builder are built on the first read, once, and
+    # copied and checked as ready tables are at construction
+    m = model_from_dict(load_bundled("fix-a"))
+    alg = m.A.algebra("x")
+    calls = []
+
+    def tables():
+        calls.append(1)
+        return alg.products
+
+    dga = Dga(alg.complex, tables, alg.unit)
+    assert calls == []
+    assert dga.products == alg.products and dga.products is dga.products
+    assert calls == [1]
+    products = {(0, 0): {**alg.products[(0, 0)], (1, 2): {0: value}}}
+    dga = Dga(alg.complex, lambda: products, alg.unit)
+    with pytest.raises(TypeError):
+        dga.products
+
+
 def unit_table(dim):
     """Products of the unit (index 0) with every basis element of a degree."""
     return {pair: {k: rat(1)} for k in range(dim)

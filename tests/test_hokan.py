@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_source import load_bench_module
 
-from fibkan import cli, qlinalg
+from fibkan import cli, dg, qlinalg
 from fibkan.dg import (
+    Dga,
     GradedLinearMap,
     check_homotopy_identity,
     cohomology_dim,
@@ -110,6 +111,70 @@ def test_cohomology_after_the_kappa_check_runs_no_elimination(monkeypatch):
         [invariants, 0] * 2
     assert hk.h0_subspace("M0").dim == invariants
     assert checked and len(calls) == checked
+
+
+def test_product_tables_are_built_on_first_read_and_once(monkeypatch):
+    # cohomology, the kappa weak equivalence and the homotopy identities
+    # read only the cochain complexes, so no product is computed for them;
+    # the structure suite builds each table once, and the table is kept
+    products, builds = [], []
+    mul, build = Dga.mul, dg._cup_products
+
+    def counted_mul(self, *args):
+        products.append(args)
+        return mul(self, *args)
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    m, hk = context("fix-e", max_degree=3)
+    base = m.loc.base
+    # the limit algebras of the oracle multiply, so they are built first
+    invariants = {M: u_object(hk.fm, m.A, M).dim for M in base.objects}
+    monkeypatch.setattr(Dga, "mul", counted_mul)
+    monkeypatch.setattr(dg, "_cup_products", counted_build)
+    arrows = sorted(f for f in base.morphisms if not base.is_identity(f))
+    dgas = {}
+    for M in sorted(base.objects):
+        hou, horan = hk.hou_object(M).dga, hk.horan_object(M).dga
+        dgas.update({id(hou): hou, id(horan): horan})
+        assert is_weak_equivalence(hk.kappa(M), 2)
+        assert [cohomology_dim(dga.complex, n) for dga in (hou, horan)
+                for n in range(3)] == [invariants[M], 0, 0] * 2
+        assert check_homotopy_identity(
+            hk.zeta(M).after(hk.kappa(M)),
+            GradedLinearMap.identity(horan.complex), hk.eta_homotopy(M),
+            2) == []
+        assert check_homotopy_identity(
+            hk.rho(M), GradedLinearMap.identity(hou.complex),
+            hk.beta_homotopy(M), 2) == []
+    pairs = [(g, f) for g in arrows for f in arrows
+             if base.source(g) == base.target(f)]
+    for g, f in pairs:
+        lhs = hk.hou_morphism(g).after(hk.hou_morphism(f)) \
+            - hk.hou_morphism(base.comp(g, f))
+        assert check_homotopy_identity(
+            lhs, GradedLinearMap.zero(lhs.source, lhs.target),
+            hk.gamma2(g, f), 2) == []
+    for f in sorted(set(m.loc.cauchy) & set(arrows)):
+        source, target = (GradedLinearMap.identity(
+            hk.hou_object(M).dga.complex)
+            for M in (base.source(f), base.target(f)))
+        assert check_homotopy_identity(
+            hk.ext_pullback(f).after(hk.hou_morphism(f)), source,
+            hk.phi_homotopy(f), 2) == []
+        assert check_homotopy_identity(
+            hk.hou_morphism(f).after(hk.ext_pullback(f)), target,
+            hk.phibar_homotopy(f), 2) == []
+    assert pairs and products == [] and builds == []
+    for dga in dgas.values():
+        assert dga.violations() == []
+    assert products and len(builds) == len(dgas) == 8
+    for dga in dgas.values():
+        assert dga.products is dga.products
+        assert dga.violations() == []
+    assert len(builds) == len(dgas)
 
 
 def test_kappa_zeta_identity():
@@ -387,6 +452,13 @@ HOLIM_DIGESTS = {
     "fix-e:M1": ("06acee00c14badbb", "96609d4d623b41b2"),
     "fix-e:M2": ("f5fea64a7196a28b", "d41dd07dc4bcc560"),
     "fix-e:M3": ("f61d5784f251ad34", "b6d4f1cb9331f751"),
+    # generated chains, recorded from the tables built per anchor, before
+    # the products of a composite arrow were computed once for all anchors
+    "chain(2,S3)@2:M0": ("2f6cd7bb09f49a3e", "ea98a389dca02763"),
+    "chain(2,S3)@2:M1": ("57f58ef591bd9ff8", "55d8e9b51496d707"),
+    "chain(3,Z2)@3:M0": ("7704e725702a9224", "7b089d5e9d5623ba"),
+    "chain(3,Z2)@3:M1": ("7394fcd51a8a6c02", "45f5afda11362def"),
+    "chain(3,Z2)@3:M2": ("bcb6740d02dfb3a6", "e17b1a652c9e5292"),
 }
 
 
@@ -397,6 +469,13 @@ def test_cochain_algebras_match_recorded_digests():
         for M in sorted(m.loc.base.objects):
             got[f"{name}:{M}"] = (dga_digest(hk.hou_object(M).dga),
                                   dga_digest(hk.horan_object(M).dga))
+    for n, group, degree in ((2, "S3", 2), (3, "Z2", 3)):
+        m = model_from_dict(CHAIN.chain_dict(n, group))
+        hk = HoKan(m.fibered(), m.loc, m.A, degree)
+        for M in sorted(m.loc.base.objects):
+            got[f"chain({n},{group})@{degree}:{M}"] = (
+                dga_digest(hk.hou_object(M).dga),
+                dga_digest(hk.horan_object(M).dga))
     assert got == HOLIM_DIGESTS
 
 
