@@ -258,9 +258,10 @@ class Dga:
 
     products[(n1, n2)] maps basis index pairs (i, j) to the sparse product
     vector in degree n1 + n2 (int or Fraction entries); missing keys mean
-    the product is zero. unit is a sparse degree-0 vector. Tables are copied
-    and checked at construction or, if products is a function that builds
-    them, when built on first read, once.
+    the product is zero. unit is a sparse degree-0 vector. Ready tables are
+    copied and checked at construction; if products is a function that builds
+    them, its fresh tables, which nothing else holds, are checked, not copied,
+    when built on first read, once.
     """
 
     def __init__(self, complex_: Complex, products, unit):
@@ -273,11 +274,13 @@ class Dga:
 
     @cached_property
     def products(self) -> dict:
-        tables = self._tables() if callable(self._tables) else self._tables
-        products = {
-            key: {pair: dict(vec) for pair, vec in table.items() if vec}
-            for key, table in tables.items()
-        }
+        if callable(self._tables):
+            products = self._tables()
+        else:
+            products = {
+                key: {pair: dict(vec) for pair, vec in table.items() if vec}
+                for key, table in self._tables.items()
+            }
         _check_exact(chain.from_iterable(
             vec.values() for table in products.values()
             for vec in table.values()), "product entry")

@@ -142,10 +142,12 @@ class QftFunctor:
             if _SHAPE_MISMATCH not in found:
                 shaped.add(g)
         # a composition with a mis-shaped matrix, reported above, has no
-        # product to compare
+        # product to compare; A(g)A(f) = A(h) is checked column by column
         mats = self.on_morphisms
         for (g, f), h in cat.compose.items():
-            if {g, f, h} <= shaped and mats[g] * mats[f] != mats[h]:
+            if {g, f, h} <= shaped and any(
+                    mats[g].apply_sparse(mats[f].by_col.get(j, {}))
+                    != mats[h].by_col.get(j, {}) for j in range(mats[f].cols)):
                 out.append(f"functoriality fails on composition ({g!r},{f!r})")
         return out
 

@@ -106,7 +106,7 @@ class FinCategory:
         for m in self.morphisms.values():
             if m.source not in self.objects or m.target not in self.objects:
                 out.append(f"morphism {m.name!r} references unknown object")
-        names = set(self.morphisms)
+        names = self.morphisms.keys()
         for (g, f), h in self.compose.items():
             if g not in names or f not in names or h not in names:
                 out.append(f"composition entry ({g!r},{f!r})={h!r} references unknown morphism")
@@ -116,10 +116,15 @@ class FinCategory:
             elif (self.source(h) != self.source(f)
                   or self.target(h) != self.target(g)):
                 out.append(f"composition entry ({g!r},{f!r})={h!r} is ill-typed")
-        for g in names:
-            for f in names:
-                if self.source(g) == self.target(f) and (g, f) not in self.compose:
-                    out.append(f"composition table missing entry ({g!r},{f!r})")
+        # the arrows into each object, in listing order: the scans below walk
+        # composable pairs and triples only, in an order fixed by the listing
+        into = {}
+        for m in self.morphisms.values():
+            into.setdefault(m.target, []).append(m.name)
+        for g, m in self.morphisms.items():
+            out.extend(f"composition table missing entry ({g!r},{f!r})"
+                       for f in into.get(m.source, ())
+                       if (g, f) not in self.compose)
         if out:
             return out
         for m in self.morphisms.values():
@@ -127,14 +132,10 @@ class FinCategory:
                 out.append(f"unit axiom fails: {m.name!r} after identity")
             if self.comp(self.id_of(m.target), m.name) != m.name:
                 out.append(f"unit axiom fails: identity after {m.name!r}")
-        for h in names:
-            for g in names:
-                if self.source(h) != self.target(g):
-                    continue
+        for h, m in self.morphisms.items():
+            for g in into.get(m.source, ()):
                 hg = self.comp(h, g)
-                for f in names:
-                    if self.source(g) != self.target(f):
-                        continue
+                for f in into.get(self.source(g), ()):
                     if self.comp(hg, f) != self.comp(h, self.comp(g, f)):
                         out.append(f"associativity fails on ({h!r},{g!r},{f!r})")
         return out

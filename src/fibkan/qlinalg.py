@@ -22,8 +22,15 @@ from math import gcd, lcm
 
 def rat(value):
     """An int, a Fraction or a "p/q" or "p" string as an int when integral,
-    else as a Fraction; a bool is refused (a JSON true is no number)."""
+    else as a Fraction; a bool is refused (a JSON true is no number).
+
+    A string is read by int first and by Fraction only where int refuses it,
+    which gives the same value: Fraction reads every string int reads."""
     if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

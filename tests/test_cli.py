@@ -328,8 +328,16 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     doc["loc"]["causal_cospans"] = [["c1", "c2", "id_M1"]]
     model = tmp_path / "three-legs.json"
     model.write_text(json.dumps(doc))
+    # three composites missing from Str's table, found in listing order
+    dropped = {("f12.e", "f01.e"), ("f13.g", "f01.g"), ("f23.e", "f12.g")}
+    doc = load_bundled("fix-e")
+    doc["str"]["compose"] = [entry for entry in doc["str"]["compose"]
+                             if tuple(entry[:2]) not in dropped]
+    gaps = tmp_path / "three-gaps.json"
+    gaps.write_text(json.dumps(doc))
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    commands = (("validate", str(model)), ("kan", "--fixture", "fix-b"))
+    commands = (("validate", str(model)), ("kan", "--fixture", "fix-b"),
+                ("validate", str(gaps)))
     procs = {
         (command, seed): subprocess.Popen(
             [sys.executable, "-m", "fibkan.cli", *command],
@@ -340,12 +348,15 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
             for key, proc in procs.items()}
     for command in commands:
         assert runs[(command, "0")] == runs[(command, "3")], command
-    (invalid, invalid_code), (_, kan_code) = (
+    (invalid, invalid_code), (_, kan_code), (missing, missing_code) = (
         runs[(command, "0")] for command in commands)
-    assert (invalid_code, kan_code) == (2, 0)
+    assert (invalid_code, kan_code, missing_code) == (2, 0, 2)
     assert json.loads(invalid)["errors"] == [
         "$.loc: causal cospan ['c1', 'c2', 'id_M1'] is not an array of two "
         "morphism names"]
+    assert json.loads(missing)["errors"] == [
+        f"$.str: composition table missing entry ({g!r},{f!r})"
+        for g, f in sorted(dropped)]
 
 
 def test_seed_order_flag(capsys):

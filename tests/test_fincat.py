@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibkan import fincat
 from fibkan.fincat import (
@@ -77,6 +81,114 @@ def test_missing_composition_entry():
         {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g"},
     )
     assert cat.violations() == ["composition table missing entry ('g','g')"]
+
+
+def violations_oracle(cat):
+    """FinCategory.violations as a scan over every pair and triple of arrow
+    names, unordered: the oracle for the scan over composable ones."""
+    out = []
+    for obj in cat.objects:
+        e = cat.identity.get(obj)
+        if e is None or e not in cat.morphisms:
+            out.append(f"missing identity for object {obj!r}")
+            continue
+        m = cat.morphisms[e]
+        if m.source != obj or m.target != obj:
+            out.append(f"identity {e!r} of {obj!r} is not an endomorphism")
+    for m in cat.morphisms.values():
+        if m.source not in cat.objects or m.target not in cat.objects:
+            out.append(f"morphism {m.name!r} references unknown object")
+    names = set(cat.morphisms)
+    for (g, f), h in cat.compose.items():
+        if g not in names or f not in names or h not in names:
+            out.append(f"composition entry ({g!r},{f!r})={h!r} references unknown morphism")
+            continue
+        if cat.source(g) != cat.target(f):
+            out.append(f"composition entry ({g!r},{f!r}) is not composable")
+        elif (cat.source(h) != cat.source(f)
+              or cat.target(h) != cat.target(g)):
+            out.append(f"composition entry ({g!r},{f!r})={h!r} is ill-typed")
+    for g in names:
+        for f in names:
+            if cat.source(g) == cat.target(f) and (g, f) not in cat.compose:
+                out.append(f"composition table missing entry ({g!r},{f!r})")
+    if out:
+        return out
+    for m in cat.morphisms.values():
+        if cat.comp(m.name, cat.id_of(m.source)) != m.name:
+            out.append(f"unit axiom fails: {m.name!r} after identity")
+        if cat.comp(cat.id_of(m.target), m.name) != m.name:
+            out.append(f"unit axiom fails: identity after {m.name!r}")
+    for h in names:
+        for g in names:
+            if cat.source(h) != cat.target(g):
+                continue
+            hg = cat.comp(h, g)
+            for f in names:
+                if cat.source(g) != cat.target(f):
+                    continue
+                if cat.comp(hg, f) != cat.comp(h, cat.comp(g, f)):
+                    out.append(f"associativity fails on ({h!r},{g!r},{f!r})")
+    return out
+
+
+@st.composite
+def map_categories(draw):
+    """A category of maps between sets of one or two elements: the
+    identities and the closure under composition of a few drawn maps, listed
+    in a drawn order, with maybe one composition entry changed, dropped or
+    added."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    objects = [f"X{i}" for i in range(len(sizes))]
+    arrows = {(o, o, tuple(range(n))) for o, n in zip(objects, sizes)}
+    for _ in range(draw(st.integers(0, 4))):
+        s, t = draw(st.sampled_from(objects)), draw(st.sampled_from(objects))
+        values = st.integers(0, sizes[objects.index(t)] - 1)
+        arrows.add((s, t, tuple(draw(st.lists(
+            values, min_size=sizes[objects.index(s)],
+            max_size=sizes[objects.index(s)])))))
+
+    def after(g, f):
+        return f[0], g[1], tuple(g[2][x] for x in f[2])
+
+    def name(arrow):
+        return f"{arrow[0]}{arrow[1]}:{''.join(map(str, arrow[2]))}"
+
+    while True:
+        more = {after(g, f) for g, f in itertools.product(arrows, repeat=2)
+                if g[0] == f[1]} - arrows
+        if not more:
+            break
+        arrows |= more
+    listed = draw(st.permutations(sorted(arrows)))
+    compose = {(name(g), name(f)): name(after(g, f))
+               for g, f in itertools.product(listed, repeat=2) if g[0] == f[1]}
+    names = [name(a) for a in listed]
+    keys = sorted(compose)
+    edit = draw(st.sampled_from(["none", "change", "retype", "drop", "add"]))
+    if edit == "change":
+        # another arrow of the same hom, which only the laws can catch
+        key = draw(st.sampled_from(keys))
+        ends = compose[key].split(":")[0]
+        compose[key] = draw(st.sampled_from(
+            [n for n in names if n.startswith(ends + ":")]))
+    elif edit == "retype":
+        compose[draw(st.sampled_from(keys))] = draw(st.sampled_from(names))
+    elif edit == "drop":
+        del compose[draw(st.sampled_from(keys))]
+    elif edit == "add":
+        compose[(draw(st.sampled_from(names)), draw(st.sampled_from(names)))] \
+            = draw(st.sampled_from(names + ["nowhere"]))
+    identity = {o: name((o, o, tuple(range(n))))
+                for o, n in zip(objects, sizes)}
+    return FinCategory(objects, [(name(a), a[0], a[1]) for a in listed],
+                       identity, compose)
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_categories())
+def test_violations_match_the_all_pairs_oracle(cat):
+    assert sorted(cat.violations()) == sorted(violations_oracle(cat))
 
 
 def test_nerve_counts():

@@ -7,10 +7,12 @@ import tempfile
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_source import load_bench_module
 
 from fibkan import cli, qlinalg
 from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.models import Model, ModelError, model_from_dict, parse_model
+from fibkan.qlinalg import QMatrix
 
 
 def test_all_fixtures_parse():
@@ -115,6 +117,29 @@ def test_model_non_functorial_matrices():
     ]
     with pytest.raises(ModelError):
         model_from_dict(data)
+
+
+def test_one_wrong_entry_of_a_composite_breaks_functoriality(tmp_path, capsys):
+    # functoriality is compared column by column; the dense products of the
+    # matrices are the oracle for which compositions fail
+    doc = load_bench_module("chainmodel").chain_dict(2, "S3")
+    identities = set(doc["str"]["identity"].values())
+    g, f, h = next(entry for entry in doc["str"]["compose"]
+                   if identities.isdisjoint(entry[:2]))
+    doc["algebra_maps"][h][0][0] = "2"
+    mats = {name: QMatrix.from_rows(rows)
+            for name, rows in doc["algebra_maps"].items()}
+    want = [f"functoriality fails on composition ({left!r},{right!r})"
+            for left, right, composite in doc["str"]["compose"]
+            if mats[left] * mats[right] != mats[composite]]
+    assert f"functoriality fails on composition ({g!r},{f!r})" in want
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(["validate", str(path)]) == 2
+    [error] = json.loads(capsys.readouterr().out)["errors"]
+    assert error.startswith("$.algebra_maps: ")
+    assert [found for found in error.split("; ")
+            if found.startswith("functoriality")] == want
 
 
 def test_misshaped_map_keeps_every_other_finding():

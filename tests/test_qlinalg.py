@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibkan import qlinalg
@@ -47,6 +47,48 @@ def test_integral_scalars_are_ints():
     inverse = invert(QMatrix.from_rows([[2, 0], [0, 1]]))
     assert inverse.data == {(0, 0): Fraction(1, 2), (1, 1): 1}
     assert type(inverse.data[(1, 1)]) is int
+
+
+def fraction_rat(text):
+    """rat's reading of a string without the int fast path, Fraction alone:
+    the oracle that the fast path must match."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"invalid rational literal {text!r}") from exc
+    return value.numerator if value.denominator == 1 else value
+
+
+def read(reader, text):
+    """(type, value) of reader(text), or the message it raises."""
+    try:
+        value = reader(text)
+    except ValueError as exc:
+        return str(exc)
+    return type(value), value
+
+
+# ASCII and Arabic-Indic digits, the signs and separators of both readers,
+# and whitespace that int strips (space, tab, no-break space, ideographic
+# space) or does not (the separators \x1c-\x1f, which Fraction strips)
+LITERAL_CHARS = "0123456789\u0660\u0661\u0669_+-/.eE \t\x1c\x1d\x1e\x1f\xa0\u3000"
+# literals shaped like numbers, with a lead, a tail and a trailing space
+NUMBER_LIKE = st.tuples(
+    st.sampled_from(["", " ", "\x1c", "\xa0", "-", "+", " -", "\x1c+"]),
+    st.from_regex(r"[0-9\u0660-\u0669]{1,4}(_[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(["", "/7", "/0", ".5", "e2", "e-1", "_", "\x1f"]),
+    st.sampled_from(["", " ", "\x1d", "\u3000"])).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(LITERAL_CHARS, max_size=12), NUMBER_LIKE))
+@example("\x1c1")
+@example("\u0661\u0662")
+@example("1" * 4301)
+@example("-" + "9" * 4300)
+@example("1" * 4301 + "/3")
+def test_rat_reads_strings_as_fraction_does(text):
+    assert read(rat, text) == read(fraction_rat, text)
 
 
 @pytest.mark.parametrize("value", [0.5, 1.0, True, -1.5])
