@@ -261,7 +261,8 @@ class Dga:
     the product is zero. unit is a sparse degree-0 vector. Ready tables are
     copied and checked at construction; if products is a function that builds
     them, its fresh tables, which nothing else holds, are checked, not copied,
-    when built on first read, once.
+    when built on first read, once. A parsed model shares one Dga between
+    the objects with equal specs, so a Dga is read only.
     """
 
     def __init__(self, complex_: Complex, products, unit):

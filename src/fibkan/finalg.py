@@ -121,6 +121,10 @@ class QftFunctor:
         )
 
     def violations(self):
+        """Why A is no functor, in listing order. Each arrow's morphism law
+        is checked once per distinct (source, target, matrix) and each
+        entry's functoriality once per distinct (A(g), A(f), A(h)), told
+        apart by object identity, and reported at every arrow or entry."""
         out = []
         cat = self.strcat
         for S in cat.objects:
@@ -135,19 +139,25 @@ class QftFunctor:
             dim = self.on_objects[S].complex.dim(0)
             if self.on_morphisms[cat.id_of(S)] != QMatrix.identity(dim):
                 out.append(f"identity of {S!r} is not the identity matrix")
-        shaped = set()
+        shaped, checked = set(), {}
         for g in cat.morphisms:
-            found = self.morphism(g).violations()
-            out.extend(f"morphism {g!r}: {v}" for v in found)
-            if _SHAPE_MISMATCH not in found:
+            m = self.morphism(g)
+            key = (id(m.source), id(m.target), id(m.matrix))
+            if key not in checked:
+                checked[key] = m.violations()
+            out.extend(f"morphism {g!r}: {v}" for v in checked[key])
+            if _SHAPE_MISMATCH not in checked[key]:
                 shaped.add(g)
         # a composition with a mis-shaped matrix, reported above, has no
         # product to compare; A(g)A(f) = A(h) is checked column by column
-        mats = self.on_morphisms
+        mats, broken = self.on_morphisms, {}
         for (g, f), h in cat.compose.items():
-            if {g, f, h} <= shaped and any(
+            key = (id(mats[g]), id(mats[f]), id(mats[h]))
+            if {g, f, h} <= shaped and key not in broken:
+                broken[key] = any(
                     mats[g].apply_sparse(mats[f].by_col.get(j, {}))
-                    != mats[h].by_col.get(j, {}) for j in range(mats[f].cols)):
+                    != mats[h].by_col.get(j, {}) for j in range(mats[f].cols))
+            if {g, f, h} <= shaped and broken[key]:
                 out.append(f"functoriality fails on composition ({g!r},{f!r})")
         return out
 

@@ -81,7 +81,21 @@ def _section(data: dict, key: str) -> dict:
     return value
 
 
+def _shared(parsed: dict, parse, *spec):
+    """parse(*spec), kept under the JSON text of spec for any later spec with
+    that text; a spec json cannot encode is parsed on its own."""
+    try:
+        key = json.dumps(spec)
+    except (TypeError, ValueError, RecursionError):
+        return parse(*spec)
+    if key not in parsed:
+        parsed[key] = parse(*spec)
+    return parsed[key]
+
+
 def model_from_dict(data: dict) -> Model:
+    """The model of decoded JSON data; specs with equal JSON text share one
+    parsed, read-only object, and a failed spec is reported at each path."""
     if not isinstance(data, dict):
         raise ModelError(["$: model file must be a JSON object"])
     if isinstance(data.get("format"), bool) or data.get("format") != 1:
@@ -110,6 +124,7 @@ def model_from_dict(data: dict) -> Model:
     algebra_specs = _section(data, "algebras")
     map_specs = _section(data, "algebra_maps")
     errors = []
+    algebra_texts, map_texts = {}, {}
     algebras = {}
     for S in strcat.objects:
         spec = algebra_specs.get(S)
@@ -117,9 +132,8 @@ def model_from_dict(data: dict) -> Model:
             errors.append(f"$.algebras.{S}: missing")
             continue
         try:
-            algebras[S] = validate_algebra(
-                spec["dim"], spec["structure_constants"], spec["unit"]
-            )
+            algebras[S] = _shared(algebra_texts, validate_algebra, spec["dim"],
+                                  spec["structure_constants"], spec["unit"])
         except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"$.algebras.{S}: {exc}")
     matrices = {}
@@ -129,7 +143,7 @@ def model_from_dict(data: dict) -> Model:
             errors.append(f"$.algebra_maps.{g}: missing")
             continue
         try:
-            matrices[g] = QMatrix.from_rows(spec)
+            matrices[g] = _shared(map_texts, QMatrix.from_rows, spec)
         except (TypeError, ValueError) as exc:
             errors.append(f"$.algebra_maps.{g}: {exc}")
     if errors:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_source import load_bench_module
 
-from fibkan import cli, qlinalg
+from fibkan import cli, finalg, qlinalg
 from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.models import Model, ModelError, model_from_dict, parse_model
 from fibkan.qlinalg import QMatrix
@@ -52,20 +52,26 @@ def test_parse_model_bad_json(tmp_path):
     assert err.value.errors[0].startswith("$:")
 
 
+def algebra_text(spec):
+    return json.dumps([spec["dim"], spec["structure_constants"], spec["unit"]])
+
+
 def test_each_scalar_entry_is_read_once(monkeypatch):
     # structure constants, units and map matrices all go through rat, once
-    # per entry
+    # per entry of each distinct spec: specs with the same JSON text share
+    # one parse
     calls = []
     rat = qlinalg.rat
     monkeypatch.setattr(qlinalg, "rat", lambda v: calls.append(v) or rat(v))
     data = load_bundled("fix-d")
     model_from_dict(data)
+    algebras = {algebra_text(alg): alg for alg in data["algebras"].values()}
+    maps = {json.dumps(spec): spec for spec in data["algebra_maps"].values()}
     entries = sum(
         len(alg["unit"]) + sum(len(row) for sc in alg["structure_constants"]
                                for row in sc)
-        for alg in data["algebras"].values())
-    entries += sum(len(row) for spec in data["algebra_maps"].values()
-                   for row in spec)
+        for alg in algebras.values())
+    entries += sum(len(row) for spec in maps.values() for row in spec)
     assert len(calls) == entries
 
 
@@ -159,6 +165,91 @@ def test_misshaped_map_keeps_every_other_finding():
         *(f"morphism 'id_x': multiplicativity fails on basis pair ({p})"
           for p in pairs),
         "functoriality fails on composition ('id_x','id_x')"])]
+
+
+@pytest.mark.parametrize("name", ["fix-e", "chain(2,S3)"])
+def test_equal_specs_share_one_parsed_object(name, monkeypatch):
+    # one Dga per distinct algebra spec and one QMatrix per distinct map
+    # spec; each arrow's morphism law is then checked once per distinct
+    # (source spec, target spec, map spec)
+    doc = load_bundled(name) if name.startswith("fix") \
+        else load_bench_module("chainmodel").chain_dict(2, "S3")
+    checked = []
+    check = finalg.AlgMorphism.violations
+    monkeypatch.setattr(finalg.AlgMorphism, "violations",
+                        lambda m: checked.append(m) or check(m))
+    A = model_from_dict(doc).A
+    maps = {g: json.dumps(spec) for g, spec in doc["algebra_maps"].items()}
+    algebras = {S: algebra_text(spec) for S, spec in doc["algebras"].items()}
+    assert len({id(A.matrix(g)) for g in A.strcat.morphisms}) \
+        == len(set(maps.values()))
+    assert len({id(A.algebra(S)) for S in A.strcat.objects}) \
+        == len(set(algebras.values()))
+    assert len(checked) == len({
+        (algebras[m["source"]], algebras[m["target"]], maps[m["name"]])
+        for m in doc["str"]["morphisms"]})
+
+
+def test_isotony_eliminates_each_distinct_matrix_once(monkeypatch):
+    doc = load_bench_module("chainmodel").chain_dict(2, "S3")
+    model = model_from_dict(doc)
+    calls = []
+    echelon = qlinalg._echelon
+    monkeypatch.setattr(qlinalg, "_echelon",
+                        lambda *args: calls.append(args) or echelon(*args))
+    report = finalg.check_axioms_on_str(model.fibered(), model.loc, model.A)
+    assert report.isotony
+    assert 0 < len(calls) <= len(
+        {json.dumps(spec) for spec in doc["algebra_maps"].values()})
+
+
+# the expected error lists below were recorded before specs were shared:
+# a failing datum is reported at every path, arrow or entry that has it
+
+
+def test_shared_bad_algebra_is_reported_at_every_object():
+    data = load_bundled("fix-d")
+    bad = data["algebras"]["N"]
+    bad["structure_constants"][1][1][1] = "1"
+    data["algebras"]["Np"] = json.loads(json.dumps(bad))
+    triples = ("1,0,1", "1,1,2", "1,3,1", "2,1,1")
+    found = "; ".join(f"associativity fails on triple ({t})" for t in triples)
+    with pytest.raises(ModelError) as err:
+        model_from_dict(data)
+    assert err.value.errors == [f"$.algebras.{S}: {found}" for S in ("N", "Np")]
+
+
+def test_shared_non_multiplicative_map_is_reported_at_every_arrow():
+    data = load_bundled("fix-e")
+    for g, spec in data["algebra_maps"].items():
+        if g.endswith(".g"):
+            spec[2][2] = "1"
+    arrows = [f"{base}.g" for base in (
+        "f01", "f02", "f03", "f12", "f13", "f23",
+        "id_M0", "id_M1", "id_M2", "id_M3")]
+    with pytest.raises(ModelError) as err:
+        model_from_dict(data)
+    assert err.value.errors == ["$.algebra_maps: " + "; ".join(
+        f"morphism {g!r}: multiplicativity fails on basis pair ({pair})"
+        for g in arrows for pair in ("1,2", "2,1"))]
+
+
+def test_shared_wrong_composite_is_reported_at_every_entry():
+    data = load_bundled("fix-e")
+    for g in ("f01.g", "f02.g", "f03.g"):
+        data["algebra_maps"][g] = data["algebra_maps"]["f01.e"]
+    entries = [
+        *((f"{f}.{x}", "id_M0.g") for f in ("f01", "f02", "f03")
+          for x in "eg"),
+        *((f"{g}.g", f"{f}.{x}") for g, f in (
+            ("f12", "f01"), ("f13", "f01"), ("f23", "f02"),
+            ("id_M1", "f01"), ("id_M2", "f02"), ("id_M3", "f03"))
+          for x in "eg")]
+    with pytest.raises(ModelError) as err:
+        model_from_dict(data)
+    assert err.value.errors == ["$.algebra_maps: " + "; ".join(
+        f"functoriality fails on composition ({g!r},{f!r})"
+        for g, f in entries)]
 
 
 @pytest.mark.parametrize("key, value, errors", [
