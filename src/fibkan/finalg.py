@@ -206,9 +206,9 @@ def check_axioms_on_str(fm: FiberedModel, loc: LocStructure,
     strcat, pi = fm.strcat, fm.pi
     arrows = sorted(strcat.morphisms)
     declared = {frozenset(p) for p in loc.causal_cospans}
-    pairs = [(g1, g2) for g1 in arrows for g2 in arrows
-             if strcat.target(g1) == strcat.target(g2)
-             and frozenset((pi.on_mor(g1), pi.on_mor(g2))) in declared]
+    into = {T: sorted(strcat.morphisms_into(T)) for T in strcat.objects}
+    pairs = [(g1, g2) for g1 in arrows for g2 in into[strcat.target(g1)]
+             if frozenset((pi.on_mor(g1), pi.on_mor(g2))) in declared]
     return check_axioms(
         A, pairs, [g for g in arrows if pi.on_mor(g) in loc.cauchy])
 

@@ -8,6 +8,7 @@ exhaustive search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class CategoryError(ValueError):
@@ -31,6 +32,9 @@ class FinCategory:
     """Finite category: named objects/morphisms plus a total composition table.
 
     compose maps (g, f) with source(g) = target(f) to the name of g after f.
+    A category is read only, so the index of its arrows by endpoints (the
+    arrows into each object and each hom-set, in listing order), built on
+    first use, stays valid; the scans below read it, not every arrow.
     """
 
     def __init__(self, objects, morphisms, identity, compose):
@@ -73,19 +77,27 @@ class FinCategory:
             out = self.comp(names.pop(), out)
         return out
 
+    @cached_property
+    def _ends(self):
+        """({b: arrows into b}, {(a, b): hom(a, b)}), in listing order."""
+        into, homs = {}, {}
+        for m in self.morphisms.values():
+            into.setdefault(m.target, []).append(m.name)
+            homs.setdefault((m.source, m.target), []).append(m.name)
+        return into, homs
+
     def hom(self, a: str, b: str):
-        return [m.name for m in self.morphisms.values()
-                if m.source == a and m.target == b]
+        return list(self._ends[1].get((a, b), ()))
 
     def morphisms_into(self, b: str):
-        return [m.name for m in self.morphisms.values() if m.target == b]
+        return list(self._ends[0].get(b, ()))
 
     def is_groupoid(self) -> bool:
         return all(self.inverse(g) is not None for g in self.morphisms)
 
     def inverse(self, g: str):
         m = self.morphisms[g]
-        for h in self.hom(m.target, m.source):
+        for h in self._ends[1].get((m.target, m.source), ()):
             if (self.comp(h, g) == self.id_of(m.source)
                     and self.comp(g, h) == self.id_of(m.target)):
                 return h
@@ -94,6 +106,9 @@ class FinCategory:
     # --- validation ------------------------------------------------------
 
     def violations(self):
+        """Why this is no category, in listing order: the arrows, then the
+        composable pairs (g, f) and triples (h, g, f) of the index, each
+        walked in the listing order of g, then f."""
         out = []
         for obj in self.objects:
             e = self.identity.get(obj)
@@ -116,11 +131,7 @@ class FinCategory:
             elif (self.source(h) != self.source(f)
                   or self.target(h) != self.target(g)):
                 out.append(f"composition entry ({g!r},{f!r})={h!r} is ill-typed")
-        # the arrows into each object, in listing order: the scans below walk
-        # composable pairs and triples only, in an order fixed by the listing
-        into = {}
-        for m in self.morphisms.values():
-            into.setdefault(m.target, []).append(m.name)
+        into = self._ends[0]
         for g, m in self.morphisms.items():
             out.extend(f"composition table missing entry ({g!r},{f!r})"
                        for f in into.get(m.source, ())
@@ -132,12 +143,18 @@ class FinCategory:
                 out.append(f"unit axiom fails: {m.name!r} after identity")
             if self.comp(self.id_of(m.target), m.name) != m.name:
                 out.append(f"unit axiom fails: identity after {m.name!r}")
+        # post[g] maps each f into source(g) to g after f; (h, g) is
+        # associative on every f at once when post[h] after post[g] is
+        # post[h after g], and only a pair that is not walks its f
+        post = {g: {f: self.compose[g, f] for f in into.get(m.source, ())}
+                for g, m in self.morphisms.items()}
         for h, m in self.morphisms.items():
+            ph = post[h]
             for g in into.get(m.source, ()):
-                hg = self.comp(h, g)
-                for f in into.get(self.source(g), ()):
-                    if self.comp(hg, f) != self.comp(h, self.comp(g, f)):
-                        out.append(f"associativity fails on ({h!r},{g!r},{f!r})")
+                pg, phg = post[g], post[ph[g]]
+                if {f: ph[x] for f, x in pg.items()} != phg:
+                    out.extend(f"associativity fails on ({h!r},{g!r},{f!r})"
+                               for f, x in pg.items() if ph[x] != phg[f])
         return out
 
 
@@ -297,9 +314,8 @@ def under_category(pi: CatFunctor, M: str) -> UnderCategory:
     obj_name, mor_name = UnderCategory.obj_name, UnderCategory.mor_name
     obj_info = {}
     for S in strcat.objects:
-        for h in loc.morphisms:
-            if loc.source(h) == M and loc.target(h) == pi.on_obj(S):
-                obj_info[obj_name(S, h)] = (S, h)
+        for h in loc.hom(M, pi.on_obj(S)):
+            obj_info[obj_name(S, h)] = (S, h)
     mor_info = {}
     morphisms = []
     identity = {}
@@ -315,15 +331,17 @@ def under_category(pi: CatFunctor, M: str) -> UnderCategory:
             morphisms.append(Morphism(mname, src, tgt))
             if g == strcat.id_of(S):
                 identity[name] = mname
+    # composable pairs only, in the order of all pairs (m2, m1)
+    into = {}
+    for m1 in morphisms:
+        into.setdefault(m1.target, []).append(m1.name)
     compose = {}
     by_name = {m.name: m for m in morphisms}
     for m2 in morphisms:
-        for m1 in morphisms:
-            if m2.source != m1.target:
-                continue
-            g2, _ = mor_info[m2.name]
-            g1, h1 = mor_info[m1.name]
-            compose[(m2.name, m1.name)] = mor_name(strcat.comp(g2, g1), h1)
+        g2, _ = mor_info[m2.name]
+        for m1 in into.get(m2.source, ()):
+            g1, h1 = mor_info[m1]
+            compose[(m2.name, m1)] = mor_name(strcat.comp(g2, g1), h1)
     cat = FinCategory(sorted(obj_info), [by_name[k] for k in sorted(by_name)],
                       identity, compose)
     return UnderCategory(cat, obj_info, mor_info)
@@ -332,31 +350,25 @@ def under_category(pi: CatFunctor, M: str) -> UnderCategory:
 # --- fibered models ------------------------------------------------------
 
 
-def _lifts(pi: CatFunctor, g: str, g_prime: str, f_tilde: str):
-    """All g_tilde with pi(g_tilde) = f_tilde and g after g_tilde = g_prime."""
-    strcat = pi.source
-    out = []
-    for cand in strcat.hom(strcat.source(g_prime), strcat.source(g)):
-        if pi.on_mor(cand) == f_tilde and strcat.comp(g, cand) == g_prime:
-            out.append(cand)
-    return out
-
-
 def is_cartesian(pi: CatFunctor, g: str) -> bool:
-    """Exhaustive check of the unique-factorization property."""
-    strcat, loc = pi.source, pi.target
-    target = strcat.target(g)
-    fg = pi.on_mor(g)
-    for g_prime in strcat.morphisms_into(target):
-        base_src = pi.on_obj(strcat.source(g_prime))
-        for f_tilde in loc.morphisms:
-            if (loc.source(f_tilde) != base_src
-                    or loc.target(f_tilde) != loc.source(fg)):
-                continue
-            if loc.comp(fg, f_tilde) != pi.on_mor(g_prime):
-                continue
-            if len(_lifts(pi, g, g_prime, f_tilde)) != 1:
-                return False
+    """The unique-factorization property of g: S -> T, counted per source
+    object S2: each pair (g', f~) of g' in hom(S2, T) and f~ in
+    hom(pi S2, pi S) with pi(g) after f~ = pi(g') has exactly one h in
+    hom(S2, S) with (g after h, pi(h)) = (g', f~). As pi is a functor
+    (validate_functor checks it at every caller), each h gives such a pair,
+    so that holds exactly when the pairs of hom(S2, S) are distinct and as
+    many as all such pairs."""
+    strcat, base = pi.source, pi.target
+    homs, mor = strcat._ends[1], pi.morphism_map
+    S, T = strcat.source(g), strcat.target(g)
+    for S2 in strcat.objects:
+        lifts = homs.get((S2, S), ())
+        keys = {(strcat.compose[g, h], mor[h]) for h in lifts}
+        after = [base.compose[mor[g], f]
+                 for f in base.hom(pi.on_obj(S2), pi.on_obj(S))]
+        pairs = sum(after.count(mor[g2]) for g2 in homs.get((S2, T), ()))
+        if not len(keys) == len(lifts) == pairs:
+            return False
     return True
 
 
@@ -414,7 +426,9 @@ class FiberedModel:
 
     def solve_cartesian(self, g: str, g_prime: str, f_tilde: str) -> str:
         """Unique g_tilde with pi(g_tilde)=f_tilde and g after g_tilde = g_prime."""
-        lifts = _lifts(self.pi, g, g_prime, f_tilde)
+        strcat, mor = self.strcat, self.pi.morphism_map
+        lifts = [h for h in strcat.hom(strcat.source(g_prime), strcat.source(g))
+                 if mor[h] == f_tilde and strcat.comp(g, h) == g_prime]
         if len(lifts) != 1:
             raise FiberedModelError(
                 f"expected a unique lift of {g_prime!r} through {g!r}, found {len(lifts)}"
@@ -436,10 +450,7 @@ def build_fibered_model(pi: CatFunctor, order: str = "normal") -> FiberedModel:
     pick = min if order == "normal" else max
     cleavage = {}
     for S_prime in strcat.objects:
-        base_target = pi.on_obj(S_prime)
-        for f in loc.morphisms:
-            if loc.target(f) != base_target:
-                continue
+        for f in loc.morphisms_into(pi.on_obj(S_prime)):
             if f == loc.id_of(loc.source(f)):
                 lift = strcat.id_of(S_prime)
                 if not is_cartesian(pi, lift):
@@ -490,11 +501,11 @@ class FlabbinessReport:
 
 
 def _extensions(fm: FiberedModel, S: str, f: str):
-    strcat = fm.strcat
-    return sorted(
-        g for g, m in strcat.morphisms.items()
-        if m.source == S and fm.pi.on_mor(g) == f
-    )
+    """The arrows out of S over f, sorted: hom(S, T) over the objects T
+    above the target of f."""
+    strcat, pi, M = fm.strcat, fm.pi, fm.loc.target(f)
+    return sorted(g for T in strcat.objects if pi.on_obj(T) == M
+                  for g in strcat.hom(S, T) if pi.on_mor(g) == f)
 
 
 def _closings(fm: FiberedModel, g: str, y: str):

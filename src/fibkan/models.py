@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import marshal
 from dataclasses import dataclass, field
 
 from . import fincat
@@ -82,11 +83,13 @@ def _section(data: dict, key: str) -> dict:
 
 
 def _shared(parsed: dict, parse, *spec):
-    """parse(*spec), kept under the JSON text of spec for any later spec with
-    that text; a spec json cannot encode is parsed on its own."""
+    """parse(*spec), kept for any later spec with the same encoding: the
+    marshal bytes of version 2, which has no back-references, tell every
+    value and its exact type apart (a tuple from a list, an int subclass
+    from an int); a spec marshal cannot encode is parsed on its own."""
     try:
-        key = json.dumps(spec)
-    except (TypeError, ValueError, RecursionError):
+        key = marshal.dumps(spec, 2)
+    except ValueError:
         return parse(*spec)
     if key not in parsed:
         parsed[key] = parse(*spec)
@@ -94,7 +97,7 @@ def _shared(parsed: dict, parse, *spec):
 
 
 def model_from_dict(data: dict) -> Model:
-    """The model of decoded JSON data; specs with equal JSON text share one
+    """The model of decoded JSON data; equal specs of equal types share one
     parsed, read-only object, and a failed spec is reported at each path."""
     if not isinstance(data, dict):
         raise ModelError(["$: model file must be a JSON object"])

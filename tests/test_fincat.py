@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_source import load_bench_module
 
 from fibkan import fincat
 from fibkan.fincat import (
@@ -18,6 +19,7 @@ from fibkan.fincat import (
     lemma_witnesses,
     nerve,
     pullback_fiber_square,
+    UnderCategory,
     under_category,
     validate_functor,
     validate_loc_structure,
@@ -47,6 +49,18 @@ def point():
 
 def model(name):
     return model_from_dict(load_bundled(name))
+
+
+CHAIN = load_bench_module("chainmodel")
+CHAINS = {"chain(2,S3)": (2, "S3"), "chain(3,Z2)": (3, "Z2")}
+MODELS = [*fixture_names(), *CHAINS]
+
+
+def any_model(name):
+    """A bundled fixture or one of the generated chains."""
+    if name in CHAINS:
+        return model_from_dict(CHAIN.chain_dict(*CHAINS[name]))
+    return model(name)
 
 
 def test_validate_trivial_category():
@@ -85,7 +99,7 @@ def test_missing_composition_entry():
 
 def violations_oracle(cat):
     """FinCategory.violations as a scan over every pair and triple of arrow
-    names, unordered: the oracle for the scan over composable ones."""
+    names, in listing order: the oracle for the scan over composable ones."""
     out = []
     for obj in cat.objects:
         e = cat.identity.get(obj)
@@ -98,7 +112,7 @@ def violations_oracle(cat):
     for m in cat.morphisms.values():
         if m.source not in cat.objects or m.target not in cat.objects:
             out.append(f"morphism {m.name!r} references unknown object")
-    names = set(cat.morphisms)
+    names = cat.morphisms
     for (g, f), h in cat.compose.items():
         if g not in names or f not in names or h not in names:
             out.append(f"composition entry ({g!r},{f!r})={h!r} references unknown morphism")
@@ -132,13 +146,16 @@ def violations_oracle(cat):
     return out
 
 
+EDITS = ("none", "change", "retype", "drop", "add")
+
+
 @st.composite
-def map_categories(draw):
+def map_categories(draw, edits=EDITS, max_objects=3):
     """A category of maps between sets of one or two elements: the
     identities and the closure under composition of a few drawn maps, listed
     in a drawn order, with maybe one composition entry changed, dropped or
-    added."""
-    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    added (one of the given edits)."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=max_objects))
     objects = [f"X{i}" for i in range(len(sizes))]
     arrows = {(o, o, tuple(range(n))) for o, n in zip(objects, sizes)}
     for _ in range(draw(st.integers(0, 4))):
@@ -165,13 +182,17 @@ def map_categories(draw):
                for g, f in itertools.product(listed, repeat=2) if g[0] == f[1]}
     names = [name(a) for a in listed]
     keys = sorted(compose)
-    edit = draw(st.sampled_from(["none", "change", "retype", "drop", "add"]))
+    edit = draw(st.sampled_from(edits))
     if edit == "change":
-        # another arrow of the same hom, which only the laws can catch
-        key = draw(st.sampled_from(keys))
-        ends = compose[key].split(":")[0]
-        compose[key] = draw(st.sampled_from(
-            [n for n in names if n.startswith(ends + ":")]))
+        # another arrow of the same hom, which only the laws can catch, at
+        # an entry whose hom has another arrow where there is one
+        def others(key):
+            ends = compose[key].split(":")[0] + ":"
+            return [n for n in names
+                    if n.startswith(ends) and n != compose[key]]
+
+        key = draw(st.sampled_from([k for k in keys if others(k)] or keys))
+        compose[key] = draw(st.sampled_from(others(key) or [compose[key]]))
     elif edit == "retype":
         compose[draw(st.sampled_from(keys))] = draw(st.sampled_from(names))
     elif edit == "drop":
@@ -189,6 +210,33 @@ def map_categories(draw):
 @given(map_categories())
 def test_violations_match_the_all_pairs_oracle(cat):
     assert sorted(cat.violations()) == sorted(violations_oracle(cat))
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_categories(edits=("change",)))
+def test_law_messages_come_in_the_oracles_order(cat):
+    # a changed entry breaks only the laws; the associativity scan walks
+    # only the pairs (h, g) whose post-composition maps differ, and still
+    # reports (h, g, f) in listing order
+    assert cat.violations() == violations_oracle(cat)
+
+
+def listed_in_reverse(cat):
+    return FinCategory(cat.objects, reversed(cat.morphisms.values()),
+                       cat.identity, cat.compose)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_hom_sets_come_in_listing_order(name):
+    pi = any_model(name).pi
+    for cat in (pi.source, pi.target, listed_in_reverse(pi.source)):
+        arrows = list(cat.morphisms.values())
+        for b in cat.objects:
+            assert cat.morphisms_into(b) == [
+                m.name for m in arrows if m.target == b]
+            for a in cat.objects:
+                assert cat.hom(a, b) == [
+                    m.name for m in arrows if (m.source, m.target) == (a, b)]
 
 
 def test_nerve_counts():
@@ -222,6 +270,29 @@ def test_under_category_fix_c():
     assert not under.cat.violations()
 
 
+def under_compose_oracle(pi, under):
+    """The composition table of an under-category, built over all pairs of
+    its arrows in the order they were made."""
+    arrows, cat = list(under.mor_info), under.cat
+    compose = {}
+    for m2 in arrows:
+        for m1 in arrows:
+            if cat.source(m2) == cat.target(m1):
+                (g2, _), (g1, h1) = under.mor_info[m2], under.mor_info[m1]
+                compose[(m2, m1)] = UnderCategory.mor_name(
+                    pi.source.comp(g2, g1), h1)
+    return compose
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_under_category_composes_like_all_pairs(name):
+    pi = any_model(name).pi
+    for M in pi.target.objects:
+        under = under_category(pi, M)
+        assert list(under.cat.compose.items()) == list(
+            under_compose_oracle(pi, under).items()), M
+
+
 def test_under_category_empty():
     m = model("fix-c")
     under = under_category(m.pi, "M")
@@ -235,8 +306,8 @@ def test_is_cartesian_identities_and_fiber_isos():
         assert is_cartesian(m.pi, g)
 
 
-def test_is_cartesian_fails_without_lift():
-    # add a second morphism T -> Sp over f: neither arrow over f stays cartesian
+def no_lift_projection():
+    """fix-c with a second morphism v: T -> Sp over f."""
     data = load_bundled("fix-c")
     strdata, proj = data["str"], data["projection"]
     strcat = category(
@@ -247,16 +318,21 @@ def test_is_cartesian_fails_without_lift():
         {**{(g, f): h for g, f, h in strdata["compose"]},
          ("v", "id_T"): "v", ("id_Sp", "v"): "v"},
     )
-    pi = validate_functor(strcat, model("fix-c").loc.base, proj["objects"],
-                          {**proj["morphisms"], "v": "f"})
+    return validate_functor(strcat, model("fix-c").loc.base, proj["objects"],
+                            {**proj["morphisms"], "v": "f"})
+
+
+def test_is_cartesian_fails_without_lift():
+    # neither arrow over f stays cartesian
+    pi = no_lift_projection()
     assert not is_cartesian(pi, "u")
     assert not is_cartesian(pi, "v")
     with pytest.raises(FiberedModelError):
         build_fibered_model(pi)
 
 
-def test_is_cartesian_fails_with_two_lifts():
-    # fiber automorphism a with u * a = u gives two competing factorizations
+def two_lift_projection():
+    """A fiber automorphism a with u after a = u."""
     cat = category(
         ["S", "Sp"],
         [("iS", "S", "S"), ("a", "S", "S"), ("iSp", "Sp", "Sp"), ("u", "S", "Sp")],
@@ -268,12 +344,90 @@ def test_is_cartesian_fails_with_two_lifts():
         },
     )
     base = model("fix-c").loc.base
-    pi = validate_functor(
+    return validate_functor(
         cat, base,
         {"S": "M1", "Sp": "M"},
         {"iS": "id_M1", "a": "id_M1", "iSp": "id_M", "u": "f"},
     )
-    assert not is_cartesian(pi, "u")
+
+
+def test_is_cartesian_fails_with_two_lifts():
+    # a gives two competing factorizations
+    assert not is_cartesian(two_lift_projection(), "u")
+
+
+def is_cartesian_oracle(pi, g):
+    """is_cartesian by brute force: every arrow g' into the target of g,
+    every base arrow f~ with pi(g) after f~ = pi(g'), and a scan of every
+    arrow of Str for the lifts of (g', f~)."""
+    strcat, loc = pi.source, pi.target
+    fg = pi.on_mor(g)
+    for g_prime, m in strcat.morphisms.items():
+        if m.target != strcat.target(g):
+            continue
+        for f_tilde, b in loc.morphisms.items():
+            if (b.source != pi.on_obj(m.source)
+                    or b.target != loc.source(fg)
+                    or loc.comp(fg, f_tilde) != pi.on_mor(g_prime)):
+                continue
+            lifts = [h for h, n in strcat.morphisms.items()
+                     if (n.source, n.target) == (m.source, strcat.source(g))
+                     and pi.on_mor(h) == f_tilde
+                     and strcat.comp(g, h) == g_prime]
+            if len(lifts) != 1:
+                return False
+    return True
+
+
+PROJECTIONS = {"no-lift": no_lift_projection,
+               "two-lift": two_lift_projection}
+
+
+@pytest.mark.parametrize("name", [*MODELS, *PROJECTIONS])
+def test_is_cartesian_matches_the_brute_force_oracle(name):
+    pi = PROJECTIONS[name]() if name in PROJECTIONS else any_model(name).pi
+    for g in pi.source.morphisms:
+        assert is_cartesian(pi, g) == is_cartesian_oracle(pi, g), g
+
+
+@st.composite
+def product_projections(draw):
+    """The projection C x E -> C of a map category C onto its first factor,
+    E a monoid of maps on a set of one or two elements: a functor whose
+    arrows (c, e) are cartesian where e is invertible, and whose base
+    composites pi(g) after f~ may repeat."""
+    base = draw(map_categories(edits=("none",), max_objects=2))
+    monoid = draw(map_categories(edits=("none",), max_objects=1))
+    (X,), E = monoid.objects, list(monoid.morphisms)
+    arrows = [(f"{c}|{e}", f"{m.source}{X}", f"{m.target}{X}")
+              for c, m in base.morphisms.items() for e in E]
+    compose = {(f"{c2}|{e2}", f"{c1}|{e1}"):
+               f"{base.comp(c2, c1)}|{monoid.comp(e2, e1)}"
+               for (c2, c1) in base.compose for e2 in E for e1 in E}
+    cat = category([f"{B}{X}" for B in base.objects], arrows,
+                   {f"{B}{X}": f"{base.id_of(B)}|{monoid.id_of(X)}"
+                    for B in base.objects}, compose)
+    return validate_functor(
+        cat, base, {f"{B}{X}": B for B in base.objects},
+        {a: a.split("|")[0] for a, _, _ in arrows})
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_projections())
+def test_is_cartesian_matches_the_oracle_on_products(pi):
+    for g in pi.source.morphisms:
+        assert is_cartesian(pi, g) == is_cartesian_oracle(pi, g), g
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_cleavage_matches_the_brute_force_oracle(name, monkeypatch):
+    pi = any_model(name).pi
+    orders = ("normal", "reversed")
+    fast = {order: build_fibered_model(pi, order).cleavage for order in orders}
+    monkeypatch.setattr(fincat, "is_cartesian", is_cartesian_oracle)
+    for order in orders:
+        assert list(build_fibered_model(pi, order).cleavage.items()) \
+            == list(fast[order].items())
 
 
 def test_build_fibered_model_fix_c():

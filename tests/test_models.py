@@ -252,6 +252,38 @@ def test_shared_wrong_composite_is_reported_at_every_entry():
         for g, f in entries)]
 
 
+class Whole(int):
+    """An int subclass, which no JSON file decodes to."""
+
+
+def test_a_tuple_spec_is_parsed_on_its_own():
+    # f02.g repeats the text of an earlier accepted map, as a tuple of rows
+    data = load_bundled("fix-e")
+    rows = tuple(data["algebra_maps"]["f02.g"])
+    data["algebra_maps"]["f02.g"] = rows
+    with pytest.raises(ModelError) as err:
+        model_from_dict(data)
+    assert err.value.errors == [
+        f"$.algebra_maps.f02.g: matrix: expected a JSON array, got {rows!r}"]
+
+
+def test_an_int_subclass_entry_is_parsed_on_its_own():
+    # f01.g in whole numbers is accepted; f02.g repeats its text with one
+    # entry an int subclass
+    data = load_bundled("fix-e")
+    maps = data["algebra_maps"]
+    assert [list(m["name"] for m in data["str"]["morphisms"]).index(g)
+            for g in ("f01.g", "f02.g")] == [1, 3]
+    maps["f01.g"] = [[int(x) for x in row] for row in maps["f01.g"]]
+    maps["f02.g"] = [list(row) for row in maps["f01.g"]]
+    maps["f02.g"][0][0] = Whole(maps["f02.g"][0][0])
+    assert json.dumps(maps["f02.g"]) == json.dumps(maps["f01.g"])
+    with pytest.raises(ModelError) as err:
+        model_from_dict(data)
+    assert err.value.errors == [
+        "$.algebra_maps.f02.g: cannot interpret 1 as a rational"]
+
+
 @pytest.mark.parametrize("key, value, errors", [
     ("causal_cospans", [["c1", "c2", "id_M1"]],
      ["causal cospan ['c1', 'c2', 'id_M1'] is not an array of two morphism "
