@@ -10,11 +10,11 @@ cohomology through the requested degree.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 from math import lcm
+from operator import add, mul, neg
 
 from .fincat import FinCategory, nerve
 from .qlinalg import QMatrix, Subspace, kernel_basis, _axpy, _check_exact
@@ -34,14 +34,26 @@ class Complex:
     def __init__(self, max_degree: int, labels, differentials):
         self.max_degree = max_degree
         self.labels = {n: tuple(labels.get(n, ())) for n in range(max_degree + 1)}
-        self.pos = {
-            n: {lbl: i for i, lbl in enumerate(lbls)}
-            for n, lbls in self.labels.items()
-        }
         self.differentials = dict(differentials)
 
     def dim(self, n: int) -> int:
         return len(self.labels.get(n, ()))
+
+    @cached_property
+    def blocks(self) -> dict:
+        """{n: {anchor: (start, size)}} for slots (anchor, k): an anchor's
+        slots (anchor, 0..size-1) sit at start..start+size-1 of degree n, in
+        that order. Raises ComplexError for labels laid out otherwise."""
+        out = {}
+        for n, lbls in self.labels.items():
+            index = out[n] = {}
+            for i, (anchor, k) in enumerate(lbls):
+                start, size = index.get(anchor, (i, 0))
+                if k != size or start + size != i:
+                    raise ComplexError(
+                        f"slots of {anchor!r} in degree {n} are not contiguous")
+                index[anchor] = start, size + 1
+        return out
 
     def d(self, n: int) -> QMatrix:
         m = self.differentials.get(n)
@@ -66,21 +78,33 @@ class Complex:
         return out
 
 
-@dataclass
 class GradedLinearMap:
-    """A degreewise linear map of complexes raising degree by `shift`."""
+    """A degreewise linear map of complexes raising degree by `shift`.
 
-    source: Complex
-    target: Complex
-    shift: int
-    maps: dict  # n -> QMatrix of shape target.dim(n + shift) x source.dim(n)
+    maps[n] is the QMatrix of shape target.dim(n + shift) x source.dim(n), or
+    a function of no arguments that builds it. A composite, sum or negative
+    fixes its degrees when formed, from the complexes' dimensions, and builds
+    the matrix of a degree on first read, once: a check that reads degrees
+    up to some n multiplies nothing above n. `maps` gives every degree built.
+    """
+
+    def __init__(self, source: Complex, target: Complex, shift: int, maps):
+        self.source = source
+        self.target = target
+        self.shift = shift
+        self._maps = maps
+
+    @property
+    def maps(self) -> dict:
+        return {n: self.matrix(n) for n in self._maps}
 
     def matrix(self, n: int) -> QMatrix:
-        m = self.maps.get(n)
+        m = self._maps.get(n)
         if m is None:
-            tgt = self.target.dim(n + self.shift) if 0 <= n + self.shift <= self.target.max_degree else 0
-            src = self.source.dim(n) if 0 <= n <= self.source.max_degree else 0
-            return QMatrix.zero(tgt, src)
+            return QMatrix.zero(self.target.dim(n + self.shift),
+                                self.source.dim(n))
+        if not isinstance(m, QMatrix):
+            m = self._maps[n] = m()
         return m
 
     @classmethod
@@ -97,25 +121,23 @@ class GradedLinearMap:
         maps = {}
         for n in range(other.source.max_degree + 1):
             mid = n + other.shift
-            if not (0 <= mid <= self.source.max_degree):
-                continue
-            m = self.matrix(mid) * other.matrix(n)
-            if not m.is_zero() or m.rows * m.cols:
-                maps[n] = m
+            if (0 <= mid <= self.source.max_degree
+                    and self.target.dim(mid + self.shift) * other.source.dim(n)):
+                maps[n] = _built(mul, (self, mid), (other, n))
         return GradedLinearMap(other.source, self.target,
                                self.shift + other.shift, maps)
 
     def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         if self.shift != other.shift:
             raise ComplexError("cannot add maps of different shifts")
-        degrees = set(self.maps) | set(other.maps)
+        degrees = set(self._maps) | set(other._maps)
         return GradedLinearMap(self.source, self.target, self.shift, {
-            n: self.matrix(n) + other.matrix(n) for n in degrees
+            n: _built(add, (self, n), (other, n)) for n in degrees
         })
 
     def __neg__(self) -> "GradedLinearMap":
         return GradedLinearMap(self.source, self.target, self.shift,
-                               {n: -m for n, m in self.maps.items()})
+                               {n: _built(neg, (self, n)) for n in self._maps})
 
     def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         return self + (-other)
@@ -130,6 +152,12 @@ class GradedLinearMap:
             if self.target.d(n) * self.matrix(n) != self.matrix(n + 1) * self.source.d(n):
                 return False
         return True
+
+
+def _built(op, *reads):
+    """A function of no arguments that gives op of the matrices read, one
+    (graded map, degree) pair each, when it is called."""
+    return lambda: op(*(f.matrix(n) for f, n in reads))
 
 
 def failing_degrees(lhs: GradedLinearMap, rhs: GradedLinearMap, up_to: int):
@@ -174,7 +202,9 @@ def _rule_map(source: Complex, target: Complex, shift: int,
     (anchor, i) reads coef * matrix[i, j] times the source slot (anchor_in,
     j) of degree n - shift, and a matrix None stands for the identity on the
     block of anchor_in. The coefficient is any scalar, a sign or a matrix
-    entry. What several triples give to one entry adds up.
+    entry. What several triples give to one entry adds up. A slot is found
+    by its anchor's block offset (Complex.blocks), and a matrix must have
+    the shape of the two blocks.
     """
     maps = {}
     for n_out in range(target.max_degree + 1):
@@ -182,19 +212,23 @@ def _rule_map(source: Complex, target: Complex, shift: int,
         if not (0 <= n_in <= source.max_degree):
             continue
         data = {}
-        pos_out = target.pos[n_out]
-        pos_in = source.pos[n_in]
-        block_size = Counter(anchor for anchor, _ in source.labels[n_in])
-        for anchor in dict.fromkeys(a for a, _ in target.labels[n_out]):
+        blocks_in = source.blocks[n_in]
+        for anchor, (row, rows) in target.blocks[n_out].items():
             for coef, anchor_in, matrix in rule(n_out, anchor):
+                # an anchor with no slots has an empty block
+                col, cols = blocks_in.get(anchor_in, (0, 0))
                 if matrix is None:
-                    size = block_size[anchor_in]
-                    entries = ((k, k, coef) for k in range(size))
+                    shape = (cols, cols)
+                    entries = ((k, k, coef) for k in range(cols))
                 else:
+                    shape = (matrix.rows, matrix.cols)
                     entries = ((i, j, coef * v)
                                for (i, j), v in matrix.data.items())
+                if shape != (rows, cols):
+                    raise ComplexError(f"the block from {anchor_in!r} to"
+                                       f" {anchor!r} has the wrong shape")
                 for i, j, v in entries:
-                    key = (pos_out[(anchor, i)], pos_in[(anchor_in, j)])
+                    key = (row + i, col + j)
                     data[key] = data.get(key, 0) + v
         maps[n_in] = QMatrix(target.dim(n_out), source.dim(n_in), data)
     return GradedLinearMap(source, target, shift, maps)
@@ -232,7 +266,9 @@ def is_weak_equivalence(f: GradedLinearMap, up_to: int) -> bool:
 
     H^n(f) has image (f(Z_src) + B_tgt) / B_tgt, and f(Z_src) + B_tgt lies in
     Z_tgt. So once the two cohomology dimensions agree, H^n(f) is an
-    isomorphism exactly when that sum has the dimension of Z_tgt.
+    isomorphism exactly when that sum has the dimension of Z_tgt. The rows
+    of Z_src are read, so the source's kernels are needed (for kappa, from
+    horan to hou, the larger side's); of Z_tgt only the dimension is read.
     """
     if not f.is_cochain_map(up_to):
         return False
@@ -499,7 +535,7 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
 
     cx.differentials = _rule_map(cx, cx, 1, faces).maps
 
-    unit = {cx.pos[0][(obj, i)]: v
+    unit = {cx.blocks[0][obj][0] + i: v
             for obj in cat.objects for i, v in diagram.at[obj].unit.items()}
     return Dga(cx, partial(_cup_products, diagram, cx, anchors, dims), unit)
 
@@ -511,17 +547,17 @@ def _cup_products(diagram: DgaDiagram, cx: Complex, anchors, dims) -> dict:
     # anchor, in index order: a slot multiplies only the slots anchored at
     # the object where its own tuple ends
     slots = {n: {} for n in anchors}
-    for n, nerve_n in anchors.items():
-        for u, obj in nerve_n:
-            slots[n].setdefault(obj, []).extend(
-                (cx.pos[n][(u, k)], u, k) for k in range(dims[obj]))
+    for n, index in cx.blocks.items():
+        for u, (start, size) in index.items():
+            slots[n].setdefault(_anchor_object(cat, u), []).extend(
+                (start + k, u, k) for k in range(size))
     top = cx.max_degree
     products = {(n1, n2): {} for n1 in range(top + 1)
                 for n2 in range(top + 1 - n1)}
     # prods[k1][k2] by (0, object) or (1, composite arrow) of a first factor
     transported = {}
     for n1, nerve_n in anchors.items():
-        in_pos = cx.pos[n1]
+        starts = cx.blocks[n1]
         for u1, obj in nerve_n:
             if n1:
                 tail, key = cat.source(u1[-1]), (1, cat.comp_chain(u1))
@@ -536,17 +572,18 @@ def _cup_products(diagram: DgaDiagram, cx: Complex, anchors, dims) -> dict:
                     [alg.mul(0, {k1: 1}, 0, vec) for vec in moved]
                     for k1 in range(dims[obj])]
             for n2 in range(top + 1 - n1):
-                table, out_pos = products[(n1, n2)], cx.pos[n1 + n2]
+                table, out = products[(n1, n2)], cx.blocks[n1 + n2]
                 for k1, row in enumerate(prods):
-                    j1 = in_pos[(u1, k1)]
+                    j1 = starts[u1][0] + k1
                     for j2, u2, k2 in slots[n2].get(tail, ()):
                         prod = row[k2]
                         if prod:
                             # a degree-0 anchor is an object, the unit of
                             # concatenation
                             u = u2 if not n1 else u1 if not n2 else u1 + u2
+                            start = out[u][0]
                             table[(j1, j2)] = {
-                                out_pos[(u, k)]: v for k, v in prod.items()}
+                                start + k: v for k, v in prod.items()}
     return products
 
 
@@ -631,9 +668,11 @@ def canonical_e(lim: LimDga, holim: Dga) -> GradedLinearMap:
     family is placed in the degree-0 slots."""
     cx_lim, cx_ho = lim.dga.complex, holim.complex
     data = {}
+    starts = cx_ho.blocks[0]
     for j, row in enumerate(lim.subspace.rows):
         for slot, v in row.items():
-            data[(cx_ho.pos[0][lim.ambient_labels[slot]], j)] = v
+            obj, k = lim.ambient_labels[slot]
+            data[(starts[obj][0] + k, j)] = v
     return GradedLinearMap(cx_lim, cx_ho, 0, {
         0: QMatrix(cx_ho.dim(0), cx_lim.dim(0), data)})
 

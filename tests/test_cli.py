@@ -83,6 +83,33 @@ def test_kan_reports_induced_axioms(capsys):
     assert byname["kan-dimensions"]["details"]["u_dims"] == {"M": 1, "M1": 2}
 
 
+def test_kan_dimensions_reads_a_violation_on_invariants_of_wrong_dimension(
+        capsys, monkeypatch):
+    # over M1 of fix-c the functor is fiberwise constant, Q on each of the
+    # two components S and T, so the invariants there have dimension 2;
+    # invariants that miss the component of T have dimension 1
+    argv = ("kan", "--fixture", "fix-c", "--expect", "kan-isotony")
+    _, out = run(capsys, *argv)
+    assert statuses(out)["kan-dimensions"] == "pass"
+    real = kan.u_object
+
+    def without_t(fm, A, M):
+        u = real(fm, A, M)
+        if M != "M1":
+            return u
+        assert u.ambient_labels == (("S", 0), ("T", 0))
+        return dg.LimDga(A.algebra("S"), u.cat, u.ambient_labels,
+                         Subspace(2, u.subspace.rows[:1], u.subspace.pivots[:1]))
+
+    monkeypatch.setattr(kan, "u_object", without_t)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    byname = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert byname["kan-dimensions"] == {
+        "name": "kan-dimensions", "status": "violation",
+        "details": {"u_dims": {"M": 1, "M1": 1}}}
+
+
 def test_verify_builds_each_fiber_invariant_once(capsys, monkeypatch):
     # the kan checks and the hokan h0-comparison share one u_object per
     # base object
@@ -357,6 +384,31 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     assert json.loads(missing)["errors"] == [
         f"$.str: composition table missing entry ({g!r},{f!r})"
         for g, f in sorted(dropped)]
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys, tmp_path):
+    # the parser is built once per process: runs with and without --expect,
+    # and runs that exit 2, read in one process what fresh processes read
+    unreadable = tmp_path / "empty.json"
+    unreadable.write_text("{}")
+    commands = (("classify", "--fixture", "fix-c", "--expect", "flabby"),
+                ("classify", "--fixture", "fix-c"),
+                ("validate", str(unreadable)),
+                ("kan", "--fixture", "fix-a", "--max-degree", "0"),
+                ("classify", "--fixture", "fix-c"),
+                ("classify", "--fixture", "fix-c", "--expect", "flabby"))
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "fibkan.cli", *command],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}) for command in commands]
+    fresh = []
+    for proc in procs:
+        out, _ = proc.communicate()
+        fresh.append((proc.returncode, out))
+    assert [code for code, _ in fresh] == [0, 1, 2, 2, 1, 0]
+    assert cli.build_parser() is cli.build_parser()
+    assert [run(capsys, *command) for command in commands] == fresh
 
 
 def test_seed_order_flag(capsys):

@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_source import load_bench_module
 
 from fibkan import dg
 from fibkan.dg import (
@@ -21,7 +23,9 @@ from fibkan.dg import (
     tensor_complex,
     tensor_map,
 )
+from fibkan.fincat import flabbiness_report
 from fibkan.fixtures import load_bundled
+from fibkan.hokan import HoKan
 from fibkan.models import model_from_dict
 from fibkan.qlinalg import QMatrix, _axpy, kernel_basis, rank, rat
 
@@ -34,6 +38,12 @@ def z2_diagram():
     return dg.DgaDiagram(
         m.strcat, {"x": m.A.algebra("x")},
         {"id_x": QMatrix.identity(4), "g": m.A.matrix("g")})
+
+
+def slot_index(cx):
+    """{n: {label: index}}: each slot's index, looked up by its label."""
+    return {n: {lbl: i for i, lbl in enumerate(lbls)}
+            for n, lbls in cx.labels.items()}
 
 
 def two_step_complex():
@@ -375,11 +385,12 @@ def test_tensor_map_koszul_sign():
     left = tensor_map(h, ident, t, t)
     right = tensor_map(ident, h, t, t)
     # (h ox id)(c ox c) has no sign; (id ox h)(c ox c) gains (-1)^{|c|}
-    col = t.pos[2][((1, 0), 0)]  # c ox c
+    pos = slot_index(t)
+    col = pos[2][((1, 0), 0)]  # c ox c
     lcol = left.matrix(2).column(col)
     rcol = right.matrix(2).column(col)
-    assert lcol == {t.pos[1][((0, 0), 0)]: rat(1)}  # a ox c
-    assert rcol == {t.pos[1][((1, 0), 0)]: rat(-1)}  # -(c ox a)
+    assert lcol == {pos[1][((0, 0), 0)]: rat(1)}  # a ox c
+    assert rcol == {pos[1][((1, 0), 0)]: rat(-1)}  # -(c ox a)
 
 
 def oracle_slots(left, right, max_degree):
@@ -421,6 +432,7 @@ def oracle_tensor_map(f, g, source, target):
     """The matrices of f ox g with the Koszul sign (-1)^{|g| * p1}, written
     slot by slot without the slot-rule builder."""
     maps = {}
+    pos = slot_index(target)
     for p in range(source.max_degree + 1):
         q = p + f.shift + g.shift
         if not (0 <= q <= target.max_degree):
@@ -432,7 +444,7 @@ def oracle_tensor_map(f, g, source, target):
             # distinct (a, b) are distinct target slots: nothing accumulates
             for a, va in f.matrix(p1).by_col.get(i, {}).items():
                 for b, vb in g.matrix(p2).by_col.get(j, {}).items():
-                    key = (target.pos[q][((p1 + f.shift, a), b)], col)
+                    key = (pos[q][((p1 + f.shift, a), b)], col)
                     data[key] = sign * va * vb
         maps[p] = QMatrix(target.dim(q), source.dim(p), data)
     return maps
@@ -647,3 +659,237 @@ def test_violations_match_the_per_triple_oracle(data):
     if data.draw(st.booleans()):
         dga.unit[data.draw(st.integers(0, 3))] = data.draw(nudges)
     assert dga.violations() == oracle_violations(dga)
+
+
+# --- graded maps: composites on first read, slot rules by block offsets ----
+
+
+def eager_after(self, other):
+    """GradedLinearMap.after as first written: every degree multiplied when
+    the composite is formed."""
+    maps = {}
+    for n in range(other.source.max_degree + 1):
+        mid = n + other.shift
+        if not (0 <= mid <= self.source.max_degree):
+            continue
+        m = self.matrix(mid) * other.matrix(n)
+        if not m.is_zero() or m.rows * m.cols:
+            maps[n] = m
+    return GradedLinearMap(other.source, self.target,
+                           self.shift + other.shift, maps)
+
+
+def eager_add(self, other):
+    if self.shift != other.shift:
+        raise dg.ComplexError("cannot add maps of different shifts")
+    degrees = set(self.maps) | set(other.maps)
+    return GradedLinearMap(self.source, self.target, self.shift, {
+        n: self.matrix(n) + other.matrix(n) for n in degrees})
+
+
+def eager_neg(self):
+    return GradedLinearMap(self.source, self.target, self.shift,
+                           {n: -m for n, m in self.maps.items()})
+
+
+def pos_rule_map(source, target, shift, rule):
+    """dg._rule_map as first written: every slot looked up by its label."""
+    maps = {}
+    for n_out in range(target.max_degree + 1):
+        n_in = n_out - shift
+        if not (0 <= n_in <= source.max_degree):
+            continue
+        data = {}
+        pos_out, pos_in = slot_index(target)[n_out], slot_index(source)[n_in]
+        block_size = Counter(anchor for anchor, _ in source.labels[n_in])
+        for anchor in dict.fromkeys(a for a, _ in target.labels[n_out]):
+            for coef, anchor_in, matrix in rule(n_out, anchor):
+                if matrix is None:
+                    entries = ((k, k, coef)
+                               for k in range(block_size[anchor_in]))
+                else:
+                    entries = ((i, j, coef * v)
+                               for (i, j), v in matrix.data.items())
+                for i, j, v in entries:
+                    key = (pos_out[(anchor, i)], pos_in[(anchor_in, j)])
+                    data[key] = data.get(key, 0) + v
+        maps[n_in] = QMatrix(target.dim(n_out), source.dim(n_in), data)
+    return GradedLinearMap(source, target, shift, maps)
+
+
+CHAIN = load_bench_module("chainmodel")
+# (model, truncation degree)
+HOKAN_MODELS = {
+    "fix-b": (load_bundled("fix-b"), 3),
+    "fix-d": (load_bundled("fix-d"), 3),
+    "fix-e": (load_bundled("fix-e"), 3),
+    "chain(2,Z3)": (CHAIN.chain_dict(2, "Z3"), 3),
+}
+
+
+def hokan_of(name):
+    doc, degree = HOKAN_MODELS[name]
+    m = model_from_dict(doc)
+    return HoKan(m.fibered(), m.loc, m.A, degree)
+
+
+def arrows_of(hk):
+    base = hk.fm.loc
+    return sorted(f for f in base.morphisms if not base.is_identity(f))
+
+
+def composable(hk, length):
+    base = hk.fm.loc
+    return [fs for fs in product(arrows_of(hk), repeat=length)
+            if all(base.source(outer) == base.target(inner)
+                   for outer, inner in zip(fs, fs[1:]))]
+
+
+def extension_arrows(hk):
+    """The non-identity Cauchy arrows, on a strongly Cauchy flabby model."""
+    if not flabbiness_report(hk.fm, hk.loc).strongly_cauchy_flabby:
+        return []
+    return sorted(f for f in hk.loc.cauchy if f in arrows_of(hk))
+
+
+def composites(hk):
+    """The composites of the eta, gamma2, gamma3 and phi identities by key:
+    their left-hand sides and the composition homotopies."""
+    base, u, g2 = hk.fm.loc, hk.hou_morphism, hk.gamma2
+    out = {f"eta:{M}": hk.zeta(M).after(hk.kappa(M))
+           for M in sorted(base.objects)}
+    for g, f in composable(hk, 2):
+        out[f"gamma2:{g}:{f}"] = u(g).after(u(f)) - u(base.comp(g, f))
+        out[f"gamma2-homotopy:{g}:{f}"] = g2(g, f)
+    for h, g, f in composable(hk, 3):
+        out[f"gamma3:{h}:{g}:{f}"] = (
+            g2(h, base.comp(g, f)) + u(h).after(g2(g, f))
+            - g2(base.comp(h, g), f) - g2(h, g).after(u(f)))
+    for f in extension_arrows(hk):
+        out[f"phi:{f}"] = hk.ext_pullback(f).after(u(f))
+    return out
+
+
+def entries(f):
+    """Every stored degree of a graded map in order, each matrix with its
+    shape and its entries in insertion order."""
+    return [(n, m.rows, m.cols, list(m.data.items()))
+            for n, m in f.maps.items()]
+
+
+def test_composites_match_the_eager_oracle(monkeypatch):
+    keys = set()
+    for name in HOKAN_MODELS:
+        hk = hokan_of(name)
+        top = hk.max_degree
+        lazy = composites(hk)
+        # built degree by degree, each degree read once or twice
+        for f in lazy.values():
+            for n in range(-1, top + 2):
+                f.matrix(n)
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedLinearMap, "after", eager_after)
+            patch.setattr(GradedLinearMap, "__add__", eager_add)
+            patch.setattr(GradedLinearMap, "__neg__", eager_neg)
+            eager = composites(hk)
+        assert lazy.keys() == eager.keys()
+        for key, f in lazy.items():
+            assert all(isinstance(m, QMatrix) for m in f.maps.values())
+            assert entries(f) == entries(eager[key]), (name, key)
+            for n in range(-2, top + 3):
+                assert f.matrix(n) == eager[key].matrix(n), (name, key, n)
+        keys |= {key.split(":")[0] for key in lazy}
+    assert keys == {"eta", "gamma2", "gamma2-homotopy", "gamma3", "phi"}
+
+
+def rule_built_maps(hk):
+    """Every map that slot rules build on hk's model, by key: the cochain
+    differentials, the comparison maps and homotopies per object and arrow,
+    and the tensor data of every causal cospan."""
+    base = hk.fm.loc
+    out = {}
+    for M in sorted(base.objects):
+        for kind in ("hou_object", "horan_object"):
+            cx = getattr(hk, kind)(M).dga.complex
+            out[f"d:{kind}:{M}"] = GradedLinearMap(cx, cx, 1, cx.differentials)
+        for kind in ("kappa", "zeta", "eta_homotopy", "rho", "beta_homotopy"):
+            out[f"{kind}:{M}"] = getattr(hk, kind)(M)
+    for f in sorted(base.morphisms):
+        out[f"hou:{f}"] = hk.hou_morphism(f)
+        out[f"horan:{f}"] = hk.horan_morphism(f)
+    for f in extension_arrows(hk):
+        out[f"ext:{f}"] = hk.ext_pullback(f)
+        out[f"phi:{f}"] = hk.phi_homotopy(f)
+        out[f"phibar:{f}"] = hk.phibar_homotopy(f)
+    # the tensor differential reads source anchors (p1, i) with no slots in
+    # degrees below p1: the block of such an anchor is empty
+    for f1, f2 in hk.loc.causal_cospans:
+        M, t, big_l, _, _ = hk.cospan(f1, f2)
+        out[f"d:tensor:{f1}:{f2}"] = GradedLinearMap(t, t, 1, t.differentials)
+        out[f"L:{f1}:{f2}"] = big_l
+        out[f"rho x beta:{f1}:{f2}"] = tensor_map(
+            hk.rho(M), hk.beta_homotopy(M), t, t)
+    return out
+
+
+def test_rule_maps_match_the_label_lookup_oracle(monkeypatch):
+    for name in HOKAN_MODELS:
+        got = {key: entries(f) for key, f in rule_built_maps(hokan_of(name)).items()}
+        with monkeypatch.context() as patch:
+            patch.setattr(dg, "_rule_map", pos_rule_map)
+            want = {key: entries(f)
+                    for key, f in rule_built_maps(hokan_of(name)).items()}
+        assert list(got) == list(want)
+        for key in got:
+            assert got[key] == want[key], (name, key)
+
+
+def test_a_check_below_the_top_degree_builds_no_top_degree_product(
+        monkeypatch):
+    hk = hokan_of("fix-e")
+    base, u, top = hk.fm.loc, hk.hou_morphism, hk.max_degree
+    products = []
+
+    def counted(a, b):
+        products.append((a.rows, b.cols))
+        return a * b
+
+    checks = []
+    for M in sorted(base.objects):
+        horan = hk.horan_object(M).dga.complex
+        checks.append((lambda M=M: hk.zeta(M).after(hk.kappa(M)),
+                       GradedLinearMap.identity(horan), hk.eta_homotopy(M)))
+    for g, f in composable(hk, 2):
+        checks.append((lambda g=g, f=f: u(g).after(u(f)) - u(base.comp(g, f)),
+                       None, hk.gamma2(g, f)))
+    assert len(checks) == 8
+    # the homotopies are formed before products are counted: only the
+    # composites of the left-hand sides count
+    monkeypatch.setattr(dg, "mul", counted)
+    for build, rhs, h in checks:
+        del products[:]
+        lhs = build()
+        assert products == []
+        rhs = rhs or GradedLinearMap.zero(lhs.source, lhs.target)
+        assert check_homotopy_identity(lhs, rhs, h, top - 1) == []
+        # one product per degree below the top, and none in the top degree
+        assert len(products) == top
+        lhs.matrix(top)
+        lhs.matrix(top)
+        assert len(products) == top + 1
+
+
+def test_block_offsets_need_contiguous_slots():
+    cx = Complex(1, {0: (("a", 0), ("a", 1), ("b", 0)), 1: ()}, {})
+    assert cx.blocks == {0: {"a": (0, 2), "b": (2, 1)}, 1: {}}
+    for labels in ((("a", 0), ("b", 0), ("a", 1)), (("a", 1),),
+                   (("a", 0), ("a", 0)), (("a", 0), ("a", 2))):
+        bad = Complex(0, {0: labels}, {})
+        with pytest.raises(dg.ComplexError):
+            bad.blocks
+        with pytest.raises(dg.ComplexError):
+            dg._rule_map(bad, bad, 0, lambda n, anchor: ())
+    # a rule's matrix must have the shape of the two blocks it joins
+    with pytest.raises(dg.ComplexError):
+        dg._rule_map(cx, cx, 0, lambda n, anchor: [
+            (1, anchor, QMatrix.identity(2))])
