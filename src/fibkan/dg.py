@@ -170,7 +170,8 @@ def check_homotopy_identity(lhs: GradedLinearMap, rhs: GradedLinearMap,
     """Degrees n <= up_to where lhs - rhs != d*H - (-1)^s H*d for a homotopy
     H of shift s between two maps of shift s + 1; empty means verified.
 
-    The term d*H enters where n + s >= 0.
+    The term d*H enters where n + s >= 0, and rhs only in the degrees it
+    has, so a zero rhs (GradedLinearMap.zero) costs no matrix.
     """
     s = homotopy.shift
     if lhs.shift != s + 1 or rhs.shift != s + 1:
@@ -184,7 +185,9 @@ def check_homotopy_identity(lhs: GradedLinearMap, rhs: GradedLinearMap,
             got = -got
         if n + s >= 0:
             got = got + tgt.d(n + s) * homotopy.matrix(n)
-        if lhs.matrix(n) - rhs.matrix(n) != got:
+        if n in rhs._maps:
+            got = got + rhs.matrix(n)
+        if lhs.matrix(n) != got:
             bad.append(n)
     return bad
 
@@ -363,7 +366,7 @@ class Dga:
         three lists in report order: (n, i, side) for a unit law on the given
         side of index i in degree n, (n1, n2, n3, i, j, k) for a triple and
         (n1, n2, i, j) for a pair. The product tables are scaled to integers
-        once for all three."""
+        once for all three, as flat entry lists."""
         # built per call, not kept: a caller may still edit the products
         scale, by_left, by_right = _integer_tables(self.products)
         return (list(self._unit_failures(scale, by_left, by_right)),
@@ -376,11 +379,9 @@ class Dga:
             left = _unit_sums(self.unit, by_left.get((0, n), {}))
             right = _unit_sums(self.unit, by_right.get((n, 0), {}))
             for i in range(cx.dim(n)):
-                e = {i: scale}
-                if left.get(i, {}) != e:
-                    yield n, i, "left"
-                if right.get(i, {}) != e:
-                    yield n, i, "right"
+                for side, sums in (("left", left), ("right", right)):
+                    if sums.get(i) != {i: scale}:
+                        yield n, i, side
 
     def _associativity_failures(self, by_left, by_right):
         # (x y) z - x (y z), times D^2, on every (i, j, k, m) that a nonzero
@@ -392,34 +393,31 @@ class Dga:
                     diff = {}
                     after = by_left.get((n1 + n2, n3), {})
                     for i, row in by_left.get((n1, n2), {}).items():
-                        for j, xy in row.items():
-                            for l, c in xy.items():
-                                for k, vec in after.get(l, {}).items():
-                                    for m, v in vec.items():
-                                        key = (i, j, k, m)
-                                        diff[key] = diff.get(key, 0) + c * v
+                        for j, l, c in row:
+                            for k, m, v in after.get(l, ()):
+                                key = (i, j, k, m)
+                                diff[key] = diff.get(key, 0) + c * v
                     before = by_right.get((n1, n2 + n3), {})
                     for j, row in by_left.get((n2, n3), {}).items():
-                        for k, yz in row.items():
-                            for l, c in yz.items():
-                                for i, vec in before.get(l, {}).items():
-                                    for m, v in vec.items():
-                                        key = (i, j, k, m)
-                                        diff[key] = diff.get(key, 0) - c * v
+                        for k, l, c in row:
+                            for i, m, v in before.get(l, ()):
+                                key = (i, j, k, m)
+                                diff[key] = diff.get(key, 0) - c * v
                     failing = {key[:3] for key, v in diff.items() if v}
                     for ijk in sorted(failing):
                         yield (n1, n2, n3, *ijk)
 
     def _leibniz_failures(self, by_left, by_right):
         # d(x y) - dx y - (-1)^n1 x dy, times D*E (E the lcm of the
-        # differentials' denominators), on every (i, j, m) that a nonzero
-        # term reaches: a pair fails exactly where this is nonzero
+        # differentials' denominators, d[n] as {col: [(row, value)]}), on
+        # every (i, j, m) that a nonzero term reaches: a pair fails exactly
+        # where this is nonzero
         cx = self.complex
         top = cx.max_degree
         scale = lcm(*(v.denominator for n in range(top)
                       for v in cx.d(n).data.values()))
-        d = [{j: {i: v.numerator * (scale // v.denominator)
-                  for i, v in col.items()} for j, col in cx.d(n).by_col.items()}
+        d = [{j: [(i, v.numerator * (scale // v.denominator))
+                  for i, v in col.items()] for j, col in cx.d(n).by_col.items()}
              for n in range(top)]
         for n1 in range(top):
             for n2 in range(top - n1):
@@ -427,26 +425,23 @@ class Dga:
                 diff = {}
                 d12 = d[n1 + n2]
                 for i, row in by_left.get((n1, n2), {}).items():
-                    for j, xy in row.items():
-                        for l, c in xy.items():
-                            for m, v in d12.get(l, {}).items():
-                                key = (i, j, m)
-                                diff[key] = diff.get(key, 0) + c * v
+                    for j, l, c in row:
+                        for m, v in d12.get(l, ()):
+                            key = (i, j, m)
+                            diff[key] = diff.get(key, 0) + c * v
                 t1 = by_left.get((n1 + 1, n2), {})
                 for i, col in d[n1].items():
-                    for l, c in col.items():
-                        for j, vec in t1.get(l, {}).items():
-                            for m, v in vec.items():
-                                key = (i, j, m)
-                                diff[key] = diff.get(key, 0) - c * v
+                    for l, c in col:
+                        for j, m, v in t1.get(l, ()):
+                            key = (i, j, m)
+                            diff[key] = diff.get(key, 0) - c * v
                 t2 = by_right.get((n1, n2 + 1), {})
                 for j, col in d[n2].items():
-                    for l, c in col.items():
+                    for l, c in col:
                         c *= sign
-                        for i, vec in t2.get(l, {}).items():
-                            for m, v in vec.items():
-                                key = (i, j, m)
-                                diff[key] = diff.get(key, 0) - c * v
+                        for i, m, v in t2.get(l, ()):
+                            key = (i, j, m)
+                            diff[key] = diff.get(key, 0) - c * v
                 rows, cols = range(cx.dim(n1)), range(cx.dim(n2))
                 failing = {(i, j) for (i, j, _), v in diff.items()
                            if v and i in rows and j in cols}
@@ -455,30 +450,32 @@ class Dga:
 
 
 def _integer_tables(products):
-    """(D, by_left, by_right): every product table times D, the lcm of all
-    their denominators, as integer vectors indexed {i: {j: vec}} by the left
-    factor and {j: {i: vec}} by the right one, per degree pair. Both sides of
-    an identity scale alike, so comparing these is exact."""
+    """(D, by_left, by_right): the product tables times D, the lcm of their
+    denominators, per degree pair as lists of nonzero entries: entry c at m
+    of i * j is (j, m, c) in by_left[i] and (i, m, c) in by_right[j]. Both
+    sides of an identity scale alike, so comparing these is exact."""
     scale = lcm(*(v.denominator for table in products.values()
                   for vec in table.values() for v in vec.values()))
     by_left, by_right = {}, {}
     for key, table in products.items():
         left, right = by_left[key], by_right[key] = {}, {}
         for (i, j), vec in table.items():
-            ints = {m: v.numerator * (scale // v.denominator)
-                    for m, v in vec.items() if v}
-            if ints:
-                left.setdefault(i, {})[j] = ints
-                right.setdefault(j, {})[i] = ints
+            for m, v in vec.items():
+                if v:
+                    c = v.numerator * (scale // v.denominator)
+                    left.setdefault(i, []).append((j, m, c))
+                    right.setdefault(j, []).append((i, m, c))
     return scale, by_left, by_right
 
 
 def _unit_sums(unit, index) -> dict:
-    """{i: the sum of c * index[u][i] over the unit's entries c at u}."""
+    """{i: {m: the sum of c * v}} over the unit's entries c at u and the
+    entries (i, m, v) of index[u], added by _axpy, which drops a sum that
+    cancels."""
     sums = {}
     for u, c in unit.items():
-        for i, vec in index.get(u, {}).items():
-            _axpy(sums.setdefault(i, {}), c, vec)
+        for i, m, v in index.get(u, ()):
+            _axpy(sums.setdefault(i, {}), c, {m: v})
     return sums
 
 

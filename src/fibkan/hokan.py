@@ -123,8 +123,8 @@ class HoKan:
     """All homotopy Kan extension data of one fibered model, memoized.
 
     The cochain algebras, the extension data, the maps kappa, zeta,
-    eta_homotopy, rho, beta_homotopy, hou_morphism, horan_morphism and
-    ext_pullback, and the tensor data of a cospan are built once per argument
+    eta_homotopy, rho, beta_homotopy, hou_morphism, horan_morphism, gamma2
+    and ext_pullback, and the tensor data of a cospan are built once per argument
     and kept; they are shared, so read only.
     """
 
@@ -273,6 +273,7 @@ class HoKan:
         return out.after(self.horan_morphism(fs[-1])).after(
             self.zeta(base.source(fs[-1])))
 
+    @_kept
     def gamma2(self, f2: str, f1: str) -> GradedLinearMap:
         """Composition homotopy: hou(f2) after hou(f1) vs hou(f2 after f1)."""
         return self._composition_homotopy(f2, f1)

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from fibkan.dg import (
 )
 from fibkan.fincat import flabbiness_report
 from fibkan.fixtures import load_bundled
-from fibkan.hokan import HoKan
+from fibkan.hokan import HoKan, check_square_homotopy
 from fibkan.models import model_from_dict
 from fibkan.qlinalg import QMatrix, _axpy, kernel_basis, rank, rat
 
@@ -633,11 +634,9 @@ scales = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
 nudges = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_violations_match_the_per_triple_oracle(data):
-    # a valid dga with fractional constants, then a few entries of its
-    # products, differentials and unit nudged so that checks fail
+def nudged_dga(data):
+    """A valid dga with fractional constants, then a few entries of its
+    products, differentials and unit nudged so that checks fail."""
     top = data.draw(st.integers(1, 2))
     factors = data.draw(st.lists(scales, min_size=12, max_size=12))
     dga = rescaled(holim_dgalg(z2_diagram(), top),
@@ -658,6 +657,13 @@ def test_violations_match_the_per_triple_oracle(data):
         cx.differentials[n] = QMatrix(m.rows, m.cols, nudged)
     if data.draw(st.booleans()):
         dga.unit[data.draw(st.integers(0, 3))] = data.draw(nudges)
+    return dga
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_violations_match_the_per_triple_oracle(data):
+    dga = nudged_dga(data)
     assert dga.violations() == oracle_violations(dga)
 
 
@@ -893,3 +899,254 @@ def test_block_offsets_need_contiguous_slots():
     with pytest.raises(dg.ComplexError):
         dg._rule_map(cx, cx, 0, lambda n, anchor: [
             (1, anchor, QMatrix.identity(2))])
+
+
+# --- the nested law check as an oracle of the flat index --------------------
+
+
+def nested_integer_tables(products):
+    """dg._integer_tables as it was: the scaled integer vectors indexed
+    {i: {j: vec}} by the left factor and {j: {i: vec}} by the right one."""
+    scale = lcm(*(v.denominator for table in products.values()
+                  for vec in table.values() for v in vec.values()))
+    by_left, by_right = {}, {}
+    for key, table in products.items():
+        left, right = by_left[key], by_right[key] = {}, {}
+        for (i, j), vec in table.items():
+            ints = {m: v.numerator * (scale // v.denominator)
+                    for m, v in vec.items() if v}
+            if ints:
+                left.setdefault(i, {})[j] = ints
+                right.setdefault(j, {})[i] = ints
+    return scale, by_left, by_right
+
+
+def nested_unit_sums(unit, index):
+    sums = {}
+    for u, c in unit.items():
+        for i, vec in index.get(u, {}).items():
+            _axpy(sums.setdefault(i, {}), c, vec)
+    return sums
+
+
+def nested_unit_failures(dga, scale, by_left, by_right):
+    cx = dga.complex
+    for n in range(cx.max_degree + 1):
+        left = nested_unit_sums(dga.unit, by_left.get((0, n), {}))
+        right = nested_unit_sums(dga.unit, by_right.get((n, 0), {}))
+        for i in range(cx.dim(n)):
+            e = {i: scale}
+            if left.get(i, {}) != e:
+                yield n, i, "left"
+            if right.get(i, {}) != e:
+                yield n, i, "right"
+
+
+def nested_associativity_failures(dga, by_left, by_right):
+    top = dga.complex.max_degree
+    for n1 in range(top + 1):
+        for n2 in range(top + 1 - n1):
+            for n3 in range(top + 1 - n1 - n2):
+                diff = {}
+                after = by_left.get((n1 + n2, n3), {})
+                for i, row in by_left.get((n1, n2), {}).items():
+                    for j, xy in row.items():
+                        for l, c in xy.items():
+                            for k, vec in after.get(l, {}).items():
+                                for m, v in vec.items():
+                                    key = (i, j, k, m)
+                                    diff[key] = diff.get(key, 0) + c * v
+                before = by_right.get((n1, n2 + n3), {})
+                for j, row in by_left.get((n2, n3), {}).items():
+                    for k, yz in row.items():
+                        for l, c in yz.items():
+                            for i, vec in before.get(l, {}).items():
+                                for m, v in vec.items():
+                                    key = (i, j, k, m)
+                                    diff[key] = diff.get(key, 0) - c * v
+                failing = {key[:3] for key, v in diff.items() if v}
+                for ijk in sorted(failing):
+                    yield (n1, n2, n3, *ijk)
+
+
+def nested_leibniz_failures(dga, by_left, by_right):
+    cx = dga.complex
+    top = cx.max_degree
+    scale = lcm(*(v.denominator for n in range(top)
+                  for v in cx.d(n).data.values()))
+    d = [{j: {i: v.numerator * (scale // v.denominator)
+              for i, v in col.items()} for j, col in cx.d(n).by_col.items()}
+         for n in range(top)]
+    for n1 in range(top):
+        for n2 in range(top - n1):
+            sign = -1 if n1 % 2 else 1
+            diff = {}
+            d12 = d[n1 + n2]
+            for i, row in by_left.get((n1, n2), {}).items():
+                for j, xy in row.items():
+                    for l, c in xy.items():
+                        for m, v in d12.get(l, {}).items():
+                            key = (i, j, m)
+                            diff[key] = diff.get(key, 0) + c * v
+            t1 = by_left.get((n1 + 1, n2), {})
+            for i, col in d[n1].items():
+                for l, c in col.items():
+                    for j, vec in t1.get(l, {}).items():
+                        for m, v in vec.items():
+                            key = (i, j, m)
+                            diff[key] = diff.get(key, 0) - c * v
+            t2 = by_right.get((n1, n2 + 1), {})
+            for j, col in d[n2].items():
+                for l, c in col.items():
+                    c *= sign
+                    for i, vec in t2.get(l, {}).items():
+                        for m, v in vec.items():
+                            key = (i, j, m)
+                            diff[key] = diff.get(key, 0) - c * v
+            rows, cols = range(cx.dim(n1)), range(cx.dim(n2))
+            failing = {(i, j) for (i, j, _), v in diff.items()
+                       if v and i in rows and j in cols}
+            for ij in sorted(failing):
+                yield (n1, n2, *ij)
+
+
+def nested_law_failures(dga):
+    """Dga.law_failures on the nested integer tables it read before the
+    flat entry lists."""
+    scale, by_left, by_right = nested_integer_tables(dga.products)
+    return (list(nested_unit_failures(dga, scale, by_left, by_right)),
+            list(nested_associativity_failures(dga, by_left, by_right)),
+            list(nested_leibniz_failures(dga, by_left, by_right)))
+
+
+def with_explicit_zeros(dga, shift):
+    """The same dg-algebra with explicit zeros: every basis pair (i, j) of
+    every table holds entry (i + j + shift) mod the dimension, a zero where
+    the product had none there, and the unit holds every degree-0 index."""
+    cx = dga.complex
+    products = {key: {pair: dict(vec) for pair, vec in table.items()}
+                for key, table in dga.products.items()}
+    for (n1, n2), table in products.items():
+        for i, j in product(range(cx.dim(n1)), range(cx.dim(n2))):
+            m = (i + j + shift) % cx.dim(n1 + n2)
+            table.setdefault((i, j), {}).setdefault(m, 0)
+    unit = {u: dga.unit.get(u, 0) for u in range(cx.dim(0))}
+    return Dga(cx, products, unit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_law_failures_match_the_nested_oracle(data):
+    dga = nudged_dga(data)
+    got = dga.law_failures()
+    assert got == nested_law_failures(dga)
+    zeros = with_explicit_zeros(dga, data.draw(st.integers(0, 3)))
+    assert 0 in zeros.unit.values()
+    assert {} in [{m: v for m, v in vec.items() if v}
+                  for table in zeros.products.values()
+                  for vec in table.values()]
+    assert zeros.law_failures() == nested_law_failures(zeros) == got
+
+
+def test_law_failures_match_the_nested_oracle_on_a_perturbed_horan():
+    hk = hokan_of("fix-e")
+    dga = hk.horan_object("M0").dga
+    assert hk.max_degree == 3
+    assert dga.law_failures() == nested_law_failures(dga) == ([], [], [])
+    # one entry of one degree-(1, 1) product changed
+    pair, vec = sorted(dga.products[(1, 1)].items())[0]
+    m = min(vec)
+    vec[m] += 1
+    got = dga.law_failures()
+    assert got == nested_law_failures(dga)
+    assert got[1] and got[2]
+
+
+def test_a_zero_unit_entry_and_a_cancelling_unit_sum():
+    # e0 is the unit of e0 e0 = e0, e0 e1 = e1 e0 = e1 e1 = e1; the unit
+    # e0 - e1 cancels on e1, and a sum that cancels drops its entry, as
+    # _axpy does, with no KeyError
+    cx = Complex(0, {0: (0, 1)}, {})
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}}
+    both = [(0, i, side) for i in (0, 1) for side in ("left", "right")]
+    for unit, fails in (({0: 1}, []), ({0: 1, 1: 0}, []),
+                        ({1: 0, 0: 1}, []), ({0: 1, 1: -1}, both)):
+        dga = Dga(cx, {(0, 0): table}, unit)
+        assert dga.law_failures() == nested_law_failures(dga) \
+            == (fails, [], [])
+    assert dg._unit_sums({0: 1, 1: -1}, {0: [(1, 1, 1)], 1: [(1, 1, 1)]}) \
+        == nested_unit_sums({0: 1, 1: -1}, {0: {1: {1: 1}}, 1: {1: {1: 1}}}) \
+        == {1: {}}
+    assert dg._unit_sums({0: 0}, {0: [(0, 0, 1)]}) \
+        == nested_unit_sums({0: 0}, {0: {0: {0: 1}}}) == {0: {}}
+
+
+# --- homotopy identities against a zero map ---------------------------------
+
+
+def subtracting_homotopy_identity(lhs, rhs, homotopy, up_to):
+    """dg.check_homotopy_identity as it was: lhs - rhs in every degree, for
+    a zero rhs too."""
+    s = homotopy.shift
+    src, tgt = lhs.source, lhs.target
+    bad = []
+    for n in range(up_to + 1):
+        got = homotopy.matrix(n + 1) * src.d(n)
+        if s % 2 == 0:
+            got = -got
+        if n + s >= 0:
+            got = got + tgt.d(n + s) * homotopy.matrix(n)
+        if lhs.matrix(n) - rhs.matrix(n) != got:
+            bad.append(n)
+    return bad
+
+
+def homotopy_identities(hk):
+    """The failing degrees of eta per object, gamma2 per composable pair and
+    gamma3 per composable triple, and of gamma2 with hou(g after f) left out
+    of its left side, which fails."""
+    base, u, g2, top = hk.fm.loc, hk.hou_morphism, hk.gamma2, hk.max_degree
+    out = {}
+    for M in sorted(base.objects):
+        out[f"eta:{M}"] = dg.check_homotopy_identity(
+            hk.zeta(M).after(hk.kappa(M)),
+            GradedLinearMap.identity(hk.horan_object(M).dga.complex),
+            hk.eta_homotopy(M), top - 1)
+    for g, f in composable(hk, 2):
+        composite = u(g).after(u(f))
+        for key, lhs in (("gamma2", composite - u(base.comp(g, f))),
+                         ("uncorrected", composite)):
+            out[f"{key}:{g}:{f}"] = dg.check_homotopy_identity(
+                lhs, GradedLinearMap.zero(lhs.source, lhs.target),
+                g2(g, f), top - 1)
+    for h, g, f in composable(hk, 3):
+        out[f"gamma3:{h}:{g}:{f}"] = check_square_homotopy(
+            g2(h, base.comp(g, f)) + u(h).after(g2(g, f))
+            - g2(base.comp(h, g), f) - g2(h, g).after(u(f)),
+            hk.gamma3(h, g, f), top - 2)
+    return out
+
+
+def test_a_zero_rhs_builds_fewer_matrices_and_the_same_degrees(monkeypatch):
+    # chain(6,Z2) at degree 2, the size of the chain-coherence workload
+    m = model_from_dict(CHAIN.chain_dict(6, "Z2"))
+    built = []
+    init = QMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QMatrix, "__init__", counted)
+    results, counts = [], []
+    for check in (dg.check_homotopy_identity, subtracting_homotopy_identity):
+        monkeypatch.setattr(dg, "check_homotopy_identity", check)
+        hk = HoKan(m.fibered(), m.loc, m.A, 2)
+        del built[:]
+        results.append(homotopy_identities(hk))
+        counts.append(len(built))
+    got, want = results
+    assert got == want
+    assert any(got.values())
+    assert any(key.startswith("gamma3") for key in got)
+    assert counts[0] < counts[1], counts

@@ -59,7 +59,7 @@ def test_horan_object_dims_chain():
 
 
 KEPT = ("kappa", "zeta", "eta_homotopy", "rho", "beta_homotopy",
-        "hou_morphism", "horan_morphism", "ext_pullback")
+        "hou_morphism", "horan_morphism", "gamma2", "ext_pullback")
 
 
 def test_maps_are_built_once_and_kept():
@@ -85,6 +85,32 @@ def test_kept_maps_leave_the_verify_report_unchanged(monkeypatch, capsys):
     assert hk.kappa("N") is not hk.kappa("N")
     assert cli.run(argv) == 0
     assert capsys.readouterr().out == kept
+
+
+def test_gamma2_is_formed_once_per_pair(monkeypatch, capsys):
+    # gamma2-homotopy and gamma3-coherence read the same gamma2 of a pair
+    formed = []
+    compose = HoKan._composition_homotopy
+
+    def counted(self, *fs):
+        if len(fs) == 2:
+            formed.append(fs)
+        return compose(self, *fs)
+
+    monkeypatch.setattr(HoKan, "_composition_homotopy", counted)
+    kept = HoKan.gamma2
+    for order in ("normal", "reversed"):
+        argv = ["hokan", "--fixture", "fix-e", "--max-degree", "4",
+                "--seed-order", order]
+        reports, counts = [], []
+        for gamma2 in (kept, kept.__wrapped__):
+            del formed[:]
+            monkeypatch.setattr(HoKan, "gamma2", gamma2)
+            assert cli.run(argv) == 0
+            reports.append(capsys.readouterr().out)
+            counts.append((len(formed), len(set(formed))))
+        assert counts == [(4, 4), (8, 4)]
+        assert reports[0] == reports[1]
 
 
 def test_cohomology_after_the_kappa_check_runs_no_elimination(monkeypatch):
