@@ -7,14 +7,17 @@ are block sparse. Vectors are sparse {index: value} dicts. rat and _echelon
 give an int for an integral value and a Fraction otherwise, so a whole-number
 model runs in int arithmetic throughout. A subspace is its canonical basis:
 the reduced row echelon rows as sparse vectors, with their pivot columns.
-``_echelon`` is the one elimination behind rank, kernel, span and inverse; it
-runs on integers and divides only its result, so it is exact with no modulus
-and no fallback. A matrix keeps its kernel and column space, so each
-differential is eliminated at most once.
+``_echelon`` is the one elimination behind rank, kernel, span and inverse: a
+forward pass over the rows not yet pivots, then one back-substitution over
+the pivot rows. It runs on integers, divides out a row's content only after
+a step that scaled the row, and divides only its result, so it is exact with
+no modulus and no fallback. A matrix keeps its kernel and column space, so
+each differential is eliminated at most once.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -194,6 +197,30 @@ def _axpy(out: dict, c, vec: dict) -> None:
             out.pop(k, None)
 
 
+def _step(row, prow, c, index=None, rid=None) -> None:
+    """row := (p/g)*row - (a/g)*prow, 0 at c, for p = prow[c], a = row[c] and
+    g = gcd(a, p) signed as p; keeps a given column -> rows index of row rid."""
+    p, a = prow[c], row[c]
+    g = gcd(a, p) if p > 0 else -gcd(a, p)
+    s, t = p // g, a // g
+    if s != 1:
+        for k in row:
+            row[k] *= s
+    for k, v in prow.items():
+        w = row.get(k, 0) - t * v
+        if w:
+            if index is not None and k not in row:
+                index[k].add(rid)
+            row[k] = w
+        else:
+            del row[k]
+            if index is not None:
+                index[k].discard(rid)
+    if s != 1 and (content := gcd(*row.values())) > 1:
+        for k in row:
+            row[k] //= content
+
+
 def _echelon(rows, columns):
     """Reduced row echelon form of sparse {col: value} rows (left unchanged).
 
@@ -203,14 +230,17 @@ def _echelon(rows, columns):
     span and the column order alone.
 
     Exact on integers (fraction-free, Bareiss, Math. Comp. 22, 1968): rows are
-    scaled to integers once, a step sets row := (p/g)*row - (a/g)*pivot_row
-    with g = gcd(a, p) and divides out the row's content, and only the pivot
-    rows are divided by their pivot (an int where it divides). A column ->
-    rows index limits a step to the rows meeting its column; the shortest is
-    the pivot (Markowitz, 1957).
+    scaled to integers once and reduced by _step in two passes. The forward
+    pass takes at each column the shortest live row meeting it (Markowitz,
+    1957), drops it from the live rows and the column -> rows index, and
+    clears the column from the live rows that meet it. The back pass takes
+    the pivot rows last first and clears from each the later pivot columns it
+    meets with their rows, already reduced. A step whose pivot divides the
+    entry multiplies nothing; only a step that scaled the row divides out its
+    content. Last, each row is divided by its pivot (an int where it divides).
     """
     live = {}
-    index = {}
+    index = defaultdict(set)
     for rid, row in enumerate(rows):
         scale = lcm(*(v.denominator for v in row.values()))
         ints = {k: v.numerator * (scale // v.denominator)
@@ -218,45 +248,28 @@ def _echelon(rows, columns):
         if ints:
             live[rid] = ints
             for k in ints:
-                index.setdefault(k, set()).add(rid)
-    unused = set(live)
+                index[k].add(rid)
     found = []
     for c in columns:
-        meet = index.get(c, ())
-        candidates = [rid for rid in meet if rid in unused]
-        if not candidates:
+        meet = index.get(c)
+        if not meet:
             continue
-        pid = min(candidates, key=lambda rid: len(live[rid]))
-        unused.discard(pid)
-        prow = live[pid]
-        p = prow[c]
-        for rid in [rid for rid in meet if rid != pid]:
-            row = live[rid]
-            g = gcd(row[c], p)
-            s, t = p // g, row[c] // g
-            if s != 1:
-                for k in row:
-                    row[k] *= s
-            for k, v in prow.items():
-                w = row.get(k, 0) - t * v
-                if w:
-                    if k not in row:
-                        index.setdefault(k, set()).add(rid)
-                    row[k] = w
-                else:
-                    del row[k]
-                    index[k].discard(rid)
-            if row:
-                content = gcd(*row.values())
-                if content != 1:
-                    for k in row:
-                        row[k] //= content
-            else:
+        pid = min(meet, key=lambda rid: len(live[rid]))
+        prow = live.pop(pid)
+        for k in prow:
+            index[k].discard(pid)
+        index[c] = set()  # detach meet: the steps clear c from its rows
+        for rid in meet:
+            _step(live[rid], prow, c, index, rid)
+            if not live[rid]:
                 del live[rid]
-                unused.discard(rid)
         found.append((c, prow))
-        if not unused:
+        if not live:
             break
+    pivot_rows = dict(found)
+    for c, row in reversed(found):
+        for k in [k for k in row if k != c and k in pivot_rows]:
+            _step(row, pivot_rows[k], k)
     return ([{k: v // p if v % p == 0 else Fraction(v, p)
               for p in (row[c],) for k, v in row.items()}
              for c, row in found], [c for c, _ in found])

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_source import load_bench_module
+
 from fibkan import qlinalg
+from fibkan.hokan import HoKan
+from fibkan.models import model_from_dict
 from fibkan.qlinalg import (
     QMatrix,
     Subspace,
@@ -287,6 +291,85 @@ def test_integer_elimination_matches_the_fraction_oracle(case):
     for columns in (range(cols), range(cols - 1, -1, -1)):
         want = fraction_echelon([dict(row) for row in rows], columns)
         assert qlinalg._echelon([dict(row) for row in rows], columns) == want
+
+
+def assert_echelon_is_the_oracles(cols, rows):
+    """_echelon gives fraction_echelon's rows and pivots in both column
+    orders, an int wherever a value is integral, and leaves its rows as they
+    were. The oracle gets Fraction copies: on int rows its /= gives floats."""
+    before = [list(row.items()) for row in rows]
+    for columns in (range(cols), range(cols - 1, -1, -1)):
+        want = fraction_echelon(
+            [{k: Fraction(v) for k, v in row.items()} for row in rows], columns)
+        got = qlinalg._echelon(rows, columns)
+        assert got == want
+        assert all(type(v) is int for row in got[0] for v in row.values()
+                   if v.denominator == 1)
+    assert [list(row.items()) for row in rows] == before
+    return got
+
+
+@st.composite
+def cochain_rows(draw):
+    """Tall, rank-deficient sparse rows, shaped like a cochain differential's:
+    up to 30 rows over at most 10 columns, mostly +-1 and +-2 with some wide
+    rationals, and rows repeated, negated and summed from earlier ones."""
+    cols = draw(st.integers(1, 10))
+    small = st.sampled_from([1, -1, 2, -2])
+    entry = st.one_of(small, small, small, wide_rationals.filter(bool))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry,
+                                         min_size=1, max_size=4),
+                         min_size=1, max_size=12))
+    picks = st.tuples(st.sampled_from(["repeat", "negate", "sum"]),
+                      st.integers(0, len(rows) - 1),
+                      st.integers(0, len(rows) - 1))
+    for how, i, j in draw(st.lists(picks, max_size=18)):
+        if how == "repeat":
+            rows.append(dict(rows[i]))
+        elif how == "negate":
+            rows.append({k: -v for k, v in rows[i].items()})
+        else:
+            total = {k: rows[i].get(k, 0) + rows[j].get(k, 0)
+                     for k in (*rows[i], *rows[j])}
+            rows.append({k: v for k, v in total.items() if v})
+    return cols, draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cochain_rows())
+def test_echelon_matches_the_oracle_on_tall_sparse_rows(case):
+    assert_echelon_is_the_oracles(*case)
+
+
+def assert_kernel_leaves_the_matrix_unchanged(m):
+    # kernel_basis eliminates the matrix's own shared row index
+    by_row = m.by_row
+    data = list(m.data.items())
+    rows = {i: list(row.items()) for i, row in by_row.items()}
+    kernel_basis(m)
+    assert list(m.data.items()) == data
+    assert m.by_row is by_row
+    assert {i: list(row.items()) for i, row in by_row.items()} == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_kernel_basis_leaves_the_matrix_unchanged(m):
+    assert_kernel_leaves_the_matrix_unchanged(m)
+
+
+def test_echelon_and_kernel_on_a_cochain_differential():
+    # d2 of horan(M0) on chain(2,Z3) at degree 3, a kernel that the
+    # weak-equivalence check eliminates
+    m = model_from_dict(load_bench_module("chainmodel").chain_dict(2, "Z3"))
+    d2 = HoKan(m.fibered(), m.loc, m.A, 3).horan_object("M0").dga.complex.d(2)
+    assert (d2.rows, d2.cols) == (468, 180)
+    assert set(d2.data.values()) == {1, -1}
+    _, pivots = assert_echelon_is_the_oracles(d2.cols,
+                                              list(d2.by_row.values()))
+    assert len(pivots) == 132
+    assert_kernel_leaves_the_matrix_unchanged(d2)
+    assert kernel_basis(d2).dim == 180 - 132
 
 
 @settings(max_examples=100, deadline=None)
