@@ -205,16 +205,16 @@ def _rule_map(source: Complex, target: Complex, shift: int,
     (anchor, i) reads coef * matrix[i, j] times the source slot (anchor_in,
     j) of degree n - shift, and a matrix None stands for the identity on the
     block of anchor_in. The coefficient is any scalar, a sign or a matrix
-    entry. What several triples give to one entry adds up. A slot is found
-    by its anchor's block offset (Complex.blocks), and a matrix must have
-    the shape of the two blocks.
+    entry. A slot is found by its anchor's block offset (Complex.blocks); a
+    matrix must have the shape of the two blocks. Each block is written into
+    the map's rows, where what triples give to one entry adds up or cancels.
     """
     maps = {}
     for n_out in range(target.max_degree + 1):
         n_in = n_out - shift
         if not (0 <= n_in <= source.max_degree):
             continue
-        data = {}
+        by_row, coefs = {}, []
         blocks_in = source.blocks[n_in]
         for anchor, (row, rows) in target.blocks[n_out].items():
             for coef, anchor_in, matrix in rule(n_out, anchor):
@@ -222,18 +222,21 @@ def _rule_map(source: Complex, target: Complex, shift: int,
                 col, cols = blocks_in.get(anchor_in, (0, 0))
                 if matrix is None:
                     shape = (cols, cols)
-                    entries = ((k, k, coef) for k in range(cols))
+                    block = ((k, {col + k: coef}) for k in range(cols))
                 else:
                     shape = (matrix.rows, matrix.cols)
-                    entries = ((i, j, coef * v)
-                               for (i, j), v in matrix.data.items())
+                    block = ((i, {col + j: coef * v for j, v in r.items()})
+                             for i, r in matrix.by_row.items())
                 if shape != (rows, cols):
                     raise ComplexError(f"the block from {anchor_in!r} to"
                                        f" {anchor!r} has the wrong shape")
-                for i, j, v in entries:
-                    key = (row + i, col + j)
-                    data[key] = data.get(key, 0) + v
-        maps[n_in] = QMatrix(target.dim(n_out), source.dim(n_in), data)
+                coefs.append(coef)
+                for i, vec in block if coef else ():
+                    if (out := by_row.setdefault(row + i, vec)) is not vec:
+                        _axpy(out, 1, vec)
+        _check_exact(coefs, "slot rule coefficient")
+        maps[n_in] = QMatrix._of_rows(target.dim(n_out), source.dim(n_in), {
+            i: r for i, r in by_row.items() if r})
     return GradedLinearMap(source, target, shift, maps)
 
 
@@ -415,7 +418,7 @@ class Dga:
         cx = self.complex
         top = cx.max_degree
         scale = lcm(*(v.denominator for n in range(top)
-                      for v in cx.d(n).data.values()))
+                      for row in cx.d(n).by_row.values() for v in row.values()))
         d = [{j: [(i, v.numerator * (scale // v.denominator))
                   for i, v in col.items()] for j, col in cx.d(n).by_col.items()}
              for n in range(top)]
@@ -622,18 +625,15 @@ def lim_dgalg(diagram: DgaDiagram) -> LimDga:
         offsets[obj] = len(ambient_labels)
         ambient_labels.extend(
             (obj, k) for k in range(diagram.at[obj].complex.dim(0)))
-    data = {}
-    row = 0
+    rows = []
     for g in sorted(g for g in cat.morphisms if not cat.is_identity(g)):
         mat = diagram.maps[g]
         src, tgt = offsets[cat.source(g)], offsets[cat.target(g)]
-        for (i, j), v in mat.data.items():
-            data[(row + i, src + j)] = v
         for i in range(mat.rows):
-            key = (row + i, tgt + i)
-            data[key] = data.get(key, 0) - 1
-        row += mat.rows
-    subspace = kernel_basis(QMatrix(row, len(ambient_labels), data))
+            rows.append({src + j: v for j, v in mat.by_row.get(i, {}).items()})
+            _axpy(rows[-1], -1, {tgt + i: 1})
+    subspace = kernel_basis(QMatrix(len(rows), len(ambient_labels), {
+        (i, j): v for i, r in enumerate(rows) for j, v in r.items()}))
 
     def limit_coords(parts, what):
         # coordinates in the limit basis of a family given per object

@@ -162,22 +162,20 @@ def nerve(cat: FinCategory, n: int):
     """Composable n-tuples of non-identity arrows (g1,...,gn) with
     source(g_i) = target(g_{i+1}): the normalized nerve.
 
-    Degree 0 returns the objects. Lexicographic order throughout.
+    Degree 0 returns the objects. Lexicographic order throughout: a tuple
+    grows by the sorted non-identity arrows into its last arrow's source.
     """
     if n < 0:
         raise ValueError("nerve degree must be nonnegative")
     if n == 0:
         return sorted(cat.objects)
     arrows = sorted(g for g in cat.morphisms if not cat.is_identity(g))
+    into = {b: sorted(g for g in cat.morphisms_into(b) if not cat.is_identity(g))
+            for b in {cat.source(g) for g in arrows}}
     tuples = [(g,) for g in arrows]
     for _ in range(n - 1):
-        tuples = [
-            t + (g,)
-            for t in tuples
-            for g in arrows
-            if cat.target(g) == cat.source(t[-1])
-        ]
-    return sorted(tuples)
+        tuples = [t + (g,) for t in tuples for g in into[cat.source(t[-1])]]
+    return tuples
 
 
 class CatFunctor:

@@ -2,17 +2,16 @@
 
 Everything downstream (constraint solving, cochain differentials, homotopy
 identities) reduces to rank / kernel / coordinate computations over QQ.
-Matrices are stored sparsely because the cochain complexes of larger fixtures
-are block sparse. Vectors are sparse {index: value} dicts. rat and _echelon
-give an int for an integral value and a Fraction otherwise, so a whole-number
-model runs in int arithmetic throughout. A subspace is its canonical basis:
-the reduced row echelon rows as sparse vectors, with their pivot columns.
-``_echelon`` is the one elimination behind rank, kernel, span and inverse: a
-forward pass over the rows not yet pivots, then one back-substitution over
-the pivot rows. It runs on integers, divides out a row's content only after
-a step that scaled the row, and divides only its result, so it is exact with
-no modulus and no fallback. A matrix keeps its kernel and column space, so
-each differential is eliminated at most once.
+A matrix is its nonzero rows {i: {j: value}}, stored once: products, sums
+and dg's slot maps hand over finished rows. Vectors are sparse {index:
+value} dicts. rat and _echelon give an int for an integral value and a
+Fraction otherwise, so a whole-number model runs in int arithmetic. A
+subspace is its canonical basis, the reduced row echelon rows as sparse
+vectors with their pivot columns. ``_echelon``, the one elimination behind
+rank, kernel, span and inverse, runs on integers (an int row enters as it
+is): a forward pass over the rows not yet pivots, one back-substitution over
+the pivot rows, a row's content divided out only after a step that scaled
+it and only the result divided, so it is exact with no modulus or fallback.
 """
 
 from __future__ import annotations
@@ -61,27 +60,32 @@ def _rationals(value, depth: int, what: str) -> list:
 
 
 class QMatrix:
-    """A rows x cols matrix of ints and Fractions, as {(i, j): nonzero value}.
+    """A rows x cols matrix of ints and Fractions as its nonzero rows: by_row,
+    {i: {j: value}}, has no zero entry and no empty row, so equal matrices
+    have equal rows, and data, {(i, j): value}, is a view built on each read.
+    Never changed, it keeps its column index, kernel and column space."""
 
-    A matrix is never changed after construction, so its row and column
-    indices, its kernel and its column space are built on first use and kept.
-    """
-
-    __slots__ = ("rows", "cols", "data", "_by_row", "_by_col", "_kernel",
+    __slots__ = ("rows", "cols", "by_row", "_by_col", "_kernel",
                  "_column_space")
 
     def __init__(self, rows: int, cols: int, data=None):
-        self.rows = rows
-        self.cols = cols
-        self._by_row = self._by_col = self._kernel = self._column_space = None
-        self.data = {}
-        if data:
-            for (i, j), v in data.items():
-                if v:
-                    if not (0 <= i < rows and 0 <= j < cols):
-                        raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-                    self.data[(i, j)] = v
-            _check_exact(self.data.values(), "matrix entry")
+        self.rows, self.cols = rows, cols
+        self._by_col = self._kernel = self._column_space = None
+        self.by_row = by_row = {}
+        for (i, j), v in (data or {}).items():
+            if v:
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
+                by_row.setdefault(i, {})[j] = v
+        _check_exact((v for r in by_row.values() for v in r.values()), "matrix entry")
+
+    @classmethod
+    def _of_rows(cls, rows: int, cols: int, by_row: dict) -> "QMatrix":
+        """The matrix of by_row, fresh rows of exact nonzero entries in range."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.by_row = rows, cols, by_row
+        m._by_col = m._kernel = m._column_space = None
+        return m
 
     @classmethod
     def from_rows(cls, entries) -> "QMatrix":
@@ -96,28 +100,25 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls._of_rows(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols)
+        return cls._of_rows(rows, cols, {})
 
     @property
-    def by_row(self) -> dict:
-        """{i: {j: value}} over the nonzero rows; shared, so read only."""
-        if self._by_row is None:
-            self._by_row = {}
-            for (i, j), v in self.data.items():
-                self._by_row.setdefault(i, {})[j] = v
-        return self._by_row
+    def data(self) -> dict:
+        """{(i, j): value} over the nonzero entries, built on each read."""
+        return {(i, j): v for i, r in self.by_row.items() for j, v in r.items()}
 
     @property
     def by_col(self) -> dict:
         """{j: {i: value}} over the nonzero columns; shared, so read only."""
         if self._by_col is None:
             self._by_col = {}
-            for (i, j), v in self.data.items():
-                self._by_col.setdefault(j, {})[i] = v
+            for i, row in self.by_row.items():
+                for j, v in row.items():
+                    self._by_col.setdefault(j, {})[i] = v
         return self._by_col
 
     @property
@@ -132,26 +133,28 @@ class QMatrix:
         return dict(self.by_col.get(j, ()))
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.by_row
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.by_row == other.by_row
 
     def __hash__(self):
         raise TypeError("QMatrix is not hashable")
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols,
-                       {k: -v for k, v in self.data.items()})
+        return QMatrix._of_rows(self.rows, self.cols, {
+            i: {j: -v for j, v in r.items()} for i, r in self.by_row.items()})
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        data = dict(self.data)
-        _axpy(data, 1, other.data)
-        return QMatrix(self.rows, self.cols, data)
+        by_row = {i: dict(row) for i, row in self.by_row.items()}
+        for i, row in other.by_row.items():
+            _axpy(by_row.setdefault(i, {}), 1, row)
+        return QMatrix._of_rows(self.rows, self.cols, {
+            i: r for i, r in by_row.items() if r})
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
@@ -166,8 +169,9 @@ class QMatrix:
             for k, v in row.items():
                 if k in by_row:
                     _axpy(out, v, by_row[k])
-            acc.update(((i, j), w) for j, w in out.items())
-        return QMatrix(self.rows, other.cols, acc)
+            if out:
+                acc[i] = out
+        return QMatrix._of_rows(self.rows, other.cols, acc)
 
     def apply_sparse(self, vec: dict) -> dict:
         """Matrix-vector product on a sparse {index: value} vector."""
@@ -242,9 +246,10 @@ def _echelon(rows, columns):
     live = {}
     index = defaultdict(set)
     for rid, row in enumerate(rows):
-        scale = lcm(*(v.denominator for v in row.values()))
-        ints = {k: v.numerator * (scale // v.denominator)
-                for k, v in row.items() if v}
+        ints = {k: v for k, v in row.items() if v}
+        if any(type(v) is not int for v in ints.values()):
+            scale = lcm(*(v.denominator for v in ints.values()))
+            ints = {k: v.numerator * (scale // v.denominator) for k, v in ints.items()}
         if ints:
             live[rid] = ints
             for k in ints:
@@ -363,9 +368,6 @@ def invert(m: QMatrix):
     reduced, pivots = _echelon(rows, range(2 * n))
     if pivots[:n] != list(range(n)):
         return None
-    data = {}
-    for i, row in enumerate(reduced):
-        for j, v in row.items():
-            if j >= n:
-                data[(i, j - n)] = v
-    return QMatrix(n, n, data)
+    return QMatrix._of_rows(n, n, {
+        i: {j - n: v for j, v in row.items() if j >= n}
+        for i, row in enumerate(reduced)})

@@ -901,6 +901,25 @@ def test_block_offsets_need_contiguous_slots():
             (1, anchor, QMatrix.identity(2))])
 
 
+def test_rule_map_drops_the_entries_that_cancel():
+    # on the slots of b two triples cancel in whole, and on one slot of a
+    # (a row of the map) two others cancel in part
+    cx = Complex(0, {0: (("a", 0), ("a", 1), ("b", 0), ("b", 1))}, {})
+
+    def rule(n, anchor):
+        if anchor == "b":
+            yield 1, "a", QMatrix.from_rows([[1, 2], [0, 3]])
+            yield -1, "a", QMatrix.from_rows([[1, 0], [0, 3]])
+        else:
+            yield 1, "b", None
+            yield -1, "b", None
+
+    got = dg._rule_map(cx, cx, 0, rule).matrix(0)
+    assert got.by_row == {2: {1: 2}}
+    assert got == QMatrix(4, 4, {(2, 1): 2})
+    assert got == pos_rule_map(cx, cx, 0, rule).matrix(0)
+
+
 # --- the nested law check as an oracle of the flat index --------------------
 
 
@@ -1130,14 +1149,21 @@ def homotopy_identities(hk):
 def test_a_zero_rhs_builds_fewer_matrices_and_the_same_degrees(monkeypatch):
     # chain(6,Z2) at degree 2, the size of the chain-coherence workload
     m = model_from_dict(CHAIN.chain_dict(6, "Z2"))
+    # every construction: products, sums and slot maps take the private
+    # row constructor, parsed and hand-built matrices the public one
     built = []
-    init = QMatrix.__init__
+    init, of_rows = QMatrix.__init__, QMatrix._of_rows
 
     def counted(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
+    def counted_rows(cls, *args):
+        built.append(1)
+        return of_rows(*args)
+
     monkeypatch.setattr(QMatrix, "__init__", counted)
+    monkeypatch.setattr(QMatrix, "_of_rows", classmethod(counted_rows))
     results, counts = [], []
     for check in (dg.check_homotopy_identity, subtracting_homotopy_identity):
         monkeypatch.setattr(dg, "check_homotopy_identity", check)

@@ -253,6 +253,34 @@ def test_nerve_counts():
     assert nerve(discrete, 1) == []
 
 
+def nerve_oracle(cat, n):
+    """The normalized nerve as first written: every tuple extended by a
+    filter over all non-identity arrows, then sorted."""
+    if n == 0:
+        return sorted(cat.objects)
+    arrows = sorted(g for g in cat.morphisms if not cat.is_identity(g))
+    tuples = [(g,) for g in arrows]
+    for _ in range(n - 1):
+        tuples = [t + (g,) for t in tuples for g in arrows
+                  if cat.target(g) == cat.source(t[-1])]
+    return sorted(tuples)
+
+
+@pytest.mark.parametrize("name", [*fixture_names(), "chain(4,S3)"])
+def test_nerve_matches_the_all_arrows_filter(name):
+    if name == "chain(4,S3)":
+        m = model_from_dict(CHAIN.chain_dict(4, "S3"))
+    else:
+        m = model(name)
+    fm = m.fibered()
+    base = m.pi.target.objects
+    cats = [fm.fiber(M) for M in base]
+    cats += [under_category(m.pi, M).cat for M in base]
+    for cat in [*cats, *map(listed_in_reverse, cats)]:
+        for n in range(4):
+            assert nerve(cat, n) == nerve_oracle(cat, n), n
+
+
 def test_under_category_bz2_over_point():
     m = model("fix-a")
     under = under_category(m.pi, "pt")

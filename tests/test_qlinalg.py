@@ -455,6 +455,58 @@ def test_derived_matrices_index_their_own_entries(data):
         assert_indices_match(derived)
 
 
+def assert_nonzero_rows(m, rows):
+    """m holds the dense rows `rows` as its nonzero rows alone, the
+    invariant that == relies on, and data is their nonzero entries."""
+    assert all(row and all(row.values()) for row in m.by_row.values())
+    assert m.by_row == {i: {j: v for j, v in enumerate(row) if v}
+                        for i, row in enumerate(rows) if any(row)}
+    assert m.data == {(i, j): v for i, row in enumerate(rows)
+                      for j, v in enumerate(row) if v}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_results_hold_no_zero_entry_and_no_empty_row(data):
+    a = data.draw(sparse_matrices())
+    # b takes -a on some entries of a, so rows of a + b cancel in part or
+    # in whole
+    cancel = data.draw(st.sets(st.sampled_from(sorted(a.data)))
+                       if a.data else st.just(set()))
+    other = data.draw(sparse_matrices(rows=a.rows, cols=a.cols))
+    b = QMatrix(a.rows, a.cols,
+                {**other.data, **{k: -a.data[k] for k in cancel}})
+    c = data.draw(sparse_matrices(rows=a.cols))
+    da, db = dense(a), dense(b)
+    results = [
+        (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(da, db)]),
+        (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(da, db)]),
+        (-a, [[-x for x in r] for r in da]),
+        (a * c, dense_product(da, dense(c), c.cols)),
+        (QMatrix.identity(a.rows),
+         [[F(i == j) for j in range(a.rows)] for i in range(a.rows)]),
+        (QMatrix.zero(a.rows, a.cols), [[F(0)] * a.cols] * a.rows),
+    ]
+    for m, rows in results:
+        assert_nonzero_rows(m, rows)
+    # == agrees with the dense comparison
+    for (m1, rows1) in results[:3]:
+        for (m2, rows2) in results[:3]:
+            assert (m1 == m2) == (rows1 == rows2)
+    assert a + (-a) == QMatrix.zero(a.rows, a.cols)
+    assert a - a == QMatrix.zero(a.rows, a.cols)
+    assert (a + b == a) == (db == [[0] * a.cols] * a.rows)
+
+
+def test_echelon_reads_integral_fractions_as_ints():
+    # an int row enters as its nonzero entries; a Fraction row whose
+    # denominators are all 1 still leaves as ints
+    for row in ({0: 2, 1: 0, 2: -4}, {0: F(2), 1: F(0), 2: F(-4)}):
+        reduced, pivots = qlinalg._echelon([row, {1: F(3)}], range(3))
+        assert reduced == [{0: 1, 2: -2}, {1: 1}] and pivots == [0, 1]
+        assert {type(v) for r in reduced for v in r.values()} == {int}
+
+
 def test_column_is_a_copy():
     m = QMatrix.from_rows([[1, 0], [2, 3]])
     col = m.column(0)
