@@ -13,11 +13,10 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import product
 
 from . import dg, hokan, kan
 from .finalg import axiom_report
-from .fincat import FiberedModelError, flabbiness_report
+from .fincat import FiberedModelError, flabbiness_report, nerve
 from .fixtures import fixture_names, load_bundled
 from .hokan import HoKan, check_square_homotopy
 from .models import Model, ModelError, model_from_dict, parse_model
@@ -123,16 +122,6 @@ def checks_kan(model: Model, order: str, max_degree: int):
     return out
 
 
-def _composable(base, length):
-    """{"h after g after f": (h, g, f)} over the composable chains of
-    `length` non-identity arrows of base, outermost first."""
-    arrows = sorted(g for g in base.morphisms if not base.is_identity(g))
-    return {" after ".join(chain): chain
-            for chain in product(arrows, repeat=length)
-            if all(base.source(outer) == base.target(inner)
-                   for outer, inner in zip(chain, chain[1:]))}
-
-
 def checks_hokan(model: Model, order: str, max_degree: int):
     fm = model.fibered(order)
     base = model.loc.base
@@ -176,7 +165,7 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     out.extend(_per_key(name, "objects", objects, check)
                for name, check in per_object.items())
 
-    pairs = _composable(base, 2)
+    pairs = {" after ".join(t): t for t in nerve(base, 2)}
 
     def gamma2_check(key):
         g, f = pairs[key]
@@ -187,7 +176,7 @@ def checks_hokan(model: Model, order: str, max_degree: int):
             hk.gamma2(g, f), top - 1)
     out.append(_per_key("gamma2-homotopy", "pairs", pairs, gamma2_check))
 
-    triples = _composable(base, 3)
+    triples = {" after ".join(t): t for t in nerve(base, 3)}
 
     def gamma3_check(key):
         h, g, f = triples[key]

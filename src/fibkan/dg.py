@@ -11,10 +11,10 @@ cohomology through the requested degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain
 from math import lcm
-from operator import add, mul, neg
+from operator import add, mul, sub
 
 from .fincat import FinCategory, nerve
 from .qlinalg import QMatrix, Subspace, kernel_basis, _axpy, _check_exact
@@ -82,10 +82,11 @@ class GradedLinearMap:
     """A degreewise linear map of complexes raising degree by `shift`.
 
     maps[n] is the QMatrix of shape target.dim(n + shift) x source.dim(n), or
-    a function of no arguments that builds it. A composite, sum or negative
+    a function of no arguments that builds it. A composite, sum or difference
     fixes its degrees when formed, from the complexes' dimensions, and builds
-    the matrix of a degree on first read, once: a check that reads degrees
-    up to some n multiplies nothing above n. `maps` gives every degree built.
+    the matrix of a degree on first read, once, as an identity does: a
+    check that reads degrees up to some n builds nothing above n. `maps`
+    gives every degree built.
     """
 
     def __init__(self, source: Complex, target: Complex, shift: int, maps):
@@ -109,9 +110,8 @@ class GradedLinearMap:
 
     @classmethod
     def identity(cls, cx: Complex) -> "GradedLinearMap":
-        return cls(cx, cx, 0, {
-            n: QMatrix.identity(cx.dim(n)) for n in range(cx.max_degree + 1)
-        })
+        return cls(cx, cx, 0, {n: partial(QMatrix.identity, cx.dim(n))
+                               for n in range(cx.max_degree + 1)})
 
     @classmethod
     def zero(cls, source: Complex, target: Complex, shift: int = 0) -> "GradedLinearMap":
@@ -128,19 +128,17 @@ class GradedLinearMap:
                                self.shift + other.shift, maps)
 
     def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
+        return self._degreewise(add, other)
+
+    def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
+        return self._degreewise(sub, other)
+
+    def _degreewise(self, op, other: "GradedLinearMap") -> "GradedLinearMap":
         if self.shift != other.shift:
             raise ComplexError("cannot add maps of different shifts")
         degrees = set(self._maps) | set(other._maps)
         return GradedLinearMap(self.source, self.target, self.shift, {
-            n: _built(add, (self, n), (other, n)) for n in degrees
-        })
-
-    def __neg__(self) -> "GradedLinearMap":
-        return GradedLinearMap(self.source, self.target, self.shift,
-                               {n: _built(neg, (self, n)) for n in self._maps})
-
-    def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        return self + (-other)
+            n: _built(op, (self, n), (other, n)) for n in degrees})
 
     def is_cochain_map(self, up_to: int | None = None) -> bool:
         if self.shift != 0:
@@ -170,8 +168,10 @@ def check_homotopy_identity(lhs: GradedLinearMap, rhs: GradedLinearMap,
     """Degrees n <= up_to where lhs - rhs != d*H - (-1)^s H*d for a homotopy
     H of shift s between two maps of shift s + 1; empty means verified.
 
-    The term d*H enters where n + s >= 0, and rhs only in the degrees it
-    has, so a zero rhs (GradedLinearMap.zero) costs no matrix.
+    No side is negated: for an even s the term H*d moves to the left, as
+    lhs + H*d = d*H + rhs. The term d*H enters where n + s >= 0 and rhs only
+    in the degrees it has, so a zero rhs (GradedLinearMap.zero) costs no
+    matrix; where the right side has no term, the left side must be zero.
     """
     s = homotopy.shift
     if lhs.shift != s + 1 or rhs.shift != s + 1:
@@ -180,14 +180,14 @@ def check_homotopy_identity(lhs: GradedLinearMap, rhs: GradedLinearMap,
     src, tgt = lhs.source, lhs.target
     bad = []
     for n in range(up_to + 1):
-        got = homotopy.matrix(n + 1) * src.d(n)
-        if s % 2 == 0:
-            got = -got
+        hd = homotopy.matrix(n + 1) * src.d(n)
+        left, right = ((lhs.matrix(n) + hd, []) if s % 2 == 0
+                       else (lhs.matrix(n), [hd]))
         if n + s >= 0:
-            got = got + tgt.d(n + s) * homotopy.matrix(n)
+            right.append(tgt.d(n + s) * homotopy.matrix(n))
         if n in rhs._maps:
-            got = got + rhs.matrix(n)
-        if lhs.matrix(n) != got:
+            right.append(rhs.matrix(n))
+        if not (left == reduce(add, right) if right else left.is_zero()):
             bad.append(n)
     return bad
 

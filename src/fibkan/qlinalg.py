@@ -143,21 +143,21 @@ class QMatrix:
     def __hash__(self):
         raise TypeError("QMatrix is not hashable")
 
-    def __neg__(self) -> "QMatrix":
-        return QMatrix._of_rows(self.rows, self.cols, {
-            i: {j: -v for j, v in r.items()} for i, r in self.by_row.items()})
-
     def __add__(self, other: "QMatrix") -> "QMatrix":
+        return self._plus(1, other)
+
+    def __sub__(self, other: "QMatrix") -> "QMatrix":
+        return self._plus(-1, other)
+
+    def _plus(self, c, other: "QMatrix") -> "QMatrix":
+        """self + c * other, in one pass over other's rows."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
         by_row = {i: dict(row) for i, row in self.by_row.items()}
         for i, row in other.by_row.items():
-            _axpy(by_row.setdefault(i, {}), 1, row)
+            _axpy(by_row.setdefault(i, {}), c, row)
         return QMatrix._of_rows(self.rows, self.cols, {
             i: r for i, r in by_row.items() if r})
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + (-other)
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from fibkan import cli, dg, kan
+from fibkan.fincat import nerve
 from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.hokan import HoKan
 from fibkan.models import model_from_dict
@@ -297,7 +298,7 @@ def test_gamma2_check_reaches_nonzero_homotopies(capsys, monkeypatch):
     # homotopies there: a zero one fails in every degree it checks
     m = model_from_dict(load_bundled("fix-e"))
     hk = HoKan(m.fibered("reversed"), m.loc, m.A, 4)
-    pairs = cli._composable(m.loc.base, 2)
+    pairs = {" after ".join(t): t for t in nerve(m.loc.base, 2)}
     assert len(pairs) == 4
     for g, f in pairs.values():
         assert any(not h.is_zero() for h in hk.gamma2(g, f).maps.values())

@@ -114,9 +114,9 @@ def test_check_homotopy_identity_at_shift_minus_two():
     })
     zero = GradedLinearMap.zero(cx, cx, -1)
     assert check_homotopy_identity(lhs, zero, h, 2) == []
-    assert check_homotopy_identity(zero, -lhs, h, 2) == []
+    assert check_homotopy_identity(zero, zero - lhs, h, 2) == []
     # the sign of H*d flips with the parity of the shift
-    assert check_homotopy_identity(-lhs, zero, h, 2) == [1, 2]
+    assert check_homotopy_identity(zero - lhs, zero, h, 2) == [1, 2]
     without_dh = GradedLinearMap(cx, cx, -1, {1: lhs.matrix(1)})
     assert check_homotopy_identity(without_dh, zero, h, 2) == [2]
     # the two maps must have the shift one above the homotopy's
@@ -693,9 +693,12 @@ def eager_add(self, other):
         n: self.matrix(n) + other.matrix(n) for n in degrees})
 
 
-def eager_neg(self):
-    return GradedLinearMap(self.source, self.target, self.shift,
-                           {n: -m for n, m in self.maps.items()})
+def eager_sub(self, other):
+    if self.shift != other.shift:
+        raise dg.ComplexError("cannot add maps of different shifts")
+    degrees = set(self.maps) | set(other.maps)
+    return GradedLinearMap(self.source, self.target, self.shift, {
+        n: self.matrix(n) - other.matrix(n) for n in degrees})
 
 
 def pos_rule_map(source, target, shift, rule):
@@ -796,7 +799,7 @@ def test_composites_match_the_eager_oracle(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(GradedLinearMap, "after", eager_after)
             patch.setattr(GradedLinearMap, "__add__", eager_add)
-            patch.setattr(GradedLinearMap, "__neg__", eager_neg)
+            patch.setattr(GradedLinearMap, "__sub__", eager_sub)
             eager = composites(hk)
         assert lazy.keys() == eager.keys()
         for key, f in lazy.items():
@@ -1103,6 +1106,12 @@ def test_a_zero_unit_entry_and_a_cancelling_unit_sum():
 # --- homotopy identities against a zero map ---------------------------------
 
 
+def negated(m):
+    """-m in one matrix, as the removed QMatrix.__neg__ built it, so the
+    oracles below build as many matrices as the checks they stand for."""
+    return QMatrix(m.rows, m.cols, {k: -v for k, v in m.data.items()})
+
+
 def subtracting_homotopy_identity(lhs, rhs, homotopy, up_to):
     """dg.check_homotopy_identity as it was: lhs - rhs in every degree, for
     a zero rhs too."""
@@ -1112,7 +1121,7 @@ def subtracting_homotopy_identity(lhs, rhs, homotopy, up_to):
     for n in range(up_to + 1):
         got = homotopy.matrix(n + 1) * src.d(n)
         if s % 2 == 0:
-            got = -got
+            got = negated(got)
         if n + s >= 0:
             got = got + tgt.d(n + s) * homotopy.matrix(n)
         if lhs.matrix(n) - rhs.matrix(n) != got:
@@ -1146,11 +1155,10 @@ def homotopy_identities(hk):
     return out
 
 
-def test_a_zero_rhs_builds_fewer_matrices_and_the_same_degrees(monkeypatch):
-    # chain(6,Z2) at degree 2, the size of the chain-coherence workload
-    m = model_from_dict(CHAIN.chain_dict(6, "Z2"))
-    # every construction: products, sums and slot maps take the private
-    # row constructor, parsed and hand-built matrices the public one
+def counted_builds(monkeypatch):
+    """A list that gains an item for every QMatrix built from here on:
+    products, sums and slot maps take the private row constructor, parsed
+    and hand-built matrices the public one."""
     built = []
     init, of_rows = QMatrix.__init__, QMatrix._of_rows
 
@@ -1164,6 +1172,13 @@ def test_a_zero_rhs_builds_fewer_matrices_and_the_same_degrees(monkeypatch):
 
     monkeypatch.setattr(QMatrix, "__init__", counted)
     monkeypatch.setattr(QMatrix, "_of_rows", classmethod(counted_rows))
+    return built
+
+
+def test_a_zero_rhs_builds_fewer_matrices_and_the_same_degrees(monkeypatch):
+    # chain(6,Z2) at degree 2, the size of the chain-coherence workload
+    m = model_from_dict(CHAIN.chain_dict(6, "Z2"))
+    built = counted_builds(monkeypatch)
     results, counts = [], []
     for check in (dg.check_homotopy_identity, subtracting_homotopy_identity):
         monkeypatch.setattr(dg, "check_homotopy_identity", check)
@@ -1175,4 +1190,116 @@ def test_a_zero_rhs_builds_fewer_matrices_and_the_same_degrees(monkeypatch):
     assert got == want
     assert any(got.values())
     assert any(key.startswith("gamma3") for key in got)
+    assert counts[0] < counts[1], counts
+
+
+# --- differences in one pass, identities on first read, no negation --------
+
+
+def test_a_difference_builds_one_matrix_per_degree(monkeypatch):
+    cx = two_step_complex()
+    f = GradedLinearMap(cx, cx, 0, {
+        0: QMatrix.from_rows([[1, 2], [0, 3]]),
+        1: QMatrix.from_rows([[1, 0], [0, 1]]),
+        2: QMatrix.from_rows([[5]])})
+    g = GradedLinearMap(cx, cx, 0, {
+        0: QMatrix.from_rows([[1, 0], [4, 3]]),
+        1: QMatrix.from_rows([[1, 0], [0, 1]]),
+        2: QMatrix.from_rows([[Fraction(1, 2)]])})
+    want = {0: [[0, 2], [-4, 0]], 1: [[0, 0], [0, 0]], 2: [[Fraction(9, 2)]]}
+    built = counted_builds(monkeypatch)
+    diff = f - g
+    assert built == []
+    for n, rows in want.items():
+        del built[:]
+        m = diff.matrix(n)
+        assert diff.matrix(n) is m
+        assert len(built) == 1, n
+        assert m == QMatrix.from_rows(rows)
+    del built[:]
+    f.matrix(0) - g.matrix(0)
+    assert len(built) == 1
+    # maps of different shifts have no difference
+    with pytest.raises(dg.ComplexError):
+        f - GradedLinearMap.zero(cx, cx, 1)
+    with pytest.raises(ValueError):
+        f.matrix(0) - f.matrix(2)
+
+
+def test_an_identity_builds_only_the_degrees_read(monkeypatch):
+    m = model_from_dict(load_bundled("fix-e"))
+    hk = HoKan(m.fibered(), m.loc, m.A, 3)
+    M = sorted(m.loc.base.objects)[0]
+    cx = hk.horan_object(M).dga.complex
+    lhs, h = hk.zeta(M).after(hk.kappa(M)), hk.eta_homotopy(M)
+    calls = []
+    identity = QMatrix.identity
+
+    def counted(cls, n):
+        calls.append(n)
+        return identity(n)
+
+    monkeypatch.setattr(QMatrix, "identity", classmethod(counted))
+    ident = GradedLinearMap.identity(cx)
+    assert calls == []
+    # the eta check reads degrees up to top - 1 and never the top one
+    assert check_homotopy_identity(lhs, ident, h, 2) == []
+    assert calls == [cx.dim(n) for n in range(3)]
+    assert ident.matrix(1) is ident.matrix(1)
+    assert ident.maps == {n: identity(cx.dim(n)) for n in range(4)}
+    assert calls == [cx.dim(n) for n in range(4)]
+
+
+def negating_homotopy_identity(lhs, rhs, homotopy, up_to):
+    """dg.check_homotopy_identity as it was: for an even shift, H*d is
+    negated into a matrix of its own and rhs is added to the right side."""
+    s = homotopy.shift
+    src, tgt = lhs.source, lhs.target
+    bad = []
+    for n in range(up_to + 1):
+        got = homotopy.matrix(n + 1) * src.d(n)
+        if s % 2 == 0:
+            got = negated(got)
+        if n + s >= 0:
+            got = got + tgt.d(n + s) * homotopy.matrix(n)
+        if n in rhs._maps:
+            got = got + rhs.matrix(n)
+        if lhs.matrix(n) != got:
+            bad.append(n)
+    return bad
+
+
+def cochain_map_identities(hk, check):
+    """Even-shift identities with kappa(M) as the homotopy H: as a cochain
+    map it has d*H - H*d = 0, so lhs - rhs = 0 holds exactly where lhs and
+    rhs agree, which fails for d after kappa against zero."""
+    out = {}
+    for M in sorted(hk.fm.loc.objects):
+        k = hk.kappa(M)
+        src_d, tgt_d = (GradedLinearMap(cx, cx, 1, cx.differentials)
+                        for cx in (k.source, k.target))
+        zero = GradedLinearMap.zero(k.source, k.target, 1)
+        for key, lhs, rhs in (("zero", zero, zero),
+                              ("d after kappa", tgt_d.after(k), zero),
+                              ("naturality", k.after(src_d), tgt_d.after(k)),
+                              ("minus", zero, tgt_d.after(k))):
+            out[f"{key}:{M}"] = check(lhs, rhs, k, hk.max_degree - 1)
+    return out
+
+
+def test_an_even_shift_check_negates_nothing(monkeypatch):
+    # chain(6,Z2) at degree 2, the size of the chain-coherence workload
+    m = model_from_dict(CHAIN.chain_dict(6, "Z2"))
+    built = counted_builds(monkeypatch)
+    results, counts = [], []
+    for check in (dg.check_homotopy_identity, negating_homotopy_identity):
+        hk = HoKan(m.fibered(), m.loc, m.A, 2)
+        del built[:]
+        results.append(cochain_map_identities(hk, check))
+        counts.append(len(built))
+    got, want = results
+    assert got == want
+    assert any(got.values()) and not all(got.values())
+    assert all(got[key] == [] for key in got
+               if key.startswith(("zero:", "naturality:")))
     assert counts[0] < counts[1], counts

@@ -316,7 +316,8 @@ def square_homotopy_oracle(lhs, h, up_to):
     src, tgt = lhs.source, lhs.target
     bad = []
     for n in range(up_to + 1):
-        got = -(h.matrix(n + 1) * src.d(n))
+        hd = h.matrix(n + 1) * src.d(n)
+        got = QMatrix.zero(hd.rows, hd.cols) - hd
         if n >= 2:
             got = got + tgt.d(n - 2) * h.matrix(n)
         if lhs.matrix(n) != got:

@@ -160,7 +160,7 @@ def test_matrix_algebra():
     a = QMatrix.from_rows([[1, 2], [3, 4]])
     b = QMatrix.from_rows([[0, 1], [1, 0]])
     assert a * b == QMatrix.from_rows([[2, 1], [4, 3]])
-    assert (a + (-a)).is_zero()
+    assert (a + (QMatrix.zero(2, 2) - a)).is_zero()
     assert a.apply_sparse({0: F(1), 1: F(1)}) == {0: F(3), 1: F(7)}
 
 
@@ -451,7 +451,7 @@ def test_derived_matrices_index_their_own_entries(data):
     a = data.draw(sparse_matrices())
     b = data.draw(sparse_matrices(rows=a.rows, cols=a.cols))
     assert_indices_match(a)  # builds and caches the indices of a first
-    for derived in (a + b, a - b, -a):
+    for derived in (a + b, a - b, QMatrix.zero(a.rows, a.cols) - a):
         assert_indices_match(derived)
 
 
@@ -481,7 +481,7 @@ def test_results_hold_no_zero_entry_and_no_empty_row(data):
     results = [
         (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(da, db)]),
         (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(da, db)]),
-        (-a, [[-x for x in r] for r in da]),
+        (QMatrix.zero(a.rows, a.cols) - a, [[-x for x in r] for r in da]),
         (a * c, dense_product(da, dense(c), c.cols)),
         (QMatrix.identity(a.rows),
          [[F(i == j) for j in range(a.rows)] for i in range(a.rows)]),
@@ -493,7 +493,8 @@ def test_results_hold_no_zero_entry_and_no_empty_row(data):
     for (m1, rows1) in results[:3]:
         for (m2, rows2) in results[:3]:
             assert (m1 == m2) == (rows1 == rows2)
-    assert a + (-a) == QMatrix.zero(a.rows, a.cols)
+    zero = QMatrix.zero(a.rows, a.cols)
+    assert a + (zero - a) == zero
     assert a - a == QMatrix.zero(a.rows, a.cols)
     assert (a + b == a) == (db == [[0] * a.cols] * a.rows)
 
