@@ -144,14 +144,10 @@ def checks_hokan(model: Model, order: str, max_degree: int):
         return dg.GradedLinearMap.identity(hk.hou_object(M).dga.complex)
 
     per_object = {
-        "kappa-zeta-identity": lambda M: dg.failing_degrees(
-            hk.kappa(M).after(hk.zeta(M)), identity(M), top),
-        "eta-homotopy": lambda M: dg.check_homotopy_identity(
-            hk.zeta(M).after(hk.kappa(M)),
-            dg.GradedLinearMap.identity(hk.horan_object(M).dga.complex),
-            hk.eta_homotopy(M), top - 1),
-        "kappa-weak-equivalence": lambda M: None if dg.is_weak_equivalence(
-            hk.kappa(M), top - 1) else "not a weak equivalence",
+        "kappa-zeta-identity": hk.kappa_zeta_failures,
+        "eta-homotopy": hk.eta_failures,
+        "kappa-weak-equivalence": lambda M: None
+        if hk.kappa_is_weak_equivalence(M) else "not a weak equivalence",
         "rho-involution": lambda M: dg.failing_degrees(
             hk.rho(M).after(hk.rho(M)), identity(M), top),
         "beta-homotopy": lambda M: dg.check_homotopy_identity(

@@ -124,8 +124,11 @@ class HoKan:
 
     The cochain algebras, the extension data, the maps kappa, zeta,
     eta_homotopy, rho, beta_homotopy, hou_morphism, horan_morphism, gamma2
-    and ext_pullback, and the tensor data of a cospan are built once per argument
-    and kept; they are shared, so read only.
+    and ext_pullback, the tensor data of a cospan, and the failing degrees
+    of kappa after zeta and of eta (kappa_zeta_failures, eta_failures) are
+    built once per argument and kept; they are shared, so read only. The
+    findings and the certificate of kappa_is_weak_equivalence read the same
+    failure lists, whatever order they run in.
     """
 
     def __init__(self, fm: FiberedModel, loc: LocStructure, A: QftFunctor,
@@ -190,6 +193,45 @@ class HoKan:
             lambda obj: under.mor_name(
                 self.fm.lift(*under.obj_info[obj])[1], id_M),
             lambda g: under.mor_name(self._under_square(under, g), id_M))
+
+    @_kept
+    def kappa_zeta_failures(self, M: str):
+        """Degrees n <= max_degree where kappa after zeta is not the identity
+        of hou(M)."""
+        return dg.failing_degrees(
+            self.kappa(M).after(self.zeta(M)),
+            GradedLinearMap.identity(self.hou_object(M).dga.complex),
+            self.max_degree)
+
+    @_kept
+    def eta_failures(self, M: str):
+        """Degrees n < max_degree where eta is not a homotopy between zeta
+        after kappa and the identity of horan(M)."""
+        return dg.check_homotopy_identity(
+            self.zeta(M).after(self.kappa(M)),
+            GradedLinearMap.identity(self.horan_object(M).dga.complex),
+            self.eta_homotopy(M), self.max_degree - 1)
+
+    def kappa_is_weak_equivalence(self, M: str) -> bool:
+        """Whether kappa is a cochain map inducing isomorphisms on H^n for
+        n < max_degree (dg.is_weak_equivalence at max_degree - 1).
+
+        Through that degree, if kappa and zeta are cochain maps, kappa after
+        zeta is the identity and eta is a homotopy between zeta after kappa
+        and the identity, then H^n(zeta) inverts H^n(kappa): a cochain
+        homotopy equivalence is a quasi-isomorphism (Weibel, An Introduction
+        to Homological Algebra, 1994, 1.4). Only when this certificate fails
+        do the kernels of the large horan side decide, through
+        dg.is_weak_equivalence.
+        """
+        up_to = self.max_degree - 1
+        kappa = self.kappa(M)
+        if (not self.eta_failures(M)
+                and all(n > up_to for n in self.kappa_zeta_failures(M))
+                and kappa.is_cochain_map(up_to)
+                and self.zeta(M).is_cochain_map(up_to)):
+            return True
+        return dg.is_weak_equivalence(kappa, up_to)
 
     # --- product reversal ---------------------------------------------------
 

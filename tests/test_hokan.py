@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -58,8 +59,9 @@ def test_horan_object_dims_chain():
     assert cx.violations() == []
 
 
-KEPT = ("kappa", "zeta", "eta_homotopy", "rho", "beta_homotopy",
-        "hou_morphism", "horan_morphism", "gamma2", "ext_pullback")
+KEPT = ("kappa", "zeta", "eta_homotopy", "kappa_zeta_failures",
+        "eta_failures", "rho", "beta_homotopy", "hou_morphism",
+        "horan_morphism", "gamma2", "ext_pullback")
 
 
 def test_maps_are_built_once_and_kept():
@@ -221,6 +223,80 @@ def test_kappa_weak_equivalence():
         m, hk = context(name)
         for M in m.loc.base.objects:
             assert is_weak_equivalence(hk.kappa(M), N - 1), (name, M)
+
+
+CHAIN = load_bench_module("chainmodel")
+MODEL_DOCS = {name: load_bundled(name) for name in fixture_names()} | {
+    f"chain({n},{group})": CHAIN.chain_dict(n, group)
+    for n, group in ((2, "Z2"), (2, "Z3"), (3, "Z2"), (3, "Z3"), (2, "S3"))}
+
+
+@pytest.mark.parametrize("name, degree", [
+    (name, degree) for name in MODEL_DOCS
+    for degree in ((1, 2) if name == "chain(2,S3)" else (1, 2, 3))])
+def test_certificate_agrees_with_the_kernel_route(name, degree):
+    m = model_from_dict(MODEL_DOCS[name])
+    for order in ("normal", "reversed"):
+        hk = HoKan(m.fibered(order), m.loc, m.A, degree)
+        for M in sorted(m.loc.base.objects):
+            assert hk.kappa_is_weak_equivalence(M) == is_weak_equivalence(
+                hk.kappa(M), degree - 1), (order, M)
+
+
+def weak_equivalence_calls(monkeypatch):
+    """The maps dg.is_weak_equivalence is called with from now on."""
+    calls = []
+    check = dg.is_weak_equivalence
+
+    def counted(f, up_to):
+        calls.append(f)
+        return check(f, up_to)
+
+    monkeypatch.setattr(dg, "is_weak_equivalence", counted)
+    return calls
+
+
+def verify_findings(capsys, name, order="normal"):
+    cli.run(["verify", "--fixture", name, "--max-degree", "2",
+             "--seed-order", order])
+    return {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+
+
+def test_a_held_certificate_runs_no_kernel_route(monkeypatch, capsys):
+    calls = weak_equivalence_calls(monkeypatch)
+    for order in ("normal", "reversed"):
+        checks = verify_findings(capsys, "fix-e", order)
+        assert checks["kappa-weak-equivalence"]["status"] == "pass"
+    assert calls == []
+
+
+def test_a_broken_certificate_falls_back_once_per_object(monkeypatch, capsys):
+    def zero_eta(self, M):
+        cx = self.horan_object(M).dga.complex
+        return GradedLinearMap.zero(cx, cx, -1)
+
+    monkeypatch.setattr(HoKan, "eta_homotopy", zero_eta)
+    calls = weak_equivalence_calls(monkeypatch)
+    checks = verify_findings(capsys, "fix-e")
+    # M3 has no arrow out, so its under-category is its fiber and zeta after
+    # kappa is the identity: a zero eta is a homotopy there
+    eta = checks["eta-homotopy"]["details"]["objects"]
+    broken = [M for M, outcome in eta.items() if outcome != "pass"]
+    assert broken == ["M0", "M1", "M2"]
+    assert len(calls) == len({id(f) for f in calls}) == len(broken)
+    assert checks["kappa-weak-equivalence"]["status"] == "pass"
+    assert checks["eta-homotopy"]["status"] == "fail"
+
+
+def test_a_zero_kappa_is_not_a_weak_equivalence(monkeypatch, capsys):
+    def zero_kappa(self, M):
+        return GradedLinearMap.zero(self.horan_object(M).dga.complex,
+                                    self.hou_object(M).dga.complex)
+
+    monkeypatch.setattr(HoKan, "kappa", zero_kappa)
+    assert verify_findings(capsys, "fix-a")["kappa-weak-equivalence"] == {
+        "name": "kappa-weak-equivalence", "status": "fail",
+        "details": {"objects": {"pt": "not a weak equivalence"}}}
 
 
 def test_eta_homotopy():
