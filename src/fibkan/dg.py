@@ -206,8 +206,11 @@ def _rule_map(source: Complex, target: Complex, shift: int,
     j) of degree n - shift, and a matrix None stands for the identity on the
     block of anchor_in. The coefficient is any scalar, a sign or a matrix
     entry. A slot is found by its anchor's block offset (Complex.blocks); a
-    matrix must have the shape of the two blocks. Each block is written into
-    the map's rows, where what triples give to one entry adds up or cancels.
+    matrix must have the shape of the two blocks. Each block adds into the
+    map's rows in place: an identity block adds coef at (row + k, col + k),
+    a matrix block makes a row on its first touch and adds into it after,
+    and an entry that cancels is dropped. A zero coefficient adds nothing;
+    every coefficient is checked for exactness once per degree.
     """
     maps = {}
     for n_out in range(target.max_degree + 1):
@@ -220,20 +223,35 @@ def _rule_map(source: Complex, target: Complex, shift: int,
             for coef, anchor_in, matrix in rule(n_out, anchor):
                 # an anchor with no slots has an empty block
                 col, cols = blocks_in.get(anchor_in, (0, 0))
-                if matrix is None:
-                    shape = (cols, cols)
-                    block = ((k, {col + k: coef}) for k in range(cols))
-                else:
-                    shape = (matrix.rows, matrix.cols)
-                    block = ((i, {col + j: coef * v for j, v in r.items()})
-                             for i, r in matrix.by_row.items())
-                if shape != (rows, cols):
+                if (rows, cols) != ((cols, cols) if matrix is None
+                                    else (matrix.rows, matrix.cols)):
                     raise ComplexError(f"the block from {anchor_in!r} to"
                                        f" {anchor!r} has the wrong shape")
                 coefs.append(coef)
-                for i, vec in block if coef else ():
-                    if (out := by_row.setdefault(row + i, vec)) is not vec:
-                        _axpy(out, 1, vec)
+                if not coef:
+                    continue
+                if matrix is None:
+                    for i, j in zip(range(row, row + rows),
+                                    range(col, col + cols)):
+                        out = by_row.get(i)
+                        if out is None:
+                            by_row[i] = {j: coef}
+                        elif v := out.get(j, 0) + coef:
+                            out[j] = v
+                        else:
+                            out.pop(j, None)
+                    continue
+                for i, r in matrix.by_row.items():
+                    out = by_row.get(row + i)
+                    if out is None:
+                        by_row[row + i] = {col + j: coef * v
+                                           for j, v in r.items()}
+                        continue
+                    for j, v in r.items():
+                        if w := out.get(col + j, 0) + coef * v:
+                            out[col + j] = w
+                        else:
+                            out.pop(col + j, None)
         _check_exact(coefs, "slot rule coefficient")
         maps[n_in] = QMatrix._of_rows(target.dim(n_out), source.dim(n_in), {
             i: r for i, r in by_row.items() if r})
@@ -473,12 +491,16 @@ def _integer_tables(products):
 
 def _unit_sums(unit, index) -> dict:
     """{i: {m: the sum of c * v}} over the unit's entries c at u and the
-    entries (i, m, v) of index[u], added by _axpy, which drops a sum that
-    cancels."""
+    entries (i, m, v) of index[u], added in place; a sum that cancels is
+    dropped, and every i reached keeps its (maybe empty) sums."""
     sums = {}
     for u, c in unit.items():
         for i, m, v in index.get(u, ()):
-            _axpy(sums.setdefault(i, {}), c, {m: v})
+            out = sums.setdefault(i, {})
+            if w := out.get(m, 0) + c * v:
+                out[m] = w
+            else:
+                out.pop(m, None)
     return sums
 
 
