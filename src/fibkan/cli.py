@@ -46,14 +46,12 @@ def _viol_status(ok):
 
 
 def _axiom_findings(prefix, report):
-    return [
-        _finding(f"{prefix}-isotony", _viol_status(report.isotony),
-                 violations=list(report.isotony_violations)),
-        _finding(f"{prefix}-causality", _viol_status(report.causality),
-                 violations=[list(v) for v in report.causality_violations]),
-        _finding(f"{prefix}-timeslice", _viol_status(report.timeslice),
-                 violations=list(report.timeslice_violations)),
-    ]
+    return [_finding(f"{prefix}-{axiom}", _viol_status(not witnesses),
+                     violations=witnesses)
+            for axiom, witnesses in (
+                ("isotony", report.isotony_violations),
+                ("causality", report.causality_violations),
+                ("timeslice", report.timeslice_violations))]
 
 
 def checks_axioms(model: Model, order: str, max_degree: int):
@@ -63,16 +61,12 @@ def checks_axioms(model: Model, order: str, max_degree: int):
 
 def checks_classify(model: Model, order: str, max_degree: int):
     report = flabbiness_report(model.fibered(order), model.loc)
-    return [
-        _finding(name, _viol_status(ok),
-                 counterexample=list(example) if example else None)
-        for name, ok, example in (
-            ("flabby", report.flabby, report.flabby_counterexample),
-            ("cauchy-flabby", report.cauchy_flabby,
-             report.cauchy_counterexample),
-            ("strongly-cauchy-flabby", report.strongly_cauchy_flabby,
-             report.strong_counterexample))
-    ]
+    return [_finding(name, _viol_status(example is None),
+                     counterexample=example)
+            for name, example in (
+                ("flabby", report.flabby_counterexample),
+                ("cauchy-flabby", report.cauchy_counterexample),
+                ("strongly-cauchy-flabby", report.strong_counterexample))]
 
 
 def _per_key(name, kind, keys, check, failed=FAIL):
@@ -97,11 +91,11 @@ def checks_kan(model: Model, order: str, max_degree: int):
     out = _axiom_findings("kan", report.axioms)
     out.append(_finding("kan-functorial", _bool_status(report.functorial)))
     # the invariants of a fiberwise-constant functor have a known dimension
-    dims_ok = all(
-        kan.pullback_dimension_check(fm, model.A, M, u) is not False
-        for M, u in kan.u_objects(fm, model.A).items())
+    u_at = kan.u_objects(fm, model.A)
+    dims_ok = all(kan.pullback_dimension_check(fm, model.A, M, u) is not False
+                  for M, u in u_at.items())
     out.append(_finding("kan-dimensions", _viol_status(dims_ok),
-                        u_dims=report.u_dims))
+                        u_dims={M: u.dim for M, u in u_at.items()}))
     if report.isotony_iff_flabby is None:
         out.append(_finding("isotony-iff-flabby", BLOCKED,
                             reason="input functor violates its own axioms"))
@@ -113,7 +107,7 @@ def checks_kan(model: Model, order: str, max_degree: int):
     def kappa_failure(M):
         try:
             kan.kappa_iso(fm, model.A, M, kan.ran_under(fm, model.A, M),
-                          kan.u_objects(fm, model.A)[M])
+                          u_at[M])
         except kan.KanError as exc:
             return str(exc)
 
@@ -130,7 +124,7 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     out = []
 
     objects = sorted(base.objects)
-    flab = flabbiness_report(fm, model.loc)
+    strong_ce = flabbiness_report(fm, model.loc).strong_counterexample
 
     # structural suite on every constructed dg-algebra
     structural = {M: {"fiber": len(hk.hou_object(M).dga.violations()),
@@ -184,10 +178,9 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     out.append(_per_key("gamma3-coherence", "triples", triples, gamma3_check))
 
     cauchy = sorted(f for f in model.loc.cauchy if not base.is_identity(f))
-    if not flab.strongly_cauchy_flabby or not cauchy:
-        reason = ("no non-identity Cauchy morphisms"
-                  if flab.strongly_cauchy_flabby
-                  else "model is not strongly Cauchy flabby")
+    if strong_ce or not cauchy:
+        reason = ("model is not strongly Cauchy flabby" if strong_ce
+                  else "no non-identity Cauchy morphisms")
         out.extend(_finding(name, BLOCKED, reason=reason)
                    for name in ("ext-phi-homotopy", "ext-phibar-homotopy"))
     else:
@@ -208,7 +201,7 @@ def checks_hokan(model: Model, order: str, max_degree: int):
                    for name in ("product-reversal-causality",
                                 "lambda-homotopy"))
         return out
-    reversal = {key: hk.product_reversal_identity(*legs, top)
+    reversal = {key: hk.product_reversal_identity(*legs)
                 for key, legs in cospans.items()}
     out.append(_per_key("product-reversal-causality", "cospans", cospans,
                         reversal.get, VIOLATION))
@@ -217,7 +210,7 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     out.append(_per_key(
         "lambda-homotopy", "cospans", cospans,
         lambda key: "blocked: product reversal fails" if key in blocked
-        else hk.lambda_causality(*cospans[key], top - 1),
+        else hk.lambda_causality(*cospans[key]),
         BLOCKED if blocked else FAIL))
     return out
 

@@ -652,10 +652,15 @@ def lim_dgalg(diagram: DgaDiagram) -> LimDga:
         mat = diagram.maps[g]
         src, tgt = offsets[cat.source(g)], offsets[cat.target(g)]
         for i in range(mat.rows):
-            rows.append({src + j: v for j, v in mat.by_row.get(i, {}).items()})
-            _axpy(rows[-1], -1, {tgt + i: 1})
-    subspace = kernel_basis(QMatrix(len(rows), len(ambient_labels), {
-        (i, j): v for i, r in enumerate(rows) for j, v in r.items()}))
+            # A(g)(x at source) - x at target, a cancelled diagonal dropped
+            row = {src + j: v for j, v in mat.by_row.get(i, {}).items()}
+            if row.get(tgt + i) == 1:
+                del row[tgt + i]
+            else:
+                row[tgt + i] = row.get(tgt + i, 0) - 1
+            rows.append(row)
+    subspace = kernel_basis(QMatrix._of_rows(
+        len(rows), len(ambient_labels), {i: r for i, r in enumerate(rows) if r}))
 
     def limit_coords(parts, what):
         # coordinates in the limit basis of a family given per object

@@ -490,11 +490,11 @@ def pullback_fiber_square(fm: FiberedModel, f: str, g: str) -> str:
 
 @dataclass(frozen=True)
 class FlabbinessReport:
-    flabby: bool
+    """A counterexample to each flabbiness class, None where the class
+    holds."""
+
     flabby_counterexample: tuple | None
-    cauchy_flabby: bool
     cauchy_counterexample: tuple | None
-    strongly_cauchy_flabby: bool
     strong_counterexample: tuple | None
 
 
@@ -516,39 +516,27 @@ def _closings(fm: FiberedModel, g: str, y: str):
 
 def classify_flabbiness(fm: FiberedModel, loc: LocStructure) -> FlabbinessReport:
     strcat, base = fm.strcat, fm.loc
-    flabby, flabby_ce = True, None
-    for S in strcat.objects:
-        for f in base.morphisms:
-            if base.source(f) != fm.pi.on_obj(S):
-                continue
-            if not _extensions(fm, S, f):
-                flabby, flabby_ce = False, (S, f)
-                break
-        if not flabby:
-            break
-
-    cauchy_ok, cauchy_ce = True, None
-    strong_ok, strong_ce = True, None
+    flabby_ce = next(((S, f) for S in strcat.objects for f in base.morphisms
+                      if base.source(f) == fm.pi.on_obj(S)
+                      and not _extensions(fm, S, f)), None)
+    cauchy_ce = strong_ce = None
     for S in strcat.objects:
         for f in sorted(loc.cauchy):
             if base.source(f) != fm.pi.on_obj(S):
                 continue
             exts = _extensions(fm, S, f)
             if not exts:
-                cauchy_ok, cauchy_ce = False, (S, f)
+                cauchy_ce = (S, f)
                 continue
             for g in exts:
                 for g_tilde in exts:
                     closing = _closings(fm, g, g_tilde)
                     if not closing:
-                        cauchy_ok, cauchy_ce = False, (S, f, g, g_tilde)
+                        cauchy_ce = (S, f, g, g_tilde)
                     elif len(closing) > 1:
-                        strong_ok, strong_ce = False, (S, f, g, g_tilde)
-    if not cauchy_ok:
-        strong_ok = False
-        strong_ce = strong_ce or cauchy_ce
-    return FlabbinessReport(flabby, flabby_ce, cauchy_ok, cauchy_ce,
-                            strong_ok, strong_ce)
+                        strong_ce = (S, f, g, g_tilde)
+    # a model that is not Cauchy flabby is not strongly Cauchy flabby either
+    return FlabbinessReport(flabby_ce, cauchy_ce, strong_ce or cauchy_ce)
 
 
 def flabbiness_report(fm: FiberedModel, loc: LocStructure) -> FlabbinessReport:
@@ -568,7 +556,7 @@ class ExtensionData:
 def extension_data(fm: FiberedModel, loc: LocStructure, f: str) -> ExtensionData:
     if f not in loc.cauchy:
         raise FiberedModelError(f"{f!r} is not a Cauchy morphism")
-    if not flabbiness_report(fm, loc).strongly_cauchy_flabby:
+    if flabbiness_report(fm, loc).strong_counterexample:
         raise FiberedModelError("model is not strongly Cauchy flabby")
     strcat, base = fm.strcat, fm.loc
     M, M_prime = base.source(f), base.target(f)
@@ -630,22 +618,11 @@ def lemma_witnesses(fm: FiberedModel, f: str, ext: ExtensionData):
 
 
 def connected_components(groupoid: FinCategory):
-    """pi_0 of a groupoid: object classes under existence of a morphism."""
+    """pi_0 of a groupoid: object classes under existence of a morphism. In
+    a groupoid that relation is an equivalence, so the class of S is the
+    set of T with hom(S, T) nonempty."""
     if not groupoid.is_groupoid():
         raise CategoryError("input category is not a groupoid")
-    parent = {obj: obj for obj in groupoid.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in groupoid.morphisms.values():
-        a, b = find(m.source), find(m.target)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    classes = {}
-    for obj in groupoid.objects:
-        classes.setdefault(find(obj), []).append(obj)
-    return sorted(tuple(sorted(v)) for v in classes.values())
+    objects = sorted(groupoid.objects)
+    return sorted({tuple(T for T in objects if groupoid.hom(S, T))
+                   for S in objects})

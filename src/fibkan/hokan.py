@@ -399,20 +399,23 @@ class HoKan:
         beta_id = dg.tensor_map(beta, ident, t_tgt, t_tgt)
         return (muop.after(rho_beta + beta_id) - beta.after(mu)).after(big_l)
 
-    def product_reversal_identity(self, f1: str, f2: str, up_to: int):
-        """Degrees where reversal fails to intertwine the two products."""
+    def product_reversal_identity(self, f1: str, f2: str):
+        """Degrees n <= max_degree where reversal fails to intertwine the two
+        products."""
         M, t_tgt, big_l, mu, muop = self.cospan(f1, f2)
         rho = self.rho(M)
         rho_rho = dg.tensor_map(rho, rho, t_tgt, t_tgt)
         return dg.failing_degrees(rho.after(mu).after(big_l),
-                                  muop.after(rho_rho).after(big_l), up_to)
+                                  muop.after(rho_rho).after(big_l),
+                                  self.max_degree)
 
-    def lambda_causality(self, f1: str, f2: str, up_to: int):
-        """Degrees where the commutator homotopy identity fails."""
+    def lambda_causality(self, f1: str, f2: str):
+        """Degrees n < max_degree where the commutator homotopy identity
+        fails."""
         _, _, big_l, mu, muop = self.cospan(f1, f2)
         return dg.check_homotopy_identity(
             mu.after(big_l), muop.after(big_l), self.lambda_homotopy(f1, f2),
-            up_to)
+            self.max_degree - 1)
 
     # --- cohomology comparisons ----------------------------------------------
 

@@ -19,7 +19,6 @@ from . import dg
 from .finalg import AxiomReport, QftFunctor, axiom_report, check_axioms
 from .fincat import (
     FiberedModel,
-    FlabbinessReport,
     LocStructure,
     connected_components,
     flabbiness_report,
@@ -170,16 +169,9 @@ def induced_qft(fm: FiberedModel, A: QftFunctor) -> QftFunctor:
 
 @dataclass(frozen=True)
 class KanReport:
-    qft_axioms: AxiomReport
-    flabbiness: FlabbinessReport
-    u_dims: dict  # base object -> dimension of its invariants
     axioms: AxiomReport  # of the induced functor on the base
     functorial: bool
     isotony_iff_flabby: bool | None
-
-    @property
-    def all_pass(self) -> bool:
-        return self.axioms.all_pass and self.functorial
 
 
 def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
@@ -188,19 +180,16 @@ def check_induced_axioms(fm: FiberedModel, loc: LocStructure,
     the routine that checks the input functor, and its functor laws.
 
     Injectivity of the induced maps is equivalent to flabbiness whenever the
-    input functor satisfies its own three axioms; the report records both
-    sides and their agreement.
+    input functor satisfies its own three axioms; the report records their
+    agreement, or None where the input functor fails an axiom.
     """
     qft = axiom_report(fm, loc, A)
     flab = flabbiness_report(fm, loc)
     U = induced_qft(fm, A)
     axioms = check_axioms(U, loc.causal_cospans, loc.cauchy)
     return KanReport(
-        qft_axioms=qft,
-        flabbiness=flab,
-        u_dims={M: u.dim for M, u in u_objects(fm, A).items()},
         axioms=axioms,
         functorial=not U.violations(),
-        isotony_iff_flabby=(axioms.isotony == flab.flabby
-                            if qft.all_pass else None),
+        isotony_iff_flabby=bool(axioms.isotony_violations)
+        == bool(flab.flabby_counterexample) if qft.all_pass else None,
     )

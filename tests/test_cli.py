@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from fibkan import cli, dg, kan
-from fibkan.fincat import nerve
+from fibkan.fincat import FiberedModelError, extension_data, nerve
 from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.hokan import HoKan
 from fibkan.models import model_from_dict
@@ -70,6 +70,77 @@ def test_classify_nonflabby(capsys):
     code, _ = run(capsys, "classify", "--fixture", "fix-c",
                   "--expect", "flabby")
     assert code == 0
+
+
+def cauchy_f_fix_c():
+    """fix-c with f declared Cauchy: T over M1 has no extension along f."""
+    data = load_bundled("fix-c")
+    data["loc"]["cauchy"] = sorted(["id_M", "id_M1", "f"])
+    return data
+
+
+def doubly_closed_arrow():
+    """One arrow g: S -> T over a Cauchy f: M1 -> M, with T's fiber BZ2
+    (e after e is the identity of T) and e after g = g: g extends S along
+    f, and both arrows of T's fiber close the triangle of g with itself."""
+    one = {"dim": 1, "structure_constants": [[["1"]]], "unit": ["1"]}
+
+    def cat(objects, arrows, compose):
+        return {"objects": objects,
+                "morphisms": [{"name": g, "source": s, "target": t}
+                              for g, s, t in arrows],
+                "identity": {o: f"id_{o}" for o in objects},
+                "compose": compose}
+    loc = cat(["M", "M1"], [("f", "M1", "M"), ("id_M", "M", "M"),
+                            ("id_M1", "M1", "M1")],
+              [["f", "id_M1", "f"], ["id_M", "f", "f"],
+               ["id_M", "id_M", "id_M"], ["id_M1", "id_M1", "id_M1"]])
+    str_cat = cat(["S", "T"], [("g", "S", "T"), ("e", "T", "T"),
+                               ("id_S", "S", "S"), ("id_T", "T", "T")],
+                  [["id_S", "id_S", "id_S"], ["id_T", "id_T", "id_T"],
+                   ["id_T", "e", "e"], ["e", "id_T", "e"], ["e", "e", "id_T"],
+                   ["g", "id_S", "g"], ["id_T", "g", "g"], ["e", "g", "g"]])
+    return {
+        "format": 1,
+        "loc": {**loc, "causal_cospans": [], "cauchy": ["f", "id_M", "id_M1"]},
+        "str": str_cat,
+        "projection": {"objects": {"S": "M1", "T": "M"},
+                       "morphisms": {"g": "f", "e": "id_M", "id_S": "id_M1",
+                                     "id_T": "id_M"}},
+        "algebras": {"S": one, "T": one},
+        "algebra_maps": {g: [["1"]] for g in ("g", "e", "id_S", "id_T")},
+    }
+
+
+@pytest.mark.parametrize("data, counterexamples", [
+    (cauchy_f_fix_c(), {"flabby": ["T", "f"], "cauchy-flabby": ["T", "f"],
+                        "strongly-cauchy-flabby": ["T", "f"]}),
+    (doubly_closed_arrow(), {"flabby": None, "cauchy-flabby": None,
+                             "strongly-cauchy-flabby": ["S", "f", "g", "g"]}),
+], ids=["fix-c-with-cauchy-f", "doubly-closed-arrow"])
+def test_cauchy_flabbiness_failures_block_the_extension(
+        capsys, tmp_path, data, counterexamples):
+    # a model that is not strongly Cauchy flabby has no extension along its
+    # Cauchy arrow, so the phi and phibar checks are blocked
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "classify", str(path))
+    assert code == 1
+    assert {c["name"]: (c["status"], c["details"])
+            for c in json.loads(out)["checks"]} == {
+        name: ("pass" if example is None else "violation",
+               {"counterexample": example})
+        for name, example in counterexamples.items()}
+    _, out = run(capsys, "hokan", str(path), "--max-degree", "1")
+    byname = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in ("ext-phi-homotopy", "ext-phibar-homotopy"):
+        assert byname[name] == {
+            "name": name, "status": "blocked",
+            "details": {"reason": "model is not strongly Cauchy flabby"}}
+    m = model_from_dict(data)
+    with pytest.raises(FiberedModelError,
+                       match="model is not strongly Cauchy flabby"):
+        extension_data(m.fibered(), m.loc, "f")
 
 
 def test_kan_reports_induced_axioms(capsys):

@@ -306,6 +306,39 @@ def test_algebra_diagram_limit_is_the_invariants():
     assert lim.subspace == kernel_basis(t - QMatrix.identity(t.rows))
 
 
+def conjugation_diagram():
+    """The involution X -> P X P of the 2x2 matrix algebra, P = [[1, 1],
+    [0, -1]] (P squared is 1), as a one-object diagram. Its matrix has a
+    diagonal 1 beside other entries in rows 0 and 3 and a diagonal -1 beside
+    other entries in row 1."""
+    m = model_from_dict(load_bundled("fix-a"))
+    alg = m.A.algebra("x")
+    p = {0: 1, 1: 1, 3: -1}   # E11 + E12 - E22 in the basis E11, E12, E21, E22
+    images = [alg.mul(0, alg.mul(0, p, 0, {k: 1}), 0, p) for k in range(4)]
+    return dg.DgaDiagram(m.strcat, {"x": alg}, {
+        "id_x": QMatrix.identity(4),
+        "g": QMatrix(4, 4, {(i, k): v for k, image in enumerate(images)
+                            for i, v in image.items()})})
+
+
+def test_limit_constraints_are_the_map_minus_the_identity(monkeypatch):
+    # on one object the constraint matrix of the limit is A(g) - 1 exactly:
+    # the diagonal 1 cancels a whole row of the Z2 diagram, cancels beside
+    # other entries of the conjugation and meets a -1 there, and the matrix
+    # keeps no zero entry and no empty row
+    for diagram in (z2_diagram(), conjugation_diagram()):
+        built = []
+        monkeypatch.setattr(dg, "kernel_basis",
+                            lambda mat: built.append(mat) or kernel_basis(mat))
+        lim = lim_dgalg(diagram)
+        monkeypatch.undo()
+        t = diagram.maps["g"]
+        assert built == [t - QMatrix.identity(4)]
+        assert lim.subspace == kernel_basis(t - QMatrix.identity(4))
+        assert lim.dga.violations() == []
+    assert lim.dim == 2
+
+
 def test_holim_z2_shapes():
     diagram = z2_diagram()
     cx = holim_dgalg(diagram, N).complex
@@ -756,7 +789,7 @@ def composable(hk, length):
 
 def extension_arrows(hk):
     """The non-identity Cauchy arrows, on a strongly Cauchy flabby model."""
-    if not flabbiness_report(hk.fm, hk.loc).strongly_cauchy_flabby:
+    if flabbiness_report(hk.fm, hk.loc).strong_counterexample:
         return []
     return sorted(f for f in hk.loc.cauchy if f in arrows_of(hk))
 

@@ -518,19 +518,18 @@ def test_pullback_fiber_square_closes_every_under_arrow():
 def test_classify_flabbiness_z2():
     m = model("fix-d")
     report = classify_flabbiness(m.fibered(), m.loc)
-    assert report.flabby
-    assert report.cauchy_flabby
-    assert report.strongly_cauchy_flabby
+    assert report.flabby_counterexample is None
+    assert report.cauchy_counterexample is None
+    assert report.strong_counterexample is None
 
 
 def test_classify_flabbiness_fix_c():
     m = model("fix-c")
     report = classify_flabbiness(m.fibered(), m.loc)
-    assert not report.flabby
     assert report.flabby_counterexample == ("T", "f")
     # with only identity Cauchy morphisms the Cauchy conditions hold trivially
-    assert report.cauchy_flabby
-    assert report.strongly_cauchy_flabby
+    assert report.cauchy_counterexample is None
+    assert report.strong_counterexample is None
 
 
 def test_extension_data_z2():

@@ -495,14 +495,17 @@ def test_hou_cauchy_weak_equivalence():
 
 def test_lambda_causality_on_cospan():
     _, hk = context("fix-b")
-    assert hk.product_reversal_identity("c1", "c2", N) == []
-    assert hk.lambda_causality("c1", "c2", N - 1) == []
+    assert hk.max_degree == N
+    assert hk.product_reversal_identity("c1", "c2") == []
+    assert hk.lambda_causality("c1", "c2") == []
 
 
 def test_lambda_blocked_without_causality():
     _, hk = context("fix-bprime")
-    assert hk.product_reversal_identity("c1", "c2", N) != []
-    assert hk.lambda_causality("c1", "c2", N - 1) != []
+    assert hk.max_degree == N
+    # reversal is checked through max_degree, the homotopy through one less
+    assert hk.product_reversal_identity("c1", "c2") == list(range(N + 1))
+    assert hk.lambda_causality("c1", "c2") == list(range(N))
 
 
 def test_h0_matches_invariants():
@@ -641,7 +644,7 @@ def test_comparison_maps_match_recorded_digests():
         base = m.loc.base
         objects, arrows = sorted(base.objects), sorted(base.morphisms)
         cauchy = []
-        if classify_flabbiness(hk.fm, m.loc).strongly_cauchy_flabby:
+        if classify_flabbiness(hk.fm, m.loc).strong_counterexample is None:
             cauchy = sorted(f for f in m.loc.cauchy if not base.is_identity(f))
         families = {
             "kappa": (hk.kappa, objects), "zeta": (hk.zeta, objects),

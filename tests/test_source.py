@@ -199,3 +199,37 @@ def test_library_has_no_test_only_entry_points():
                     for _, other, names in statements if other is not stmt)
     ]
     assert found == []
+
+
+def dataclass_fields(source):
+    """(class, field) for each public field of each dataclass in a source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in loaded_names(dec) for dec in node.decorator_list):
+            yield from ((node.name, stmt.target.id) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and not stmt.target.id.startswith("_"))
+
+
+def attributes_read(source):
+    """Every attribute name read (not assigned) in a source."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_library_dataclass_fields_are_read():
+    # a field that no library or bench code reads is state that every
+    # constructor still fills; Subspace.ambient_dim is read only by the
+    # dataclass == that the h0-comparison check compares subspaces with
+    exempt = {"Subspace.ambient_dim"}
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    _y: int = 0\n"
+              "    def f(self):\n        return self.x\n"
+              "@dataclass\nclass B:\n    z: int\nclass C:\n    w: int\n")
+    assert list(dataclass_fields(source)) == [("A", "x"), ("B", "z")]
+    assert attributes_read("a.b.c = d.e\n") == {"b", "e"}
+    read = set().union(*(attributes_read(path.read_text()) for path in
+                         [*SOURCE.glob("*.py"), *BENCH.glob("*.py")]))
+    found = [f"{cls}.{name}" for path in sorted(SOURCE.glob("*.py"))
+             for cls, name in dataclass_fields(path.read_text())
+             if name not in read and f"{cls}.{name}" not in exempt]
+    assert found == []
