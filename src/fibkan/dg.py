@@ -367,8 +367,8 @@ class Dga:
     def violations(self):
         out = self.complex.violations()
         cx = self.complex
-        # unit element must be a degree-0 cocycle
-        if not self.unit:
+        # unit element must be a degree-0 cocycle, 0 only in the zero algebra
+        if not self.unit and cx.dim(0):
             out.append("unit element is zero")
         if cx.max_degree >= 1 and cx.d(0).apply_sparse(self.unit):
             out.append("unit element is not closed")
@@ -507,26 +507,15 @@ def _unit_sums(unit, index) -> dict:
 # --- diagrams of algebras ---------------------------------------------------
 
 
-@dataclass
-class DgaDiagram:
-    """A functor from a finite category to algebras.
-
-    at[obj] is the algebra at obj, a dg-algebra concentrated in degree 0;
-    maps[g] is the matrix of the algebra map at g.
-    """
-
-    cat: FinCategory
-    at: dict    # object -> Dga
-    maps: dict  # morphism -> QMatrix
-
-
 def _anchor_object(cat: FinCategory, anchor):
     return anchor if isinstance(anchor, str) else cat.target(anchor[0])
 
 
-def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
+def holim_dgalg(diagram, max_degree: int) -> Dga:
     """Homotopy limit: the normalized cochains of the nerve with coefficients
-    in the diagram, under the cup product.
+    in the diagram, under the cup product. A diagram is a functor from a
+    finite category diagram.cat to algebras concentrated in degree 0, read
+    as diagram.algebra(obj) and diagram.matrix(g).
 
     Degree n has a slot (anchor, k) for each composable n-tuple of
     non-identity arrows (an object in degree 0) and each basis index k of the
@@ -537,7 +526,7 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
     built on first read, one transported product per composite arrow.
     """
     cat = diagram.cat
-    dims = {obj: dga.complex.dim(0) for obj, dga in diagram.at.items()}
+    dims = {obj: diagram.algebra(obj).complex.dim(0) for obj in cat.objects}
     anchors = {n: [(u, _anchor_object(cat, u)) for u in nerve(cat, n)]
                for n in range(max_degree + 1)}
     labels = {n: tuple((u, k) for u, obj in nerve_n for k in range(dims[obj]))
@@ -548,7 +537,7 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
         # the first face applies the algebra map of the leading arrow, the
         # inner faces compose adjacent arrows, the last face drops the
         # trailing arrow
-        yield 1, u[1:] if n > 1 else cat.source(u[0]), diagram.maps[u[0]]
+        yield 1, u[1:] if n > 1 else cat.source(u[0]), diagram.matrix(u[0])
         for i in range(1, n):
             comp = cat.comp(u[i - 1], u[i])
             if not cat.is_identity(comp):
@@ -558,11 +547,12 @@ def holim_dgalg(diagram: DgaDiagram, max_degree: int) -> Dga:
     cx.differentials = _rule_map(cx, cx, 1, faces).maps
 
     unit = {cx.blocks[0][obj][0] + i: v
-            for obj in cat.objects for i, v in diagram.at[obj].unit.items()}
+            for obj in cat.objects
+            for i, v in diagram.algebra(obj).unit.items()}
     return Dga(cx, partial(_cup_products, diagram, cx, anchors, dims), unit)
 
 
-def _cup_products(diagram: DgaDiagram, cx: Complex, anchors, dims) -> dict:
+def _cup_products(diagram, cx: Complex, anchors, dims) -> dict:
     """The product tables of holim_dgalg's cochains, from its locals."""
     cat = diagram.cat
     # the slots (index, anchor, k) of each degree by the object of their
@@ -587,9 +577,9 @@ def _cup_products(diagram: DgaDiagram, cx: Complex, anchors, dims) -> dict:
                 tail, key = u1, (0, u1)
             prods = transported.get(key)
             if prods is None:
-                moved = [diagram.maps[key[1]].column(k2) if n1 else {k2: 1}
+                moved = [diagram.matrix(key[1]).column(k2) if n1 else {k2: 1}
                          for k2 in range(dims[tail])]
-                alg = diagram.at[obj]
+                alg = diagram.algebra(obj)
                 prods = transported[key] = [
                     [alg.mul(0, {k1: 1}, 0, vec) for vec in moved]
                     for k1 in range(dims[obj])]
@@ -613,14 +603,13 @@ def _cup_products(diagram: DgaDiagram, cx: Complex, anchors, dims) -> dict:
 class LimDga:
     """The limit algebra together with its inclusion.
 
-    cat is the index category of the diagram; ambient_labels lists the
-    (object, index) slots of the product of the algebras, objects in sorted
-    order; subspace is the limit in those coordinates.
+    ambient is the degree-0 slot complex of the product of the algebras,
+    slots (object, k) as holim_dgalg lays out degree 0; subspace is the
+    limit in those coordinates.
     """
 
     dga: Dga
-    cat: FinCategory
-    ambient_labels: tuple
+    ambient: Complex
     subspace: Subspace
 
     @property
@@ -628,29 +617,18 @@ class LimDga:
         return self.subspace.dim
 
 
-def ambient_parts(ambient_labels, vec) -> dict:
-    """A sparse vector on (object, index) slots as {object: {index: value}}."""
-    out = {}
-    for slot, v in vec.items():
-        obj, k = ambient_labels[slot]
-        out.setdefault(obj, {})[k] = v
-    return out
-
-
-def lim_dgalg(diagram: DgaDiagram) -> LimDga:
+def lim_dgalg(diagram) -> LimDga:
     """Limit: families x with A(g)(x at source of g) = x at target of g, an
-    algebra concentrated in degree 0."""
+    algebra concentrated in degree 0. The slots of the product and its unit
+    family are holim_dgalg's at degree 0, which runs no face and builds no
+    product table."""
     cat = diagram.cat
-    offsets = {}
-    ambient_labels = []
-    for obj in sorted(cat.objects):
-        offsets[obj] = len(ambient_labels)
-        ambient_labels.extend(
-            (obj, k) for k in range(diagram.at[obj].complex.dim(0)))
+    product = holim_dgalg(diagram, 0)
+    ambient, blocks = product.complex, product.complex.blocks[0]
     rows = []
     for g in sorted(g for g in cat.morphisms if not cat.is_identity(g)):
-        mat = diagram.maps[g]
-        src, tgt = offsets[cat.source(g)], offsets[cat.target(g)]
+        mat = diagram.matrix(g)
+        (src, _), (tgt, _) = blocks[cat.source(g)], blocks[cat.target(g)]
         for i in range(mat.rows):
             # A(g)(x at source) - x at target, a cancelled diagonal dropped
             row = {src + j: v for j, v in mat.by_row.get(i, {}).items()}
@@ -660,45 +638,45 @@ def lim_dgalg(diagram: DgaDiagram) -> LimDga:
                 row[tgt + i] = row.get(tgt + i, 0) - 1
             rows.append(row)
     subspace = kernel_basis(QMatrix._of_rows(
-        len(rows), len(ambient_labels), {i: r for i, r in enumerate(rows) if r}))
+        len(rows), ambient.dim(0), {i: r for i, r in enumerate(rows) if r}))
 
-    def limit_coords(parts, what):
-        # coordinates in the limit basis of a family given per object
-        coords = subspace.coords({offsets[obj] + k: v
-                                  for obj, part in parts.items()
-                                  for k, v in part.items()})
+    def limit_coords(vec, what):
+        # coordinates in the limit basis of a family in the product's slots
+        coords = subspace.coords(vec)
         if coords is None:
             raise ComplexError(f"{what} does not satisfy the limit constraints")
         return coords
 
-    blocks = [ambient_parts(ambient_labels, vec) for vec in subspace.rows]
+    # each limit family as {object: {index: value}}, multiplied per object
+    families = [
+        {obj: part for obj, (start, size) in blocks.items()
+         if (part := {k: v for k in range(size) if (v := vec.get(start + k))})}
+        for vec in subspace.rows]
     table = {}
-    for i, parts1 in enumerate(blocks):
-        for j, parts2 in enumerate(blocks):
+    for i, parts1 in enumerate(families):
+        for j, parts2 in enumerate(families):
             vec = limit_coords({
-                obj: diagram.at[obj].mul(0, part, 0, parts2[obj])
-                for obj, part in parts1.items() if obj in parts2}, "product")
+                blocks[obj][0] + k: v for obj, part in parts1.items()
+                if obj in parts2 for k, v in diagram.algebra(obj).mul(
+                    0, part, 0, parts2[obj]).items()}, "product")
             if vec:
                 table[(i, j)] = vec
-    unit = limit_coords(
-        {obj: diagram.at[obj].unit for obj in offsets}, "unit family")
+    unit = limit_coords(product.unit, "unit family")
     cx = Complex(0, {0: tuple(range(subspace.dim))}, {})
-    return LimDga(Dga(cx, {(0, 0): table}, unit), cat, tuple(ambient_labels),
-                  subspace)
+    return LimDga(Dga(cx, {(0, 0): table}, unit), ambient, subspace)
 
 
 def canonical_e(lim: LimDga, holim: Dga) -> GradedLinearMap:
     """The comparison map from the limit into the homotopy limit: a limit
-    family is placed in the degree-0 slots."""
+    family is a degree-0 cochain, in the slots the two share. Raises
+    ComplexError when their degree-0 slots differ."""
     cx_lim, cx_ho = lim.dga.complex, holim.complex
-    data = {}
-    starts = cx_ho.blocks[0]
-    for j, row in enumerate(lim.subspace.rows):
-        for slot, v in row.items():
-            obj, k = lim.ambient_labels[slot]
-            data[(starts[obj][0] + k, j)] = v
-    return GradedLinearMap(cx_lim, cx_ho, 0, {
-        0: QMatrix(cx_ho.dim(0), cx_lim.dim(0), data)})
+    if lim.ambient.labels[0] != cx_ho.labels[0]:
+        raise ComplexError(
+            "the limit and the homotopy limit have different degree-0 slots")
+    return GradedLinearMap(cx_lim, cx_ho, 0, {0: QMatrix(
+        cx_ho.dim(0), cx_lim.dim(0), {(slot, j): v for j, row in enumerate(
+            lim.subspace.rows) for slot, v in row.items()})})
 
 
 # --- tensor products --------------------------------------------------------

@@ -100,10 +100,10 @@ def is_iso(m: AlgMorphism) -> bool:
 
 
 class QftFunctor:
-    """Algebra-valued functor on the structured category."""
+    """A functor to algebras on Str, a fiber, an under-category or the base."""
 
-    def __init__(self, strcat: FinCategory, on_objects, on_morphisms):
-        self.strcat = strcat
+    def __init__(self, cat: FinCategory, on_objects, on_morphisms):
+        self.cat = cat
         self.on_objects = dict(on_objects)   # obj -> Dga
         self.on_morphisms = dict(on_morphisms)  # mor -> QMatrix
 
@@ -115,8 +115,8 @@ class QftFunctor:
 
     def morphism(self, g: str) -> AlgMorphism:
         return AlgMorphism(
-            self.on_objects[self.strcat.source(g)],
-            self.on_objects[self.strcat.target(g)],
+            self.on_objects[self.cat.source(g)],
+            self.on_objects[self.cat.target(g)],
             self.on_morphisms[g],
         )
 
@@ -126,7 +126,7 @@ class QftFunctor:
         entry's functoriality once per distinct (A(g), A(f), A(h)), told
         apart by object identity, and reported at every arrow or entry."""
         out = []
-        cat = self.strcat
+        cat = self.cat
         for S in cat.objects:
             if S not in self.on_objects:
                 out.append(f"no algebra assigned to {S!r}")
@@ -162,8 +162,8 @@ class QftFunctor:
         return out
 
 
-def validate_qft(strcat, on_objects, on_morphisms) -> QftFunctor:
-    A = QftFunctor(strcat, on_objects, on_morphisms)
+def validate_qft(cat, on_objects, on_morphisms) -> QftFunctor:
+    A = QftFunctor(cat, on_objects, on_morphisms)
     violations = A.violations()
     if violations:
         raise AlgebraError("; ".join(violations))
@@ -189,7 +189,7 @@ def check_axioms(A: QftFunctor, cospans, cauchy) -> AxiomReport:
     """The three axioms of A on its own category: isotony on every arrow,
     causality on the given ordered pairs of arrows with one target, and
     time-slice on the given arrows."""
-    arrows = sorted(A.strcat.morphisms)
+    arrows = sorted(A.cat.morphisms)
     iso_bad = tuple(g for g in arrows if not is_mono(A.morphism(g)))
     causal_bad = tuple(
         (g1, g2, i, j) for g1, g2 in cospans

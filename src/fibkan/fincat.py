@@ -500,10 +500,11 @@ class FlabbinessReport:
 
 def _extensions(fm: FiberedModel, S: str, f: str):
     """The arrows out of S over f, sorted: hom(S, T) over the objects T
-    above the target of f."""
+    above the target of f, scanned once per (S, f) for the model."""
     strcat, pi, M = fm.strcat, fm.pi, fm.loc.target(f)
-    return sorted(g for T in strcat.objects if pi.on_obj(T) == M
-                  for g in strcat.hom(S, T) if pi.on_mor(g) == f)
+    return fm.memo(("extensions", S, f), lambda: sorted(
+        g for T in strcat.objects if pi.on_obj(T) == M
+        for g in strcat.hom(S, T) if pi.on_mor(g) == f))
 
 
 def _closings(fm: FiberedModel, g: str, y: str):

@@ -2,13 +2,14 @@
 
 The value at a base object is the invariant subalgebra of the product of
 algebras over the fiber (equivalently, over the under-category): the limit
-``dg.lim_dgalg`` of the algebra diagram, an algebra concentrated in degree 0.
-The homotopy extension in ``hokan`` takes the homotopy limit of the same
-diagrams and transports along the same cleavage. The comparison isomorphism
-with the under-category limit and the counit projections are computed as
-matrices and checked exactly. With the induced maps on invariants, the
-extension is a ``QftFunctor`` on the base (``induced_qft``), so
-``finalg.check_axioms`` checks its axioms as it checks the input functor's.
+``dg.lim_dgalg`` of the functor restricted there, itself a ``QftFunctor``, an
+algebra concentrated in degree 0. The homotopy extension in ``hokan`` takes
+the homotopy limit of the same functors and transports along the same
+cleavage. The comparison isomorphism with the under-category limit and the
+counit projections are computed as matrices and checked exactly. With the
+induced maps on invariants, the extension is a ``QftFunctor`` on the base
+(``induced_qft``), so ``finalg.check_axioms`` checks its axioms as it checks
+the input functor's.
 """
 
 from __future__ import annotations
@@ -30,17 +31,17 @@ class KanError(ValueError):
     pass
 
 
-def fiber_diagram(fm: FiberedModel, A: QftFunctor, M: str) -> dg.DgaDiagram:
+def fiber_diagram(fm: FiberedModel, A: QftFunctor, M: str) -> QftFunctor:
     """A restricted to the fiber over M."""
     fiber = fm.fiber(M)
-    return dg.DgaDiagram(fiber, {S: A.algebra(S) for S in fiber.objects},
-                         {g: A.matrix(g) for g in fiber.morphisms})
+    return QftFunctor(fiber, {S: A.algebra(S) for S in fiber.objects},
+                      {g: A.matrix(g) for g in fiber.morphisms})
 
 
-def under_diagram(fm: FiberedModel, A: QftFunctor, M: str) -> dg.DgaDiagram:
+def under_diagram(fm: FiberedModel, A: QftFunctor, M: str) -> QftFunctor:
     """A pulled back to the category of objects under M."""
     under = fm.under(M)
-    return dg.DgaDiagram(
+    return QftFunctor(
         under.cat,
         {name: A.algebra(S) for name, (S, _) in under.obj_info.items()},
         {name: A.matrix(g) for name, (g, _) in under.mor_info.items()})
@@ -70,18 +71,18 @@ def cleavage_transport(fm: FiberedModel, A: QftFunctor, S: str, h: str):
 
 
 def _transport_matrix(src: dg.LimDga, tgt: dg.LimDga, vertex) -> QMatrix:
-    """Matrix in limit coordinates of the map that reads, at each object t of
-    tgt.cat, the component of src at s through m, where vertex(t) = (s, m)
-    and m is None for the identity."""
-    slots = {label: slot for slot, label in enumerate(tgt.ambient_labels)}
-    rules = [(t, *vertex(t)) for t in tgt.cat.objects]
+    """Matrix in limit coordinates of the map that reads, at each object t
+    with slots in tgt, the component of src at s through m, where vertex(t)
+    = (s, m) and m is None for the identity."""
+    blocks = src.ambient.blocks[0]
+    rules = [(row, *vertex(t)) for t, (row, _) in tgt.ambient.blocks[0].items()]
     data = {}
     for j, vec in enumerate(src.subspace.rows):
-        parts = dg.ambient_parts(src.ambient_labels, vec)
         image = {}
-        for t, s, m in rules:
-            part = parts.get(s, {})
-            image.update((slots[(t, k)], v) for k, v in (
+        for row, s, m in rules:
+            col, size = blocks[s]
+            part = {k: v for k in range(size) if (v := vec.get(col + k))}
+            image.update((row + k, v) for k, v in (
                 part if m is None else m.apply_sparse(part)).items())
         coords = tgt.subspace.coords(image)
         if coords is None:
@@ -126,13 +127,12 @@ def counit(fm: FiberedModel, A: QftFunctor, ran: dg.LimDga, S: str) -> QMatrix:
     """Projection of the under-category limit at the slot (S, identity)."""
     M = fm.pi.on_obj(S)
     name = fm.under(M).obj_name(S, fm.loc.id_of(M))
-    if name not in ran.cat.objects:
+    if name not in ran.ambient.blocks[0]:
         raise KanError(f"{S!r} does not lie over the base object of the limit")
-    data = {}
-    for j, vec in enumerate(ran.subspace.rows):
-        part = dg.ambient_parts(ran.ambient_labels, vec).get(name, {})
-        data.update(((i, j), v) for i, v in part.items())
-    return QMatrix(A.algebra(S).complex.dim(0), ran.dim, data)
+    start, size = ran.ambient.blocks[0][name]
+    return QMatrix(A.algebra(S).complex.dim(0), ran.dim, {
+        (k, j): v for j, vec in enumerate(ran.subspace.rows)
+        for k in range(size) if (v := vec.get(start + k))})
 
 
 def pullback_dimension_check(fm: FiberedModel, A: QftFunctor, M: str,

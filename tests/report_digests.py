@@ -1,15 +1,18 @@
 """Print one ``sha256 exit argv`` line per run of the report suite.
 
-The suite is 376 in-process ``cli.run`` runs: the six commands on the six
+The suite is 392 in-process ``cli.run`` runs: the six commands on the six
 bundled fixtures and on chain(3,Z2) and chain(2,S3) model files, under both
 seed orders, in json and md, at degrees 2 and 3, with ``hokan`` and
-``verify`` left out on chain(2,S3) at degree 3. Run it in two checkouts and
-diff the outputs to show that a change leaves every report byte-identical:
+``verify`` left out on chain(2,S3) at degree 3 (376 runs); then ``verify``
+on fix-a with a base object that has an empty fiber, without and with an
+arrow into it, in the same orders, formats and degrees (16 runs). Run it in
+two checkouts and diff the outputs to show that a change leaves every
+report byte-identical:
 
     python3 tests/report_digests.py > digests.txt
 
-The library and ``bench/chainmodel.py`` are read from the checkout that holds
-this script. pytest does not collect it.
+The library, ``bench/chainmodel.py`` and ``tests/test_cli.py`` are read from
+the checkout that holds this script. pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -26,12 +29,15 @@ import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from fibkan import cli  # noqa: E402
 from fibkan.fixtures import fixture_names  # noqa: E402
+from test_cli import empty_fiber_model  # noqa: E402
 
 COMMANDS = ("validate", "axioms", "classify", "kan", "hokan", "verify")
 CHAINS = {"chain3_z2.json": (3, "Z2"), "chain2_s3.json": (2, "S3")}
+EMPTY_FIBERS = {"empty_fiber.json": False, "arrow_into_empty_fiber.json": True}
 
 
 def chain_dict(n, group):
@@ -54,6 +60,12 @@ def suite():
                             continue
                         yield [command, *model, "--seed-order", order,
                                "--format", fmt, "--max-degree", str(degree)]
+    for name in EMPTY_FIBERS:
+        for order in ("normal", "reversed"):
+            for fmt in ("json", "md"):
+                for degree in (2, 3):
+                    yield ["verify", name, "--seed-order", order,
+                           "--format", fmt, "--max-degree", str(degree)]
 
 
 def main():
@@ -63,6 +75,8 @@ def main():
         os.chdir(work)
         for name, (n, group) in CHAINS.items():
             pathlib.Path(name).write_text(json.dumps(chain_dict(n, group)))
+        for name, arrow in EMPTY_FIBERS.items():
+            pathlib.Path(name).write_text(json.dumps(empty_fiber_model(arrow)))
         for argv in suite():
             out = io.StringIO()
             with contextlib.redirect_stdout(out):

@@ -169,8 +169,8 @@ def test_kan_dimensions_reads_a_violation_on_invariants_of_wrong_dimension(
         u = real(fm, A, M)
         if M != "M1":
             return u
-        assert u.ambient_labels == (("S", 0), ("T", 0))
-        return dg.LimDga(A.algebra("S"), u.cat, u.ambient_labels,
+        assert u.ambient.labels[0] == (("S", 0), ("T", 0))
+        return dg.LimDga(A.algebra("S"), u.ambient,
                          Subspace(2, u.subspace.rows[:1], u.subspace.pivots[:1]))
 
     monkeypatch.setattr(kan, "u_object", without_t)
@@ -223,6 +223,88 @@ def test_verify_builds_each_fiber_invariant_once(capsys, monkeypatch):
     assert collections.Counter(reports) == {
         "check_axioms_on_str": 1, "check_axioms": 2, "classify_flabbiness": 1,
         "under_category": 4, "extension_data": 6, "lemma_witnesses": 6}
+
+
+def test_verify_scans_the_extensions_of_each_pair_once(capsys, monkeypatch):
+    # the flabby and Cauchy scans of the classification and the extension
+    # data read one list of the arrows out of S over f per (S, f), built by
+    # one scan; every list read is kept here, so no two share an id by reuse
+    from fibkan import fincat
+    read = collections.defaultdict(list)
+    real = fincat._extensions
+
+    def recording(fm, S, f):
+        read[(S, f)].append(real(fm, S, f))
+        return read[(S, f)][-1]
+
+    monkeypatch.setattr(fincat, "_extensions", recording)
+    code, _ = run(capsys, "verify", "--fixture", "fix-e", "--max-degree", "2")
+    assert code == 0
+    assert len(read) == 10
+    assert sum(map(len, read.values())) == 26
+    assert {pair: len({id(exts) for exts in lists})
+            for pair, lists in read.items()} == dict.fromkeys(read, 1)
+
+
+def empty_fiber_model(arrow):
+    """fix-a with a base object q that no structured object lies over, the
+    case of a spacetime with no spin structure; with arrow, also a base
+    arrow f: pt -> q, which no arrow of Str lies over."""
+    doc = load_bundled("fix-a")
+    loc = doc["loc"]
+    loc["objects"].append("q")
+    loc["identity"]["q"] = "id_q"
+    loc["morphisms"].append({"name": "id_q", "source": "q", "target": "q"})
+    loc["compose"].append(["id_q", "id_q", "id_q"])
+    loc["cauchy"].append("id_q")
+    if arrow:
+        loc["morphisms"].append({"name": "f", "source": "pt", "target": "q"})
+        loc["compose"] += [["f", "id_pt", "f"], ["id_q", "f", "f"]]
+    return doc
+
+
+@pytest.mark.parametrize("degree", ["1", "2", "3"])
+@pytest.mark.parametrize("order", ["normal", "reversed"])
+def test_an_empty_fiber_gets_the_zero_algebra_on_both_sides(
+        capsys, tmp_path, order, degree):
+    # the strict and the homotopy limits over the empty fiber and the empty
+    # under-category are the zero algebra, whose unit is 0
+    path = tmp_path / "empty-fiber.json"
+    path.write_text(json.dumps(empty_fiber_model(arrow=False)))
+    code, out = run(capsys, "kan", str(path), "--seed-order", order)
+    assert code == 0
+    byname = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert byname["kan-dimensions"]["details"]["u_dims"] == {"pt": 2, "q": 0}
+    for command in ("hokan", "verify"):
+        code, out = run(capsys, command, str(path), "--seed-order", order,
+                        "--max-degree", degree)
+        assert code == 0, command
+        byname = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert byname["dga-structure"] == {
+            "name": "dga-structure", "status": "pass", "details": {
+                "violation_counts": {"pt": {"fiber": 0, "under": 0},
+                                     "q": {"fiber": 0, "under": 0}}}}
+
+
+@pytest.mark.parametrize("degree", ["1", "2", "3"])
+@pytest.mark.parametrize("order", ["normal", "reversed"])
+def test_an_arrow_into_an_empty_fiber_breaks_only_flabbiness_and_isotony(
+        capsys, tmp_path, order, degree):
+    # x has no extension along f, and the induced map along f, into the
+    # zero algebra, is not injective; nothing else fails
+    path = tmp_path / "arrow-into-empty-fiber.json"
+    path.write_text(json.dumps(empty_fiber_model(arrow=True)))
+    argv = ("verify", str(path), "--seed-order", order, "--max-degree", degree)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    outcomes = {c["name"]: (c["status"], c.get("details"))
+                for c in json.loads(out)["checks"]
+                if c["status"] not in ("pass", "blocked")}
+    assert outcomes == {
+        "flabby": ("violation", {"counterexample": ["x", "f"]}),
+        "kan-isotony": ("violation", {"violations": ["f"]})}
+    code, _ = run(capsys, *argv, "--expect", "flabby", "kan-isotony")
+    assert code == 0
 
 
 def test_verify_builds_each_cospan_tensor_data_once(capsys, monkeypatch):

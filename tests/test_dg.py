@@ -24,9 +24,11 @@ from fibkan.dg import (
     tensor_complex,
     tensor_map,
 )
+from fibkan.finalg import QftFunctor
 from fibkan.fincat import flabbiness_report
 from fibkan.fixtures import load_bundled
 from fibkan.hokan import HoKan, check_square_homotopy
+from fibkan.kan import fiber_diagram
 from fibkan.models import model_from_dict
 from fibkan.qlinalg import QMatrix, _axpy, kernel_basis, rank, rat
 
@@ -36,7 +38,7 @@ N = 4
 def z2_diagram():
     """The Z2 symmetry of the 2x2 matrix algebra as a one-object diagram."""
     m = model_from_dict(load_bundled("fix-a"))
-    return dg.DgaDiagram(
+    return QftFunctor(
         m.strcat, {"x": m.A.algebra("x")},
         {"id_x": QMatrix.identity(4), "g": m.A.matrix("g")})
 
@@ -300,7 +302,7 @@ def test_algebra_diagram_limit_is_the_invariants():
     m = model_from_dict(load_bundled("fix-a"))
     lim = lim_dgalg(z2_diagram())
     assert lim.dga.violations() == []
-    assert lim.ambient_labels == tuple(("x", k) for k in range(4))
+    assert lim.ambient.labels[0] == tuple(("x", k) for k in range(4))
     # the fixed points of the involution, computed without the limit code
     t = m.A.matrix("g")
     assert lim.subspace == kernel_basis(t - QMatrix.identity(t.rows))
@@ -315,7 +317,7 @@ def conjugation_diagram():
     alg = m.A.algebra("x")
     p = {0: 1, 1: 1, 3: -1}   # E11 + E12 - E22 in the basis E11, E12, E21, E22
     images = [alg.mul(0, alg.mul(0, p, 0, {k: 1}), 0, p) for k in range(4)]
-    return dg.DgaDiagram(m.strcat, {"x": alg}, {
+    return QftFunctor(m.strcat, {"x": alg}, {
         "id_x": QMatrix.identity(4),
         "g": QMatrix(4, 4, {(i, k): v for k, image in enumerate(images)
                             for i, v in image.items()})})
@@ -332,7 +334,7 @@ def test_limit_constraints_are_the_map_minus_the_identity(monkeypatch):
                             lambda mat: built.append(mat) or kernel_basis(mat))
         lim = lim_dgalg(diagram)
         monkeypatch.undo()
-        t = diagram.maps["g"]
+        t = diagram.matrix("g")
         assert built == [t - QMatrix.identity(4)]
         assert lim.subspace == kernel_basis(t - QMatrix.identity(4))
         assert lim.dga.violations() == []
@@ -347,7 +349,7 @@ def test_holim_z2_shapes():
         anchor = ("g",) * n if n else "x"
         assert cx.labels[n] == tuple((anchor, k) for k in range(4))
     # g after g is the identity, so every inner face vanishes
-    t, ident = diagram.maps["g"], QMatrix.identity(4)
+    t, ident = diagram.matrix("g"), QMatrix.identity(4)
     for n in range(N):
         assert cx.d(n) == (t - ident if n % 2 == 0 else t + ident)
     assert cx.violations() == []
@@ -393,6 +395,17 @@ def test_canonical_e_weak_equivalence():
                 0, e.matrix(0).apply_sparse({i: rat(1)}),
                 0, e.matrix(0).apply_sparse({j: rat(1)}))
             assert lhs == rhs
+
+
+def test_canonical_e_rejects_the_homotopy_limit_of_another_diagram():
+    # a limit family is placed in the degree-0 slots as it is, so the two
+    # sides must have the same degree-0 slots
+    m = model_from_dict(load_bundled("fix-c"))
+    other = fiber_diagram(m.fibered(), m.A, "M1")
+    for lim, holim in ((lim_dgalg(z2_diagram()), holim_dgalg(other, 2)),
+                       (lim_dgalg(other), holim_dgalg(z2_diagram(), 2))):
+        with pytest.raises(dg.ComplexError, match="different degree-0 slots"):
+            canonical_e(lim, holim)
 
 
 def test_tensor_complex_structure():
@@ -573,7 +586,7 @@ def oracle_violations(dga):
     cx = dga.complex
     top = cx.max_degree
     out = cx.violations()
-    if not dga.unit:
+    if not dga.unit and cx.dim(0):
         out.append("unit element is zero")
     if top >= 1 and cx.d(0).apply_sparse(dga.unit):
         out.append("unit element is not closed")

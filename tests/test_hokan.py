@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import empty_fiber_model
 from test_source import load_bench_module
 
 from fibkan import cli, dg, qlinalg
@@ -18,7 +19,7 @@ from fibkan.dg import (
 from fibkan.fincat import classify_flabbiness
 from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.hokan import HoKan, HoKanError, check_square_homotopy
-from fibkan.kan import u_object
+from fibkan.kan import ran_under, u_object
 from fibkan.models import model_from_dict
 from fibkan.qlinalg import QMatrix
 
@@ -513,6 +514,23 @@ def test_h0_matches_invariants():
         m, hk = context(name)
         for M in m.loc.base.objects:
             assert hk.h0_subspace(M) == u_object(hk.fm, m.A, M).subspace
+
+
+@pytest.mark.parametrize("order", ["normal", "reversed"])
+@pytest.mark.parametrize("name", [*fixture_names(), "fix-a with q"])
+def test_limits_take_the_degree_0_slots_of_the_homotopy_limits(name, order):
+    # one slot layout: the product that a limit lives in is degree 0 of the
+    # homotopy limit of the same functor, also over an empty fiber
+    doc = (empty_fiber_model(arrow=False) if name == "fix-a with q"
+           else load_bundled(name))
+    m = model_from_dict(doc)
+    fm = m.fibered(order)
+    hk = HoKan(fm, m.loc, m.A, 1)
+    for M in m.loc.base.objects:
+        assert u_object(fm, m.A, M).ambient.labels[0] \
+            == hk.hou_object(M).dga.complex.labels[0]
+        assert ran_under(fm, m.A, M).ambient.labels[0] \
+            == hk.horan_object(M).dga.complex.labels[0]
 
 
 def as_fractions(entries):

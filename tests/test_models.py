@@ -181,9 +181,9 @@ def test_equal_specs_share_one_parsed_object(name, monkeypatch):
     A = model_from_dict(doc).A
     maps = {g: json.dumps(spec) for g, spec in doc["algebra_maps"].items()}
     algebras = {S: algebra_text(spec) for S, spec in doc["algebras"].items()}
-    assert len({id(A.matrix(g)) for g in A.strcat.morphisms}) \
+    assert len({id(A.matrix(g)) for g in A.cat.morphisms}) \
         == len(set(maps.values()))
-    assert len({id(A.algebra(S)) for S in A.strcat.objects}) \
+    assert len({id(A.algebra(S)) for S in A.cat.objects}) \
         == len(set(algebras.values()))
     assert len(checked) == len({
         (algebras[m["source"]], algebras[m["target"]], maps[m["name"]])
