@@ -621,12 +621,15 @@ def lim_dgalg(diagram) -> LimDga:
     """Limit: families x with A(g)(x at source of g) = x at target of g, an
     algebra concentrated in degree 0. The slots of the product and its unit
     family are holim_dgalg's at degree 0, which runs no face and builds no
-    product table."""
+    product table. For a functor (A(id) = 1, A(a c) = A(a) A(c)), such as a
+    valid QftFunctor and its fiber and under restrictions, the generators'
+    rows cut out every arrow's kernel, A(a) A(c) x_s = A(a) x_t(c) = x_t(a),
+    kept as its canonical basis."""
     cat = diagram.cat
     product = holim_dgalg(diagram, 0)
     ambient, blocks = product.complex, product.complex.blocks[0]
     rows = []
-    for g in sorted(g for g in cat.morphisms if not cat.is_identity(g)):
+    for g in cat.generators:
         mat = diagram.matrix(g)
         (src, _), (tgt, _) = blocks[cat.source(g)], blocks[cat.target(g)]
         for i in range(mat.rows):

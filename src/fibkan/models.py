@@ -51,11 +51,15 @@ def _category_from_dict(data, path):
         for name in (*objects, *(x for m in morphisms for x in m)):
             if not isinstance(name, str):
                 raise TypeError(f"name {name!r} is not a string")
-        compose = {(g, f): h
-                   for g, f, h in _shaped(data["compose"], list, "compose")}
+        compose, repeated = {}, {}
+        for g, f, h in _shaped(data["compose"], list, "compose"):
+            if (g, f) in compose:
+                repeated[g, f] = (f"composition entry ({g!r},{f!r}) "
+                                  "is listed more than once")
+            compose[g, f] = h
         cat = FinCategory(objects, morphisms,
                           _shaped(data["identity"], dict, "identity"), compose)
-        violations = cat.violations()
+        violations = list(repeated.values()) or cat.violations()
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError([f"{path}: malformed category data ({exc})"])
     if violations:

@@ -1,15 +1,21 @@
-"""Print one ``sha256 exit argv`` line per run of the report suite.
+"""Print one ``sha256 exit counts argv`` line per run of the report suite.
 
 The suite is 392 in-process ``cli.run`` runs: the six commands on the six
 bundled fixtures and on chain(3,Z2) and chain(2,S3) model files, under both
 seed orders, in json and md, at degrees 2 and 3, with ``hokan`` and
 ``verify`` left out on chain(2,S3) at degree 3 (376 runs); then ``verify``
 on fix-a with a base object that has an empty fiber, without and with an
-arrow into it, in the same orders, formats and degrees (16 runs). Run it in
-two checkouts and diff the outputs to show that a change leaves every
-report byte-identical:
+arrow into it, in the same orders, formats and degrees (16 runs). counts
+gives the number of checks of each status in the report, as
+``pass:N,fail:N,violation:N,blocked:N``, or ``-`` for a report of model
+errors, so that a diff names the findings that moved.
 
-    python3 tests/report_digests.py > digests.txt
+``tests/report_digests.txt`` holds the suite's output, and
+``tests/test_report_digests.py`` compares a fresh run with it. A change
+that means to move a report records the file again and names each run it
+moved:
+
+    python3 tests/report_digests.py > tests/report_digests.txt
 
 The library, ``bench/chainmodel.py`` and ``tests/test_cli.py`` are read from
 the checkout that holds this script. pytest does not collect it.
@@ -68,21 +74,49 @@ def suite():
                            "--format", fmt, "--max-degree", str(degree)]
 
 
-def main():
+def status_counts(report):
+    """The checks of each status in a rendered report, or "-" for a report
+    of model errors. A JSON report (which every report of model errors is)
+    starts with "{", a markdown report with its title."""
+    if report.startswith("{"):
+        statuses = [c["status"] for c in json.loads(report).get("checks", ())]
+    else:
+        table = report.split("| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        statuses = [row.strip("| ").split(" | ")[1]
+                    for row in table.splitlines()]
+    if not statuses:
+        return "-"
+    return ",".join(f"{status}:{statuses.count(status)}"
+                    for status in ("pass", "fail", "violation", "blocked"))
+
+
+def lines():
+    """The suite's output lines, run in a scratch working directory."""
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         # model files are named relative to the working directory, so the
         # paths that reports print are the same in every checkout
         os.chdir(work)
-        for name, (n, group) in CHAINS.items():
-            pathlib.Path(name).write_text(json.dumps(chain_dict(n, group)))
-        for name, arrow in EMPTY_FIBERS.items():
-            pathlib.Path(name).write_text(json.dumps(empty_fiber_model(arrow)))
-        for argv in suite():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.run(argv)
-            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-            print(digest, code, " ".join(argv), flush=True)
+        try:
+            for name, (n, group) in CHAINS.items():
+                pathlib.Path(name).write_text(json.dumps(chain_dict(n, group)))
+            for name, arrow in EMPTY_FIBERS.items():
+                pathlib.Path(name).write_text(
+                    json.dumps(empty_fiber_model(arrow)))
+            for argv in suite():
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.run(argv)
+                report = out.getvalue()
+                digest = hashlib.sha256(report.encode()).hexdigest()
+                yield f"{digest} {code} {status_counts(report)} {' '.join(argv)}"
+        finally:
+            os.chdir(cwd)
+
+
+def main():
+    for line in lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -707,6 +707,29 @@ def test_number_named_morphism_exits_2(tmp_path, capsys, command):
         "$.loc: malformed category data (name 5 is not a string)"]
 
 
+@pytest.mark.parametrize("section, entry", [
+    # the repeat names another arrow of the hom-set than the table does
+    ("str", ["f01.e", "id_M0.e", "f01.g"]),
+    # the repeat agrees with the table, and is refused all the same
+    ("loc", ["f12", "f01", "f02"]),
+])
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_a_repeated_composition_pair_exits_2(tmp_path, capsys, section,
+                                             entry, position):
+    # a pair listed twice has no one composite, wherever the repeat stands:
+    # a repeat before the table's own entry was once overwritten by it
+    doc = load_bundled("fix-e")
+    compose = doc[section]["compose"]
+    compose.insert(0 if position == "first" else len(compose), entry)
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    g, f, _ = entry
+    assert json.loads(out)["errors"] == [
+        f"$.{section}: composition entry ({g!r},{f!r}) is listed more than once"]
+
+
 def non_groupoid_model():
     """Two objects over a point joined by the non-invertible fiber arrow a."""
     one = {"dim": 1, "structure_constants": [[["1"]]], "unit": ["1"]}

@@ -22,6 +22,17 @@ def test_all_fixtures_parse():
         assert m.strcat.objects
 
 
+def test_fixtures_and_chains_list_each_composition_pair_once():
+    chain_dict = load_bench_module("chainmodel").chain_dict
+    docs = [load_bundled(name) for name in fixture_names()]
+    docs += [chain_dict(n, group) for n in range(1, 7)
+             for group in ("Z2", "Z3", "S3")]
+    for doc in docs:
+        for section in ("loc", "str"):
+            pairs = [(g, f) for g, f, _ in doc[section]["compose"]]
+            assert len(pairs) == len(set(pairs))
+
+
 def test_fixture_names():
     assert fixture_names() == [
         "fix-a", "fix-b", "fix-bprime", "fix-c", "fix-d", "fix-e"
