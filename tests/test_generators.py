@@ -1,9 +1,9 @@
 """The laws checked on a generating set of arrows, pinned to the full scans.
 
 FinCategory.violations, CatFunctor.violations, QftFunctor.violations and
-dg.lim_dgalg check on FinCategory.generators what the scans below check on
-every arrow or entry, and fall back to such a scan when a check fails. The
-scans are the library's before it read generators, kept here as oracles.
+dg.lim_dgalg check on FinCategory.generators what the oracles below check
+on every arrow or composition entry, and fall back to the library's own
+full scan when a check fails.
 """
 
 import functools
