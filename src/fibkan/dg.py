@@ -2,10 +2,11 @@
 
 A complex stores degrees 0..max_degree with labelled bases and explicit
 differential matrices. Dg-algebras carry sparse product tables keyed by
-basis pairs. A diagram of algebras has a limit (the equalizer subalgebra,
-in degree 0) and a homotopy limit (the normalized cochains of the nerve
-with coefficients in the diagram); weak equivalence means isomorphism on
-cohomology through the requested degree.
+basis pairs and one integer index of them for their law checks, which the
+homotopy limit builds directly. A diagram of algebras has a limit (the
+equalizer subalgebra, in degree 0) and a homotopy limit (the normalized
+cochains of the nerve with coefficients in the diagram); weak equivalence
+means isomorphism on cohomology through the requested degree.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from math import lcm
 from operator import add, mul, sub
 
 from .fincat import FinCategory, nerve
-from .qlinalg import QMatrix, Subspace, kernel_basis, _axpy, _check_exact
+from .qlinalg import (QMatrix, Subspace, kernel_basis, _axpy, _check_exact,
+                      _quotient)
 
 
 class ComplexError(ValueError):
@@ -319,33 +321,43 @@ class Dga:
     products[(n1, n2)] maps basis index pairs (i, j) to the sparse product
     vector in degree n1 + n2 (int or Fraction entries); missing keys mean
     the product is zero. unit is a sparse degree-0 vector. Ready tables are
-    copied and checked at construction; if products is a function that builds
-    them, its fresh tables, which nothing else holds, are checked, not copied,
-    when built on first read, once. A parsed model shares one Dga between
-    the objects with equal specs, so a Dga is read only.
+    copied and checked at construction; the law suite's integer index
+    (_integer_tables) is derived from the copy once. A function given as
+    products builds that index, and the tables are a view of it made on
+    first read. A parsed model shares one Dga between the objects with
+    equal specs, so a Dga is read only.
     """
 
     def __init__(self, complex_: Complex, products, unit):
         self.complex = complex_
-        self._tables = products
-        if not callable(products):
-            self.products
+        if callable(products):
+            self._build = products
+        else:
+            self.products = {
+                key: {pair: dict(vec) for pair, vec in table.items() if vec}
+                for key, table in products.items()
+            }
+            _check_exact(chain.from_iterable(
+                vec.values() for table in self.products.values()
+                for vec in table.values()), "product entry")
+            self._build = partial(_integer_tables, self.products)
         self.unit = dict(unit)
         _check_exact(self.unit.values(), "unit entry")
 
     @cached_property
+    def _index(self):
+        return self._build()
+
+    @cached_property
     def products(self) -> dict:
-        if callable(self._tables):
-            products = self._tables()
-        else:
-            products = {
-                key: {pair: dict(vec) for pair, vec in table.items() if vec}
-                for key, table in self._tables.items()
-            }
-        _check_exact(chain.from_iterable(
-            vec.values() for table in products.values()
-            for vec in table.values()), "product entry")
-        del self._tables
+        # only a built Dga gets here: a ready one set its copy in __init__
+        scale, by_left, _ = self._index
+        products = {}
+        for key, left in by_left.items():
+            table = products[key] = {}
+            for i, entries in left.items():
+                for j, m, c in entries:
+                    table.setdefault((i, j), {})[m] = _quotient(c, scale)
         return products
 
     def table(self, n1: int, n2: int) -> dict:
@@ -386,10 +398,8 @@ class Dga:
         """Where the unit laws, associativity and the Leibniz rule fail, as
         three lists in report order: (n, i, side) for a unit law on the given
         side of index i in degree n, (n1, n2, n3, i, j, k) for a triple and
-        (n1, n2, i, j) for a pair. The product tables are scaled to integers
-        once for all three, as flat entry lists."""
-        # built per call, not kept: a caller may still edit the products
-        scale, by_left, by_right = _integer_tables(self.products)
+        (n1, n2, i, j) for a pair. All three read the Dga's integer index."""
+        scale, by_left, by_right = self._index
         return (list(self._unit_failures(scale, by_left, by_right)),
                 list(self._associativity_failures(by_left, by_right)),
                 list(self._leibniz_failures(by_left, by_right)))
@@ -522,8 +532,8 @@ def holim_dgalg(diagram, max_degree: int) -> Dga:
     algebra at the target of its first arrow. The differential is the
     alternating sum of the faces. The product of two slots concatenates their
     tuples, transports the second factor along the composite of the first
-    factor's arrows and multiplies in the algebra there. Its tables are
-    built on first read, one transported product per composite arrow.
+    factor's arrows and multiplies in the algebra there. It is built as the
+    law suite's index on first read, one block per composite arrow.
     """
     cat = diagram.cat
     dims = {obj: diagram.algebra(obj).complex.dim(0) for obj in cat.objects}
@@ -552,8 +562,11 @@ def holim_dgalg(diagram, max_degree: int) -> Dga:
     return Dga(cx, partial(_cup_products, diagram, cx, anchors, dims), unit)
 
 
-def _cup_products(diagram, cx: Complex, anchors, dims) -> dict:
-    """The product tables of holim_dgalg's cochains, from its locals."""
+def _cup_products(diagram, cx: Complex, anchors, dims):
+    """holim_dgalg's cup product as Dga's integer index, from its locals:
+    slot (u1, k1) times slot (u2, k2), u2 anchored where u1 ends, is
+    e_k1 · A(c) e_k2 in the block of u1 u2, for c the key of u1. Each key's
+    block is transported and scaled once; each slot pair appends entries."""
     cat = diagram.cat
     # the slots (index, anchor, k) of each degree by the object of their
     # anchor, in index order: a slot multiplies only the slots anchored at
@@ -563,40 +576,56 @@ def _cup_products(diagram, cx: Complex, anchors, dims) -> dict:
         for u, (start, size) in index.items():
             slots[n].setdefault(_anchor_object(cat, u), []).extend(
                 (start + k, u, k) for k in range(size))
-    top = cx.max_degree
-    products = {(n1, n2): {} for n1 in range(top + 1)
-                for n2 in range(top + 1 - n1)}
-    # prods[k1][k2] by (0, object) or (1, composite arrow) of a first factor
-    transported = {}
+    # blocks[key][k1][k2] by (0, object) or (1, composite arrow)
+    firsts, blocks = [], {}
     for n1, nerve_n in anchors.items():
-        starts = cx.blocks[n1]
         for u1, obj in nerve_n:
+            if not dims[obj]:
+                continue  # an anchor with no slots multiplies nothing
             if n1:
                 tail, key = cat.source(u1[-1]), (1, cat.comp_chain(u1))
             else:
                 tail, key = u1, (0, u1)
-            prods = transported.get(key)
-            if prods is None:
-                moved = [diagram.matrix(key[1]).column(k2) if n1 else {k2: 1}
-                         for k2 in range(dims[tail])]
-                alg = diagram.algebra(obj)
-                prods = transported[key] = [
-                    [alg.mul(0, {k1: 1}, 0, vec) for vec in moved]
-                    for k1 in range(dims[obj])]
-            for n2 in range(top + 1 - n1):
-                table, out = products[(n1, n2)], cx.blocks[n1 + n2]
-                for k1, row in enumerate(prods):
-                    j1 = starts[u1][0] + k1
-                    for j2, u2, k2 in slots[n2].get(tail, ()):
-                        prod = row[k2]
-                        if prod:
-                            # a degree-0 anchor is an object, the unit of
-                            # concatenation
-                            u = u2 if not n1 else u1 if not n2 else u1 + u2
-                            start = out[u][0]
-                            table[(j1, j2)] = {
-                                start + k: v for k, v in prod.items()}
-    return products
+            firsts.append((n1, u1, tail, key))
+            if key not in blocks:
+                table = diagram.algebra(obj).table(0, 0)
+                cols = (diagram.matrix(key[1]).by_col if n1
+                        else {k: {k: 1} for k in range(dims[tail])})
+                block = blocks[key] = [[{} for _ in range(dims[tail])]
+                                       for _ in range(dims[obj])]
+                for k1, row in enumerate(block):
+                    for k2, vec in enumerate(row):
+                        for l, a in cols.get(k2, {}).items():
+                            if prod := table.get((k1, l)):
+                                _axpy(vec, a, prod)
+    values = [v for block in blocks.values() for row in block
+              for vec in row for v in vec.values()]
+    _check_exact(values, "product entry")
+    scale = lcm(*(v.denominator for v in values))
+    for block in blocks.values():
+        for row in block:
+            row[:] = [[(k, v.numerator * (scale // v.denominator))
+                       for k, v in vec.items()] for vec in row]
+    top = cx.max_degree
+    by_left = {(n1, n2): {} for n1 in range(top + 1)
+               for n2 in range(top + 1 - n1)}
+    by_right = {key: {} for key in by_left}
+    for n1, u1, tail, key in firsts:
+        for n2 in range(top + 1 - n1):
+            right, out = by_right[(n1, n2)], cx.blocks[n1 + n2]
+            # (j2, k2, start of u1 u2) for each second factor; a degree-0
+            # anchor is an object, the unit of concatenation
+            seconds = [(j2, k2, out[u2 if not n1 else u1 if not n2
+                                    else u1 + u2][0])
+                       for j2, u2, k2 in slots[n2].get(tail, ())]
+            for j1, row in enumerate(blocks[key], cx.blocks[n1][u1][0]):
+                entries = [(j2, start + k, c) for j2, k2, start in seconds
+                           for k, c in row[k2]]
+                if entries:
+                    by_left[(n1, n2)][j1] = entries
+                    for j2, m, c in entries:
+                        right.setdefault(j2, []).append((j1, m, c))
+    return scale, by_left, by_right
 
 
 @dataclass

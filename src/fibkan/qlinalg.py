@@ -129,9 +129,6 @@ class QMatrix:
                 self.rows, list(self.by_col.values()))
         return self._column_space
 
-    def column(self, j: int) -> dict:
-        return dict(self.by_col.get(j, ()))
-
     def is_zero(self) -> bool:
         return not self.by_row
 
@@ -275,9 +272,13 @@ def _echelon(rows, columns):
     for c, row in reversed(found):
         for k in [k for k in row if k != c and k in pivot_rows]:
             _step(row, pivot_rows[k], k)
-    return ([{k: v // p if v % p == 0 else Fraction(v, p)
-              for p in (row[c],) for k, v in row.items()}
+    return ([{k: _quotient(v, row[c]) for k, v in row.items()}
              for c, row in found], [c for c, _ in found])
+
+
+def _quotient(n: int, d: int):
+    """n / d for ints n and d, an int where d divides n, else a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 def rank(m: QMatrix) -> int:

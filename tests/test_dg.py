@@ -26,7 +26,7 @@ from fibkan.dg import (
 )
 from fibkan.finalg import QftFunctor
 from fibkan.fincat import flabbiness_report
-from fibkan.fixtures import load_bundled
+from fibkan.fixtures import fixture_names, load_bundled
 from fibkan.hokan import HoKan, check_square_homotopy
 from fibkan.kan import fiber_diagram
 from fibkan.models import model_from_dict
@@ -211,25 +211,35 @@ def test_dga_refuses_floats_and_bools(value):
 
 
 @pytest.mark.parametrize("value", [0.5, 2.0, True])
-def test_built_tables_are_checked_when_built(value):
-    # tables given by a builder are built on the first read, once, and
-    # copied and checked as ready tables are at construction
-    m = model_from_dict(load_bundled("fix-a"))
-    alg = m.A.algebra("x")
+def test_built_tables_are_checked_when_built(value, monkeypatch):
+    # holim_dgalg's builder makes the integer index on the first law check,
+    # once, and the tables are a view of it, made on their first read; an
+    # inexact product in the diagram's algebra raises when the index is
+    # built (a Dga is read only: the test edits a fresh algebra to reach it)
     calls = []
-
-    def tables():
-        calls.append(1)
-        return alg.products
-
-    dga = Dga(alg.complex, tables, alg.unit)
+    build = dg._cup_products
+    monkeypatch.setattr(dg, "_cup_products",
+                        lambda *args: calls.append(1) or build(*args))
+    diagram = z2_diagram()
+    dga = holim_dgalg(diagram, 2)
     assert calls == []
-    assert dga.products == alg.products and dga.products is dga.products
-    assert calls == [1]
-    products = {(0, 0): {**alg.products[(0, 0)], (1, 2): {0: value}}}
-    dga = Dga(alg.complex, lambda: products, alg.unit)
+    assert dga.law_failures() == dga.law_failures() == ([], [], [])
+    assert calls == [1] and "products" not in vars(dga)
+    assert dga.products is dga.products and calls == [1]
+    diagram.algebra("x").products[(0, 0)][(1, 2)] = {0: value}
+    dga = holim_dgalg(diagram, 2)
     with pytest.raises(TypeError):
-        dga.products
+        dga.law_failures()
+
+
+def nudged_copy(dga, key, pair, m):
+    """A ready-table copy of dga, Dga(cx, tables, unit), with entry m of
+    the product at basis pair `pair` of degrees `key` raised by 1."""
+    products = {k: {p: dict(vec) for p, vec in table.items()}
+                for k, table in dga.products.items()}
+    vec = products[key].setdefault(pair, {})
+    vec[m] = vec.get(m, 0) + 1
+    return Dga(dga.complex, products, dga.unit)
 
 
 def unit_table(dim):
@@ -281,11 +291,10 @@ def test_dga_violations_catch_broken_associativity():
 
 
 def test_dga_violations_of_a_perturbed_cochain_algebra():
-    # bump one coefficient of a product of degrees (0, 1) in the Z2 cochain
-    # algebra: the unit, associativity and Leibniz checks all see it, and
+    # bump one coefficient of a product of degrees (0, 1) in a ready copy of
+    # the Z2 cochain algebra: the unit, associativity and Leibniz checks all see it, and
     # the list is pinned in content and order
-    holim = holim_dgalg(z2_diagram(), 2)
-    holim.products[(0, 1)][(0, 1)][1] += 1
+    holim = nudged_copy(holim_dgalg(z2_diagram(), 2), (0, 1), (0, 1), 1)
     assoc = {(0, 0, 1): ("(0,0,1)", "(0,1,3)", "(1,2,1)", "(2,0,1)"),
              (0, 1, 0): ("(0,0,1)", "(0,1,2)"),
              (0, 1, 1): ("(0,1,2)", "(0,1,3)"),
@@ -434,8 +443,8 @@ def test_tensor_map_koszul_sign():
     # (h ox id)(c ox c) has no sign; (id ox h)(c ox c) gains (-1)^{|c|}
     pos = slot_index(t)
     col = pos[2][((1, 0), 0)]  # c ox c
-    lcol = left.matrix(2).column(col)
-    rcol = right.matrix(2).column(col)
+    lcol = left.matrix(2).by_col.get(col, {})
+    rcol = right.matrix(2).by_col.get(col, {})
     assert lcol == {pos[1][((0, 0), 0)]: rat(1)}  # a ox c
     assert rcol == {pos[1][((1, 0), 0)]: rat(-1)}  # -(c ox a)
 
@@ -465,10 +474,10 @@ def oracle_tensor_d(left, right, max_degree):
         data = {}
         for col, ((p1, i), j) in enumerate(labels[p]):
             p2 = p - p1
-            for k, v in left.d(p1).column(i).items():
+            for k, v in left.d(p1).by_col.get(i, {}).items():
                 data[(pos[p + 1][((p1 + 1, k), j)], col)] = v
             s = 1 if p1 % 2 == 0 else -1
-            for k, v in right.d(p2).column(j).items():
+            for k, v in right.d(p2).by_col.get(j, {}).items():
                 key = (pos[p + 1][((p1, i), k)], col)
                 data[key] = data.get(key, 0) + s * v
         differentials[p] = QMatrix(len(labels[p + 1]), len(labels[p]), data)
@@ -1221,13 +1230,65 @@ def test_law_failures_match_the_nested_oracle_on_a_perturbed_horan():
     dga = hk.horan_object("M0").dga
     assert hk.max_degree == 3
     assert dga.law_failures() == nested_law_failures(dga) == ([], [], [])
-    # one entry of one degree-(1, 1) product changed
+    # one entry of one degree-(1, 1) product changed, in a ready copy
     pair, vec = sorted(dga.products[(1, 1)].items())[0]
-    m = min(vec)
-    vec[m] += 1
-    got = dga.law_failures()
-    assert got == nested_law_failures(dga)
+    nudged = nudged_copy(dga, (1, 1), pair, min(vec))
+    got = nudged.law_failures()
+    assert got == nested_law_failures(nudged)
     assert got[1] and got[2]
+
+
+def models_at_degree_3():
+    yield from fixture_names()
+    yield from ("chain(2,Z2)", "chain(2,Z3)")
+
+
+@pytest.mark.parametrize("name", models_at_degree_3())
+def test_built_index_matches_the_ready_tables_and_the_nested_oracle(name):
+    # every hou and horan algebra at degree 3, under both seed orders: the
+    # index that holim_dgalg's builder gives, the one a ready copy of its
+    # table view derives and the nested oracle find the same failures
+    if name.startswith("chain"):
+        m = model_from_dict(CHAIN.chain_dict(int(name[6]), name[8:10]))
+    else:
+        m = model_from_dict(load_bundled(name))
+    for order in ("normal", "reversed"):
+        hk = HoKan(m.fibered(order), m.loc, m.A, 3)
+        for M in sorted(m.loc.base.objects):
+            for dga in (hk.hou_object(M).dga, hk.horan_object(M).dga):
+                got = dga.law_failures()
+                ready = Dga(dga.complex, dga.products, dga.unit)
+                assert ready.law_failures() == nested_law_failures(dga) \
+                    == got
+
+
+def rational_diagram():
+    """The conjugation diagram in the basis f_i = s_i e_i, s = (1, 2, 1/3,
+    -3/2): its structure constants and its matrix have fractions."""
+    diagram = conjugation_diagram()
+    s = [1, 2, Fraction(1, 3), Fraction(-3, 2)]
+    alg = rescaled(diagram.algebra("x"), lambda n, i: s[i])
+    g = diagram.matrix("g")
+    return QftFunctor(diagram.cat, {"x": alg}, {
+        "id_x": QMatrix.identity(4),
+        "g": QMatrix(4, 4, {(r, c): Fraction(v * s[c]) / s[r]
+                            for (r, c), v in g.data.items()})})
+
+
+def test_a_rational_diagram_is_scaled_by_the_builder():
+    diagram = rational_diagram()
+    assert diagram.violations() == []
+    dga = holim_dgalg(diagram, 3)
+    got = dga.law_failures()
+    assert got == ([], [], []) and dga._index[0] > 1
+    ready = Dga(dga.complex, dga.products, dga.unit)
+    assert ready.law_failures() == nested_law_failures(dga) == got
+    # a one-entry nudge of the ready copy is caught by its index and by
+    # the nested oracle alike
+    pair, vec = sorted(dga.products[(0, 1)].items())[0]
+    nudged = nudged_copy(dga, (0, 1), pair, min(vec))
+    got = nudged.law_failures()
+    assert got == nested_law_failures(nudged) and got != ([], [], [])
 
 
 def test_a_zero_unit_entry_and_a_cancelling_unit_sum():

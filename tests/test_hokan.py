@@ -10,7 +10,6 @@ from test_source import load_bench_module
 
 from fibkan import cli, dg, qlinalg
 from fibkan.dg import (
-    Dga,
     GradedLinearMap,
     check_homotopy_identity,
     cohomology_dim,
@@ -144,14 +143,10 @@ def test_cohomology_after_the_kappa_check_runs_no_elimination(monkeypatch):
 
 def test_product_tables_are_built_on_first_read_and_once(monkeypatch):
     # cohomology, the kappa weak equivalence and the homotopy identities
-    # read only the cochain complexes, so no product is computed for them;
-    # the structure suite builds each table once, and the table is kept
-    products, builds = [], []
-    mul, build = Dga.mul, dg._cup_products
-
-    def counted_mul(self, *args):
-        products.append(args)
-        return mul(self, *args)
+    # read only the cochain complexes, so no cup product is built for them;
+    # the structure suite builds each algebra's index once, and keeps it
+    builds = []
+    build = dg._cup_products
 
     def counted_build(*args):
         builds.append(args)
@@ -159,9 +154,7 @@ def test_product_tables_are_built_on_first_read_and_once(monkeypatch):
 
     m, hk = context("fix-e", max_degree=3)
     base = m.loc.base
-    # the limit algebras of the oracle multiply, so they are built first
     invariants = {M: u_object(hk.fm, m.A, M).dim for M in base.objects}
-    monkeypatch.setattr(Dga, "mul", counted_mul)
     monkeypatch.setattr(dg, "_cup_products", counted_build)
     arrows = sorted(f for f in base.morphisms if not base.is_identity(f))
     dgas = {}
@@ -196,14 +189,41 @@ def test_product_tables_are_built_on_first_read_and_once(monkeypatch):
         assert check_homotopy_identity(
             hk.hou_morphism(f).after(hk.ext_pullback(f)), target,
             hk.phibar_homotopy(f), 2) == []
-    assert pairs and products == [] and builds == []
+    assert pairs and builds == []
     for dga in dgas.values():
         assert dga.violations() == []
-    assert products and len(builds) == len(dgas) == 8
+    assert len(builds) == len(dgas) == 8
     for dga in dgas.values():
         assert dga.products is dga.products
         assert dga.violations() == []
     assert len(builds) == len(dgas)
+
+
+def test_only_the_cospan_tensors_build_a_product_view(monkeypatch, capsys):
+    # the law suite reads each cochain algebra's integer index, and only mu
+    # and muop of a causal cospan read tables, those of the fiber algebra
+    # at its apex: fix-e declares no cospan, so hokan builds no table view
+    made = []
+
+    class Recorded(HoKan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "HoKan", Recorded)
+    for name, apexes in (("fix-e", set()), ("fix-b", {"M"})):
+        del made[:]
+        assert cli.run(["hokan", "--fixture", name, "--max-degree", "3"]) == 0
+        capsys.readouterr()
+        (hk,) = made
+        base = hk.loc.base
+        assert {base.target(f1) for f1, _ in hk.loc.causal_cospans} == apexes
+        dgas = {(kind, M): getattr(hk, f"{kind}_object")(M).dga
+                for M in base.objects for kind in ("hou", "horan")}
+        viewed = {key for key, dga in dgas.items() if "products" in vars(dga)}
+        assert viewed == {("hou", M) for M in apexes}
+        for key in viewed:
+            assert dgas[key].products is dgas[key].products
 
 
 def test_kappa_zeta_identity():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -313,26 +314,40 @@ def assert_echelon_is_the_oracles(cols, rows):
 def cochain_rows(draw):
     """Tall, rank-deficient sparse rows, shaped like a cochain differential's:
     up to 30 rows over at most 10 columns, mostly +-1 and +-2 with some wide
-    rationals, and rows repeated, negated and summed from earlier ones."""
+    rationals, and rows repeated, negated and summed from earlier ones.
+
+    Few draws make an example: one integer per row gives its 1 to 4 entries,
+    a byte each (column, a wide rational one time in four, else the small
+    value); one per derived row gives how it is made and from which rows;
+    one ranks the permutation of all the rows."""
     cols = draw(st.integers(1, 10))
-    small = st.sampled_from([1, -1, 2, -2])
-    entry = st.one_of(small, small, small, wide_rationals.filter(bool))
-    rows = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry,
-                                         min_size=1, max_size=4),
-                         min_size=1, max_size=12))
-    picks = st.tuples(st.sampled_from(["repeat", "negate", "sum"]),
-                      st.integers(0, len(rows) - 1),
-                      st.integers(0, len(rows) - 1))
-    for how, i, j in draw(st.lists(picks, max_size=18)):
-        if how == "repeat":
+    wide = wide_rationals.filter(bool)
+    rows = []
+    for code in draw(st.lists(st.integers(0, 2**34 - 1), min_size=1,
+                              max_size=12)):
+        row = {}
+        for e in range(1 + (code & 3)):
+            byte = code >> (2 + 8 * e) & 255
+            row[(byte & 15) % cols] = (draw(wide) if byte >> 4 & 3 == 3
+                                       else (1, -1, 2, -2)[byte >> 6])
+        rows.append(row)
+    n = len(rows)
+    for code in draw(st.lists(st.integers(0, 3 * n * n - 1), max_size=18)):
+        how, i, j = code % 3, code // 3 % n, code // (3 * n)
+        if how == 0:
             rows.append(dict(rows[i]))
-        elif how == "negate":
+        elif how == 1:
             rows.append({k: -v for k, v in rows[i].items()})
         else:
             total = {k: rows[i].get(k, 0) + rows[j].get(k, 0)
                      for k in (*rows[i], *rows[j])}
             rows.append({k: v for k, v in total.items() if v})
-    return cols, draw(st.permutations(rows))
+    rank = draw(st.integers(0, factorial(len(rows)) - 1))
+    permuted = []
+    while rows:
+        rank, k = divmod(rank, len(rows))
+        permuted.append(rows.pop(k))
+    return cols, permuted
 
 
 @settings(max_examples=100, deadline=None)
@@ -414,7 +429,7 @@ def assert_indices_match(m):
     """Column, row and product views agree with the dense entries."""
     rows = dense(m)
     for j in range(m.cols):
-        assert m.column(j) == {i: rows[i][j] for i in range(m.rows)
+        assert m.by_col.get(j, {}) == {i: rows[i][j] for i in range(m.rows)
                                if rows[i][j]}
     for i in range(m.rows):
         assert m.by_row.get(i, {}) == {j: v for j, v in enumerate(rows[i])
@@ -423,7 +438,7 @@ def assert_indices_match(m):
         # a unit vector picks out column j
         assert m.apply_sparse({j: F(1)}) == {i: row[j] for i, row
                                              in enumerate(rows) if row[j]}
-        assert m.apply_sparse({j: F(1)}) == m.column(j)
+        assert m.apply_sparse({j: F(1)}) == m.by_col.get(j, {})
 
 
 @settings(max_examples=80, deadline=None)
@@ -506,15 +521,3 @@ def test_echelon_reads_integral_fractions_as_ints():
         reduced, pivots = qlinalg._echelon([row, {1: F(3)}], range(3))
         assert reduced == [{0: 1, 2: -2}, {1: 1}] and pivots == [0, 1]
         assert {type(v) for r in reduced for v in r.values()} == {int}
-
-
-def test_column_is_a_copy():
-    m = QMatrix.from_rows([[1, 0], [2, 3]])
-    col = m.column(0)
-    col[0] = F(7)
-    col[5] = F(1)
-    m.column(1).clear()
-    assert m.column(0) == {0: F(1), 1: F(2)}
-    assert m.column(1) == {1: F(3)}
-    assert m.apply_sparse({0: F(1), 1: F(1)}) == {0: F(1), 1: F(5)}
-    assert m * QMatrix.identity(2) == m
