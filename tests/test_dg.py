@@ -1291,6 +1291,18 @@ def test_a_rational_diagram_is_scaled_by_the_builder():
     assert got == nested_law_failures(nudged) and got != ([], [], [])
 
 
+def test_the_zero_algebra_has_an_empty_cup_product():
+    # an anchor at an object whose algebra is zero has no slots and
+    # multiplies nothing
+    m = model_from_dict(load_bundled("fix-a"))
+    zero = Dga(Complex(0, {0: ()}, {}), {}, {})
+    dga = holim_dgalg(QftFunctor(m.strcat, {"x": zero}, {
+        "id_x": QMatrix.identity(0), "g": QMatrix.zero(0, 0)}), 2)
+    assert [dga.complex.dim(n) for n in range(3)] == [0, 0, 0]
+    assert dga.violations() == []
+    assert dga.products == {key: {} for key in dga.products} != {}
+
+
 def test_a_zero_unit_entry_and_a_cancelling_unit_sum():
     # e0 is the unit of e0 e0 = e0, e0 e1 = e1 e0 = e1 e1 = e1; the unit
     # e0 - e1 cancels on e1, and a sum that cancels drops its entry, as

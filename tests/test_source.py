@@ -44,8 +44,9 @@ def inexact_or_foreign(source, name):
     """Float constants, float() calls, true division (which turns two ints
     into a float), imports from outside the standard library, and outside
     qlinalg.py any mention of Fraction, in a module's source: an integral
-    scalar is an int, and only qlinalg.rat and qlinalg._echelon make the
-    Fractions that a non-integral one needs."""
+    scalar is an int, and only qlinalg.rat and qlinalg._quotient (behind
+    _echelon and a built Dga's tables) make the Fractions that a
+    non-integral one needs."""
     found = []
     for node in ast.walk(ast.parse(source)):
         where = f"{name}:{getattr(node, 'lineno', 0)}"
