@@ -178,9 +178,13 @@ def checks_hokan(model: Model, order: str, max_degree: int):
     out.append(_per_key("gamma3-coherence", "triples", triples, gamma3_check))
 
     cauchy = sorted(f for f in model.loc.cauchy if not base.is_identity(f))
-    if strong_ce or not cauchy:
-        reason = ("model is not strongly Cauchy flabby" if strong_ce
-                  else "no non-identity Cauchy morphisms")
+    # the extension inverts the algebra maps over the Cauchy morphisms
+    reason = ("model is not strongly Cauchy flabby" if strong_ce
+              else "no non-identity Cauchy morphisms" if not cauchy
+              else "input functor violates time-slice"
+              if axiom_report(fm, model.loc, model.A).timeslice_violations
+              else None)
+    if reason:
         out.extend(_finding(name, BLOCKED, reason=reason)
                    for name in ("ext-phi-homotopy", "ext-phibar-homotopy"))
     else:

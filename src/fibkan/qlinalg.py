@@ -9,9 +9,12 @@ Fraction otherwise, so a whole-number model runs in int arithmetic. A
 subspace is its canonical basis, the reduced row echelon rows as sparse
 vectors with their pivot columns. ``_echelon``, the one elimination behind
 rank, kernel, span and inverse, runs on integers (an int row enters as it
-is): a forward pass over the rows not yet pivots, one back-substitution over
-the pivot rows, a row's content divided out only after a step that scaled
-it and only the result divided, so it is exact with no modulus or fallback.
+is): a forward pass over the rows not yet pivots, where a pivot of 1 or -1
+clears its column inline with no scaling, one back-substitution over the
+pivot rows, a row's content divided out only after a step that scaled it
+and only the result divided, so it is exact with no modulus or fallback.
+Which of the sparsest rows a column takes as pivot does not change the
+result.
 """
 
 from __future__ import annotations
@@ -63,14 +66,15 @@ class QMatrix:
     """A rows x cols matrix of ints and Fractions as its nonzero rows: by_row,
     {i: {j: value}}, has no zero entry and no empty row, so equal matrices
     have equal rows, and data, {(i, j): value}, is a view built on each read.
-    Never changed, it keeps its column index, kernel and column space."""
+    Never changed, it keeps its column index, kernel, column space and
+    inverse (False when singular)."""
 
     __slots__ = ("rows", "cols", "by_row", "_by_col", "_kernel",
-                 "_column_space")
+                 "_column_space", "_inverse")
 
     def __init__(self, rows: int, cols: int, data=None):
         self.rows, self.cols = rows, cols
-        self._by_col = self._kernel = self._column_space = None
+        self._by_col = self._kernel = self._column_space = self._inverse = None
         self.by_row = by_row = {}
         for (i, j), v in (data or {}).items():
             if v:
@@ -84,7 +88,7 @@ class QMatrix:
         """The matrix of by_row, fresh rows of exact nonzero entries in range."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.by_row = rows, cols, by_row
-        m._by_col = m._kernel = m._column_space = None
+        m._by_col = m._kernel = m._column_space = m._inverse = None
         return m
 
     @classmethod
@@ -231,14 +235,18 @@ def _echelon(rows, columns):
     span and the column order alone.
 
     Exact on integers (fraction-free, Bareiss, Math. Comp. 22, 1968): rows are
-    scaled to integers once and reduced by _step in two passes. The forward
-    pass takes at each column the shortest live row meeting it (Markowitz,
-    1957), drops it from the live rows and the column -> rows index, and
-    clears the column from the live rows that meet it. The back pass takes
-    the pivot rows last first and clears from each the later pivot columns it
-    meets with their rows, already reduced. A step whose pivot divides the
-    entry multiplies nothing; only a step that scaled the row divides out its
-    content. Last, each row is divided by its pivot (an int where it divides).
+    scaled to integers once and reduced in two passes. The forward pass
+    takes at each column the shortest live row meeting it (Markowitz, 1957;
+    among rows of one length the first by position, though any gives the
+    same result), drops it from the live rows and the column -> rows index,
+    and clears the column from the live rows that meet it: inline, with no
+    scaling, when the pivot is 1 or -1 (row - a*p*pivot_row, the row _step
+    gives there), else by _step. The back pass takes the pivot rows last
+    first and clears from each, by _step, the later pivot columns it meets
+    with their rows, already reduced. A step whose pivot divides the entry
+    multiplies nothing; only a step that scaled the row divides out its
+    content. Last, each row is divided by its pivot (an int where it
+    divides); a row whose pivot is 1 is returned as it is.
     """
     live = {}
     index = defaultdict(set)
@@ -256,15 +264,35 @@ def _echelon(rows, columns):
         meet = index.get(c)
         if not meet:
             continue
-        pid = min(meet, key=lambda rid: len(live[rid]))
+        pid = min((len(live[rid]), rid) for rid in meet)[1]
         prow = live.pop(pid)
         for k in prow:
             index[k].discard(pid)
         index[c] = set()  # detach meet: the steps clear c from its rows
-        for rid in meet:
-            _step(live[rid], prow, c, index, rid)
-            if not live[rid]:
-                del live[rid]
+        p = prow[c]
+        if p == 1 or p == -1:
+            # _step with g = p, s = 1 and t = a*p, entry by entry
+            rest = [(k, v, index[k]) for k, v in prow.items() if k != c]
+            for rid in meet:
+                row = live[rid]
+                t = row.pop(c) * p
+                for k, v, rids in rest:
+                    w = row.get(k)
+                    if w is None:
+                        row[k] = -t * v
+                        rids.add(rid)
+                    elif w := w - t * v:
+                        row[k] = w
+                    else:
+                        del row[k]
+                        rids.discard(rid)
+                if not row:
+                    del live[rid]
+        else:
+            for rid in meet:
+                _step(live[rid], prow, c, index, rid)
+                if not live[rid]:
+                    del live[rid]
         found.append((c, prow))
         if not live:
             break
@@ -272,7 +300,8 @@ def _echelon(rows, columns):
     for c, row in reversed(found):
         for k in [k for k in row if k != c and k in pivot_rows]:
             _step(row, pivot_rows[k], k)
-    return ([{k: _quotient(v, row[c]) for k, v in row.items()}
+    return ([row if row[c] == 1 else
+             {k: _quotient(v, row[c]) for k, v in row.items()}
              for c, row in found], [c for c, _ in found])
 
 
@@ -361,14 +390,14 @@ def kernel_basis(m: QMatrix) -> Subspace:
 
 
 def invert(m: QMatrix):
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular; kept on m."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    rows = [{**m.by_row.get(i, {}), n + i: 1} for i in range(n)]
-    reduced, pivots = _echelon(rows, range(2 * n))
-    if pivots[:n] != list(range(n)):
-        return None
-    return QMatrix._of_rows(n, n, {
-        i: {j - n: v for j, v in row.items() if j >= n}
-        for i, row in enumerate(reduced)})
+    if m._inverse is None:
+        n = m.rows
+        rows = [{**m.by_row.get(i, {}), n + i: 1} for i in range(n)]
+        reduced, pivots = _echelon(rows, range(2 * n))
+        m._inverse = pivots[:n] == list(range(n)) and QMatrix._of_rows(
+            n, n, {i: {j - n: v for j, v in row.items() if j >= n}
+                   for i, row in enumerate(reduced)})
+    return m._inverse or None

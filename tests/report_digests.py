@@ -1,11 +1,13 @@
 """Print one ``sha256 exit counts argv`` line per run of the report suite.
 
-The suite is 392 in-process ``cli.run`` runs: the six commands on the six
+The suite is 408 in-process ``cli.run`` runs: the six commands on the six
 bundled fixtures and on chain(3,Z2) and chain(2,S3) model files, under both
 seed orders, in json and md, at degrees 2 and 3, with ``hokan`` and
 ``verify`` left out on chain(2,S3) at degree 3 (376 runs); then ``verify``
 on fix-a with a base object that has an empty fiber, without and with an
-arrow into it, in the same orders, formats and degrees (16 runs). counts
+arrow into it, in the same orders, formats and degrees (16 runs); then
+``hokan`` and ``verify`` on a model whose map over its Cauchy arrow is not
+invertible, in the same orders, formats and degrees (16 runs). counts
 gives the number of checks of each status in the report, as
 ``pass:N,fail:N,violation:N,blocked:N``, or ``-`` for a report of model
 errors, so that a diff names the findings that moved.
@@ -39,11 +41,12 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from fibkan import cli  # noqa: E402
 from fibkan.fixtures import fixture_names  # noqa: E402
-from test_cli import empty_fiber_model  # noqa: E402
+from test_cli import empty_fiber_model, timeslice_failure_model  # noqa: E402
 
 COMMANDS = ("validate", "axioms", "classify", "kan", "hokan", "verify")
 CHAINS = {"chain3_z2.json": (3, "Z2"), "chain2_s3.json": (2, "S3")}
 EMPTY_FIBERS = {"empty_fiber.json": False, "arrow_into_empty_fiber.json": True}
+TIMESLICE_FAILURE = "timeslice_failure.json"
 
 
 def chain_dict(n, group):
@@ -71,6 +74,12 @@ def suite():
             for fmt in ("json", "md"):
                 for degree in (2, 3):
                     yield ["verify", name, "--seed-order", order,
+                           "--format", fmt, "--max-degree", str(degree)]
+    for command in ("hokan", "verify"):
+        for order in ("normal", "reversed"):
+            for fmt in ("json", "md"):
+                for degree in (2, 3):
+                    yield [command, TIMESLICE_FAILURE, "--seed-order", order,
                            "--format", fmt, "--max-degree", str(degree)]
 
 
@@ -103,6 +112,8 @@ def lines():
             for name, arrow in EMPTY_FIBERS.items():
                 pathlib.Path(name).write_text(
                     json.dumps(empty_fiber_model(arrow)))
+            pathlib.Path(TIMESLICE_FAILURE).write_text(
+                json.dumps(timeslice_failure_model()))
             for argv in suite():
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):

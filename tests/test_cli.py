@@ -112,6 +112,37 @@ def doubly_closed_arrow():
     }
 
 
+def timeslice_failure_model():
+    """Str equal to the base N -> Np, with f Cauchy, and Q^2 (two orthogonal
+    idempotents) at both objects, mapped along f by e0 -> 1, e1 -> 0: a
+    valid, strongly Cauchy flabby model whose map over the Cauchy arrow f is
+    not invertible, so it breaks time-slice."""
+    def cat(objects, arrows):
+        ids = {o: f"id_{o}" for o in objects}
+        return {"objects": objects,
+                "morphisms": [{"name": g, "source": s, "target": t} for g, s, t
+                              in arrows + [(i, o, o) for o, i in ids.items()]],
+                "identity": ids,
+                "compose": [[ids[t], g, g] for g, _, t in arrows]
+                + [[g, ids[s], g] for g, s, _ in arrows]
+                + [[i, i, i] for i in ids.values()]}
+    base = cat(["N", "Np"], [("f", "N", "Np")])
+    q2 = {"dim": 2, "unit": ["1", "1"],
+          "structure_constants": [[["1", "0"], ["0", "0"]],
+                                  [["0", "0"], ["0", "1"]]]}
+    return {
+        "format": 1,
+        "loc": {**base, "causal_cospans": [], "cauchy": ["f", "id_N", "id_Np"]},
+        "str": base,
+        "projection": {"objects": {"N": "N", "Np": "Np"},
+                       "morphisms": {g: g for g in ("f", "id_N", "id_Np")}},
+        "algebras": {"N": q2, "Np": q2},
+        "algebra_maps": {"f": [["1", "0"], ["1", "0"]],
+                         "id_N": [["1", "0"], ["0", "1"]],
+                         "id_Np": [["1", "0"], ["0", "1"]]},
+    }
+
+
 @pytest.mark.parametrize("data, counterexamples", [
     (cauchy_f_fix_c(), {"flabby": ["T", "f"], "cauchy-flabby": ["T", "f"],
                         "strongly-cauchy-flabby": ["T", "f"]}),
@@ -141,6 +172,31 @@ def test_cauchy_flabbiness_failures_block_the_extension(
     with pytest.raises(FiberedModelError,
                        match="model is not strongly Cauchy flabby"):
         extension_data(m.fibered(), m.loc, "f")
+
+
+@pytest.mark.parametrize("order", ["normal", "reversed"])
+def test_a_timeslice_failure_blocks_the_extension(capsys, tmp_path, order):
+    # the model is strongly Cauchy flabby, but the extension would invert
+    # A(f), which is not invertible: the phi and phibar checks are blocked
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(timeslice_failure_model()))
+    assert run(capsys, "validate", str(path))[0] == 0
+    code, out = run(capsys, "classify", str(path), "--seed-order", order)
+    assert code == 0
+    assert set(statuses(out).values()) == {"pass"}
+    code, out = run(capsys, "axioms", str(path), "--seed-order", order)
+    assert statuses(out)["qft-timeslice"] == "violation"
+    expect = ["--expect", "qft-isotony", "qft-timeslice", "kan-isotony",
+              "kan-timeslice"]
+    for command in ("hokan", "verify"):
+        code, out = run(capsys, command, str(path), "--seed-order", order,
+                        "--max-degree", "2", *expect)
+        assert code == 0, command
+        byname = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("ext-phi-homotopy", "ext-phibar-homotopy"):
+            assert byname[name] == {
+                "name": name, "status": "blocked",
+                "details": {"reason": "input functor violates time-slice"}}
 
 
 def test_kan_reports_induced_axioms(capsys):

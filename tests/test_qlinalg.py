@@ -138,11 +138,23 @@ def test_kernel_is_read_off_from_the_right():
     assert ker.pivots == (0, 1)
 
 
-def test_kernel_and_column_space_are_built_once():
+def test_kernel_and_column_space_are_built_once(monkeypatch):
     m = QMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
     assert kernel_basis(m) is kernel_basis(m)
     assert m.column_space is m.column_space
     assert m.column_space == Subspace.from_vectors(2, [{0: F(1), 1: F(2)}])
+    # so is the inverse, a singular result included
+    a = QMatrix.from_rows([[1, 2], [3, 4]])
+    singular = QMatrix.from_rows([[1, 2], [2, 4]])
+    inverse = invert(a)
+    assert inverse * a == QMatrix.identity(2)
+    assert invert(singular) is None
+    eliminations, echelon = [], qlinalg._echelon
+    monkeypatch.setattr(qlinalg, "_echelon", lambda *args: (
+        eliminations.append(args) or echelon(*args)))
+    assert invert(a) is inverse
+    assert invert(singular) is None
+    assert eliminations == []
 
 
 def test_subspace_coords():
@@ -373,15 +385,27 @@ def test_kernel_basis_leaves_the_matrix_unchanged(m):
     assert_kernel_leaves_the_matrix_unchanged(m)
 
 
-def test_echelon_and_kernel_on_a_cochain_differential():
+def test_echelon_and_kernel_on_a_cochain_differential(monkeypatch):
     # d2 of horan(M0) on chain(2,Z3) at degree 3, a kernel that the
     # weak-equivalence check eliminates
     m = model_from_dict(load_bench_module("chainmodel").chain_dict(2, "Z3"))
     d2 = HoKan(m.fibered(), m.loc, m.A, 3).horan_object("M0").dga.complex.d(2)
     assert (d2.rows, d2.cols) == (468, 180)
     assert set(d2.data.values()) == {1, -1}
+    # every forward pivot of these +-1 rows is a unit, cleared inline: the
+    # forward pass, the only caller that passes a column index, makes no step
+    forward_steps = []
+    step = qlinalg._step
+
+    def counted_step(row, prow, c, index=None, rid=None):
+        if index is not None:
+            forward_steps.append(c)
+        step(row, prow, c, index, rid)
+
+    monkeypatch.setattr(qlinalg, "_step", counted_step)
     _, pivots = assert_echelon_is_the_oracles(d2.cols,
                                               list(d2.by_row.values()))
+    assert forward_steps == []
     assert len(pivots) == 132
     assert_kernel_leaves_the_matrix_unchanged(d2)
     assert kernel_basis(d2).dim == 180 - 132
