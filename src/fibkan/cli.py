@@ -276,34 +276,31 @@ def _exit_code(checks, expect):
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it as it
-    is, and no run changes a default it returns (--expect's is a tuple)."""
+    """Built once per process. A run extends a copy of --expect's list
+    default, and parse_intermixed_args formats no usage line: one is given."""
     parser = argparse.ArgumentParser(
-        prog="fibkan",
+        prog="fibkan", usage="%(prog)s [-h] [options] command [model]",
         description="exact checks for algebra-valued functors on fibered "
                     "categories and their (homotopy) extensions to the base",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate", "axioms", "classify", "kan", "hokan", "verify"):
-        p = sub.add_parser(name)
-        p.add_argument("model", nargs="?", help="path to a model JSON file")
-        p.add_argument("--fixture", choices=fixture_names(),
-                       help="use a bundled example model")
-        p.add_argument("--max-degree", type=int, default=4,
-                       help="truncation degree, at least 1 (default: 4)")
-        p.add_argument("--format", choices=("json", "md"), default="json")
-        p.add_argument("--expect", nargs="*", default=(),
-                       metavar="CHECK",
-                       help="names of checks expected to report a violation")
-        p.add_argument("--seed-order", choices=("normal", "reversed"),
-                       default="normal",
-                       help="tie-break order for the chosen cartesian lifts")
+    parser.add_argument("command", choices=("validate", *COMMANDS))
+    parser.add_argument("model", nargs="?", help="path to a model JSON file")
+    parser.add_argument("--fixture", choices=fixture_names(),
+                        help="use a bundled example model")
+    parser.add_argument("--max-degree", type=int, default=4,
+                        help="truncation degree, at least 1 (default: 4)")
+    parser.add_argument("--format", choices=("json", "md"), default="json")
+    parser.add_argument("--expect", nargs="*", action="extend", default=[],
+                        metavar="CHECK",
+                        help="names of checks expected to report a violation")
+    parser.add_argument("--seed-order", choices=("normal", "reversed"),
+                        default="normal",
+                        help="tie-break order for the chosen cartesian lifts")
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_intermixed_args(argv)
     if bool(args.model) == bool(args.fixture):
         print("error: provide exactly one of a model path or --fixture",
               file=sys.stderr)

@@ -242,10 +242,10 @@ def _echelon(rows, columns):
     and clears the column from the live rows that meet it: inline, with no
     scaling, when the pivot is 1 or -1 (row - a*p*pivot_row, the row _step
     gives there), else by _step. The back pass takes the pivot rows last
-    first and clears from each, by _step, the later pivot columns it meets
-    with their rows, already reduced. A step whose pivot divides the entry
-    multiplies nothing; only a step that scaled the row divides out its
-    content. Last, each row is divided by its pivot (an int where it
+    first and clears from each the later pivot columns it meets with their
+    rows, already reduced, in the same two ways. A step whose pivot divides
+    the entry multiplies nothing; only a step that scaled the row divides
+    out its content. Last, each row is divided by its pivot (an int where it
     divides); a row whose pivot is 1 is returned as it is.
     """
     live = {}
@@ -299,7 +299,10 @@ def _echelon(rows, columns):
     pivot_rows = dict(found)
     for c, row in reversed(found):
         for k in [k for k in row if k != c and k in pivot_rows]:
-            _step(row, pivot_rows[k], k)
+            if (p := pivot_rows[k][k]) == 1 or p == -1:  # _step's row there
+                _axpy(row, -row[k] * p, pivot_rows[k])
+            else:
+                _step(row, pivot_rows[k], k)
     return ([row if row[c] == 1 else
              {k: _quotient(v, row[c]) for k, v in row.items()}
              for c, row in found], [c for c, _ in found])

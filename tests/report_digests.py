@@ -1,16 +1,19 @@
 """Print one ``sha256 exit counts argv`` line per run of the report suite.
 
-The suite is 408 in-process ``cli.run`` runs: the six commands on the six
+The suite is 416 in-process ``cli.run`` runs: the six commands on the six
 bundled fixtures and on chain(3,Z2) and chain(2,S3) model files, under both
 seed orders, in json and md, at degrees 2 and 3, with ``hokan`` and
 ``verify`` left out on chain(2,S3) at degree 3 (376 runs); then ``verify``
 on fix-a with a base object that has an empty fiber, without and with an
 arrow into it, in the same orders, formats and degrees (16 runs); then
 ``hokan`` and ``verify`` on a model whose map over its Cauchy arrow is not
-invertible, in the same orders, formats and degrees (16 runs). counts
-gives the number of checks of each status in the report, as
-``pass:N,fail:N,violation:N,blocked:N``, or ``-`` for a report of model
-errors, so that a diff names the findings that moved.
+invertible, in the same orders, formats and degrees (16 runs); then the six
+commands on fix-b with their options before the command, ``verify`` on
+chain(3,Z2) with its options between the command and the model file, and
+``verify`` on fix-bprime with its two expected names given to two
+``--expect`` flags (8 runs). counts gives the number of checks of each
+status in the report, as ``pass:N,fail:N,violation:N,blocked:N``, or ``-``
+for a report of model errors, so that a diff names the findings that moved.
 
 ``tests/report_digests.txt`` holds the suite's output, and
 ``tests/test_report_digests.py`` compares a fresh run with it. A change
@@ -81,6 +84,12 @@ def suite():
                 for degree in (2, 3):
                     yield [command, TIMESLICE_FAILURE, "--seed-order", order,
                            "--format", fmt, "--max-degree", str(degree)]
+    for command in COMMANDS:
+        yield ["--seed-order", "reversed", "--format", "md", "--max-degree",
+               "2", command, "--fixture", "fix-b"]
+    yield ["verify", "--max-degree", "2", "--format", "md", "chain3_z2.json"]
+    yield ["verify", "--fixture", "fix-bprime", "--max-degree", "2",
+           "--expect", "qft-causality", "--expect", "product-reversal-causality"]
 
 
 def status_counts(report):

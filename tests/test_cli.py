@@ -1,3 +1,4 @@
+import argparse
 import ast
 import collections
 import hashlib
@@ -197,6 +198,10 @@ def test_a_timeslice_failure_blocks_the_extension(capsys, tmp_path, order):
             assert byname[name] == {
                 "name": name, "status": "blocked",
                 "details": {"reason": "input functor violates time-slice"}}
+    # the expected names split over two --expect flags add up
+    assert run(capsys, "verify", str(path), "--seed-order", order,
+               "--max-degree", "2", *expect[:3], "--expect",
+               *expect[3:]) == (0, out)
 
 
 def test_kan_reports_induced_axioms(capsys):
@@ -602,13 +607,16 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
 
 def test_one_parser_serves_every_run_in_a_process(capsys, tmp_path):
     # the parser is built once per process: runs with and without --expect,
-    # and runs that exit 2, read in one process what fresh processes read
+    # with it repeated, and runs that exit 2, read in one process what fresh
+    # processes read
     unreadable = tmp_path / "empty.json"
     unreadable.write_text("{}")
     commands = (("classify", "--fixture", "fix-c", "--expect", "flabby"),
                 ("classify", "--fixture", "fix-c"),
                 ("validate", str(unreadable)),
                 ("kan", "--fixture", "fix-a", "--max-degree", "0"),
+                ("classify", "--fixture", "fix-c", "--expect", "flabby",
+                 "--expect", "qft-causality"),
                 ("classify", "--fixture", "fix-c"),
                 ("classify", "--fixture", "fix-c", "--expect", "flabby"))
     src = pathlib.Path(cli.__file__).resolve().parents[1]
@@ -620,7 +628,7 @@ def test_one_parser_serves_every_run_in_a_process(capsys, tmp_path):
     for proc in procs:
         out, _ = proc.communicate()
         fresh.append((proc.returncode, out))
-    assert [code for code, _ in fresh] == [0, 1, 2, 2, 1, 0]
+    assert [code for code, _ in fresh] == [0, 1, 2, 2, 0, 1, 0]
     assert cli.build_parser() is cli.build_parser()
     assert [run(capsys, *command) for command in commands] == fresh
 
@@ -819,6 +827,74 @@ def test_non_groupoid_model_exits_2(tmp_path, capsys, command, order):
     assert code == 2
     assert json.loads(out)["errors"] == [
         "$.projection: fiber morphism 'a' is not invertible in its fiber"]
+
+
+DEFAULT_SETTINGS = {"model": None, "fixture": None, "max_degree": 4,
+                    "format": "json", "expect": [], "seed_order": "normal"}
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    (["verify", "--fixture", "fix-a"], {"command": "verify", "fixture": "fix-a"}),
+    (["--fixture", "fix-c", "classify"],
+     {"command": "classify", "fixture": "fix-c"}),
+    (["kan", "m.json"], {"command": "kan", "model": "m.json"}),
+    (["hokan", "m.json", "--max-degree", "2", "--format", "md",
+      "--seed-order", "reversed", "--expect", "a", "b"],
+     {"command": "hokan", "model": "m.json", "max_degree": 2, "format": "md",
+      "seed_order": "reversed", "expect": ["a", "b"]}),
+    (["--max-degree", "2", "--format", "md", "--seed-order", "reversed",
+      "hokan", "m.json", "--expect", "a", "b"],
+     {"command": "hokan", "model": "m.json", "max_degree": 2, "format": "md",
+      "seed_order": "reversed", "expect": ["a", "b"]}),
+    (["verify", "--max-degree", "3", "m.json"],
+     {"command": "verify", "model": "m.json", "max_degree": 3}),
+    (["axioms", "--fixture", "fix-a", "--expect"],
+     {"command": "axioms", "fixture": "fix-a"}),
+    (["validate", "--expect", "a", "--", "m.json"],
+     {"command": "validate", "model": "m.json", "expect": ["a"]}),
+    (["verify", "m.json", "--expect", "a", "--expect", "b", "c"],
+     {"command": "verify", "model": "m.json", "expect": ["a", "b", "c"]}),
+], ids=["fixture", "options-first", "path", "every-flag-after",
+        "every-flag-before", "option-between", "empty-expect", "dash-dash",
+        "repeated-expect"])
+def test_command_lines_parse_to_their_settings(argv, parsed):
+    args = cli.build_parser().parse_intermixed_args(argv)
+    assert vars(args) == {**DEFAULT_SETTINGS, **parsed}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--fixture", "fix-a"], ["frobnicate", "--fixture", "fix-a"],
+    ["verify", "--fixture", "fix-a", "--frobnicate"],
+    ["verify", "--fixture", "fix-a", "--max-degree", "x"],
+    ["verify", "m.json", "--fixture", "fix-a"], ["verify"],
+    ["verify", "--expect", "a", "m.json"], ["verify", "m.json", "n.json"],
+], ids=["nothing", "no-command", "unknown-command", "unknown-option",
+        "degree-not-a-number", "model-and-fixture", "neither",
+        "model-read-as-a-name", "two-models"])
+def test_bad_command_lines_exit_2(capsys, argv):
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_options_may_come_before_between_or_after(capsys, tmp_path):
+    path = tmp_path / "fix-c.json"
+    path.write_text(json.dumps(load_bundled("fix-c")))
+    options = ["--format", "md", "--max-degree", "1", "--expect", "flabby"]
+    after = run(capsys, "classify", str(path), *options)
+    assert after[0] == 0
+    assert run(capsys, *options[:4], "classify", str(path),
+               *options[4:]) == after
+    assert run(capsys, "classify", *options[:4], str(path),
+               *options[4:]) == after
+
+
+def test_one_flat_parser_serves_every_command():
+    assert not any(isinstance(action, argparse._SubParsersAction)
+                   for action in cli.build_parser()._actions)
 
 
 def test_requires_exactly_one_source(capsys):
